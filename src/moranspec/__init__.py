@@ -36,7 +36,6 @@ from .spectrum import (
     exp_matrix_residual,
     level_factors,
     level_spectrum,
-    q_partial,
     q_sum_finite,
 )
 from .certificates import (

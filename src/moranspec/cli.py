@@ -32,12 +32,7 @@ from .density import (
     uniformity_check,
 )
 from .hadamard import hadamard_triple
-from .spectrum import (
-    check_orthogonal,
-    level_spectrum,
-    q_partial,
-    q_sum_finite,
-)
+from .spectrum import check_orthogonal, level_spectrum, q_sum_finite
 
 EXIT_OK = 0
 EXIT_USAGE = 64
@@ -81,7 +76,7 @@ def load_system(path: str) -> MoranSystem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileNotFoundError(f"cannot read {path}: {exc}") from exc
     return parse_system(text)
 
@@ -189,16 +184,16 @@ def cmd_ortho(args) -> int:
 def cmd_qsum(args) -> int:
     system = load_system(args.system)
     pts = level_spectrum(system, args.level, parse_sigma(args.sigma))
-    xs = np.linspace(args.xmin, args.xmax, args.grid)
     depth = args.depth if args.depth > 0 else args.level
     if depth < args.level:
         raise UsageError("--depth must be at least the spectrum level")
-    rows = []
-    for x in xs:
-        q = (q_sum_finite(system, args.level, pts, x) if depth == args.level
-             else q_partial(system, pts, depth, x))
-        rows.append((float(x), q))
-    qs = np.array([r[1] for r in rows])
+    if args.grid < 1:
+        raise UsageError("--grid must be positive")
+    xs = np.linspace(args.xmin, args.xmax, args.grid)
+    # blocks of grid points keep the (block x points) arrays near 2**13 entries
+    step = max(1, 2**13 // len(pts))
+    qs = np.concatenate([q_sum_finite(system, depth, pts, xs[k:k + step])
+                         for k in range(0, args.grid, step)])
     print(f"Q over [{args.xmin}, {args.xmax}] at {args.grid} points, "
           f"level {args.level}, depth {depth}:")
     dev = float(np.max(np.abs(qs - 1.0)))
@@ -207,7 +202,7 @@ def cmd_qsum(args) -> int:
         verdict = "complete" if dev < args.tol else "NOT complete"
         print(f"  {verdict} at tolerance {args.tol:g}")
     if args.output:
-        write_csv(args.output, ["xi", "Q"], rows)
+        write_csv(args.output, ["xi", "Q"], zip(xs.tolist(), qs.tolist()))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -310,7 +305,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # library ValueErrors (LevelRangeError too) reject argument values
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:

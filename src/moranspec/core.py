@@ -8,8 +8,9 @@ It generates the infinite convolution
 
 where delta(E) puts equal mass on the points of E.  This module holds the
 system representation, the admissible digit-set classes, the finite-level
-atom measures, mask polynomials, truncated Fourier transforms, and the exact
-rational zero set of the full transform.
+atom measures (integer numerators over P_n, built by one integer Minkowski
+sum), mask polynomials, truncated Fourier transforms, and the exact zero set
+of the full transform, decided in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ class MoranStructureError(MoranError):
 
 class AtomCollisionError(MoranStructureError):
     """Two digit words produced the same atom position."""
+
+
+class LevelRangeError(MoranStructureError, ValueError):
+    """A level past the end of a finite system was requested."""
 
 
 class LevelClass(Enum):
@@ -237,7 +242,7 @@ class MoranSystem:
         if n <= npre:
             return self.preamble[n - 1]
         if not self.cycle:
-            raise MoranStructureError(
+            raise LevelRangeError(
                 f"level {n} requested from a finite system of {npre} levels"
             )
         return self.cycle[(n - npre - 1) % len(self.cycle)]
@@ -270,7 +275,7 @@ class MoranSystem:
         if n <= npre:
             return self._pre_P[n]
         if not self.cycle:
-            raise MoranStructureError(
+            raise LevelRangeError(
                 f"level {n} requested from a finite system of {npre} levels"
             )
         k, r = divmod(n - npre, len(self.cycle))
@@ -310,27 +315,18 @@ class MoranSystem:
 
     def tail_max_sum(self, n: int) -> Fraction:
         """Exact sum over i > n of max(D_i)/P_i (the support tail radius)."""
-        npre = len(self.preamble)
+
+        def terms(lo: int, hi: int) -> Fraction:
+            return sum((Fraction(self.digit_set(i).max_digit, self.P(i))
+                        for i in range(lo, hi + 1)), Fraction(0))
+
         if not self.cycle:
-            return sum(
-                (Fraction(self.digit_set(i).max_digit, self.P(i))
-                 for i in range(n + 1, npre + 1)),
-                Fraction(0),
-            )
-        i0 = max(n, npre)
-        head = sum(
-            (Fraction(self.digit_set(i).max_digit, self.P(i))
-             for i in range(n + 1, i0 + 1)),
-            Fraction(0),
-        )
-        c = len(self.cycle)
-        period = sum(
-            (Fraction(self.digit_set(i0 + j).max_digit, self.P(i0 + j))
-             for j in range(1, c + 1)),
-            Fraction(0),
-        )
+            return terms(n + 1, len(self.preamble))
+        # past the preamble the tail repeats one period, scaled by 1/C each time
+        i0 = max(n, len(self.preamble))
         C = self._cycle_P[-1]
-        return head + period * Fraction(C, C - 1)
+        period = terms(i0 + 1, i0 + len(self.cycle))
+        return terms(n + 1, i0) + period * Fraction(C, C - 1)
 
 
 def make_system(
@@ -406,32 +402,53 @@ def parse_system(text: str) -> MoranSystem:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Uniform measure on a finite set of exact rational atoms."""
+    """Uniform measure on level-n atoms: sorted distinct integer numerators over P_n."""
 
-    atoms: tuple[Fraction, ...]
-    weight: Fraction
+    numerators: tuple[int, ...]
+    denominator: int
+
+    @property
+    def atoms(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self.denominator) for k in self.numerators)
+
+    @property
+    def weight(self) -> Fraction:
+        return Fraction(1, len(self.numerators))
 
     def positions(self) -> np.ndarray:
-        return np.array([float(a) for a in self.atoms])
+        # int / int is correctly rounded, exactly as float(Fraction) is
+        return np.array([k / self.denominator for k in self.numerators])
+
+
+def minkowski_sum(factors: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Sorted distinct sums f_1 + ... + f_n, one f_i from each integer factor.
+
+    A result shorter than the product of the factor sizes means a collision.
+    """
+    sums = [0]
+    for factor in factors:
+        sums = [s + f for s in sums for f in factor]
+    return tuple(sorted(set(sums)))
 
 
 def atoms(system: MoranSystem, n: int) -> DiscreteMeasure:
     """Atoms of the level-n truncation: all sums d_1/P_1 + ... + d_n/P_n.
 
+    Each atom is the integer d_1 P_n/P_1 + ... + d_n P_n/P_n over P_n.
     Raises AtomCollisionError when two digit words collide; the level-n
     truncation then has fewer than Phi(1)...Phi(n) atoms and the system is
     ill-posed for spectrum building.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    sums = [Fraction(0)]
-    for i in range(1, n + 1):
-        Pi = system.P(i)
-        offsets = [Fraction(d, Pi) for d in system.digit_set(i).digits]
-        sums = [s + off for s in sums for off in offsets]
-    if len(set(sums)) != len(sums):
+    Pn = system.P(n)
+    nums = minkowski_sum(
+        [d * (Pn // system.P(i)) for d in system.digit_set(i).digits]
+        for i in range(1, n + 1)
+    )
+    if len(nums) != system.phi_product(n):
         raise AtomCollisionError(f"atom collision at level {n}")
-    return DiscreteMeasure(tuple(sorted(sums)), Fraction(1, len(sums)))
+    return DiscreteMeasure(nums, Pn)
 
 
 def mask_eval(digits: DigitSet | Iterable[int], xi):
@@ -498,6 +515,23 @@ class ZeroWitness:
     cls: LevelClass
 
 
+def _in_zero_set(digits: DigitSet, num: int, den: int) -> bool:
+    """Exact membership of num/den in the zero set of the mask of D.
+
+    T3: (2Z+1)/(2d), T2: (3Z+{1,2})/3, T1: (Z \\ NZ)/N; that is, m num/den is
+    an integer not divisible by k for (m, k) = (2d, 2), (3, 3) or (N, N).
+    INVALID sets have no family.
+    """
+    if digits.cls is LevelClass.T3:
+        m, k = 2 * digits.d, 2
+    elif digits.cls is LevelClass.INVALID:
+        return False
+    else:
+        m = k = digits.N
+    q, r = divmod(m * num, den)
+    return r == 0 and q % k != 0
+
+
 def zero_set_contains(
     system: MoranSystem, xi, max_level: int | None = None
 ) -> ZeroWitness | None:
@@ -514,33 +548,18 @@ def zero_set_contains(
     positive element exceeds |xi|, which happens because P_i grows.
     """
     x = xi if isinstance(xi, (int, Fraction)) else Fraction(xi)
-    if x == 0:
+    num, den = x.numerator, x.denominator
+    if num == 0:
         return None
-    ax = abs(x)
-    finite = system.finite_length
+    last = system.finite_length
+    if max_level is not None:
+        last = max_level if last is None else min(last, max_level)
     i = 1
-    while True:
-        if max_level is not None and i > max_level:
-            return None
-        if finite is not None and i > finite:
-            return None
-        # Least positive family elements at levels >= i all exceed
-        # P_{i-1}/2, so once that passes |xi| nothing further can match.
-        if system.P(i - 1) > 2 * ax:
-            return None
+    # Least positive family elements at levels >= i all exceed P_{i-1}/2,
+    # so once that passes |xi| nothing further can match.
+    while (last is None or i <= last) and system.P(i - 1) * den <= 2 * abs(num):
         ds = system.digit_set(i)
-        Pi = system.P(i)
-        cls = ds.cls
-        if cls is LevelClass.T3:
-            t = Fraction(2 * ds.d) * x / Pi
-            if t.denominator == 1 and t.numerator % 2 != 0:
-                return ZeroWitness(i, cls)
-        elif cls is LevelClass.T2:
-            t = Fraction(3) * x / Pi
-            if t.denominator == 1 and t.numerator % 3 != 0:
-                return ZeroWitness(i, cls)
-        elif cls is LevelClass.T1:
-            t = Fraction(ds.N) * x / Pi
-            if t.denominator == 1 and t.numerator % ds.N != 0:
-                return ZeroWitness(i, cls)
+        if _in_zero_set(ds, num, den * system.P(i)):
+            return ZeroWitness(i, ds.cls)
         i += 1
+    return None

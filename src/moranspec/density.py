@@ -2,10 +2,10 @@
 
 When every level satisfies Phi(n) = p_n the Moran measure is absolutely
 continuous; its support can then be approximated from outside by finite
-unions of closed rational intervals, its density estimated by exact-atom
-histograms, and the tiling of the line by integer translates of the support
-checked by sampling.  All interval endpoints stay exact rationals; only the
-density values are floating point.
+unions of closed rational intervals, its density estimated by histograms of
+the level atoms (integer numerators over P_n), and the tiling of the line by
+integer translates of the support checked by sampling.  Interval endpoints
+stay exact rationals; only the density values are floating point.
 """
 
 from __future__ import annotations
@@ -129,13 +129,20 @@ def support_cover(system: MoranSystem, level: int) -> IntervalUnion:
     """Outer cover of the support: one interval [x, x + R] per level atom.
 
     R is the exact tail radius sum_{i > level} max(D_i)/P_i, so the cover
-    contains the support and shrinks to it as the level grows.
+    contains the support and shrinks to it as the level grows.  Neighbouring
+    atoms k/P < k'/P share an interval iff k' - k <= floor(R P).
     """
     if level < 1:
         raise ValueError("level must be at least 1")
     meas = atoms(system, level)
     r = system.tail_max_sum(level)
-    return IntervalUnion.from_intervals((x, x + r) for x in meas.atoms)
+    nums, P = meas.numerators, meas.denominator
+    reach = r.numerator * P // r.denominator
+    cuts = [j for j in range(1, len(nums)) if nums[j] - nums[j - 1] > reach]
+    return IntervalUnion(tuple(
+        (Fraction(nums[a], P), Fraction(nums[b - 1], P) + r)
+        for a, b in zip([0] + cuts, cuts + [len(nums)])
+    ))
 
 
 @dataclass(frozen=True)
@@ -175,22 +182,22 @@ class Histogram:
 def density_histogram(system: MoranSystem, level: int, bins: int) -> Histogram:
     """Histogram density estimate of the level-truncated measure.
 
-    Atoms are exact rationals with equal weight, so bin assignment is exact
-    up to float rounding of the positions; the estimate converges weakly to
-    the density when the measure is absolutely continuous.  The level should
-    be large enough to put a couple dozen atoms in each interior bin.
+    Atoms are integer numerators over P_n with equal weight, so bin
+    assignment is exact up to float rounding of the positions; the estimate
+    converges weakly to the density when the measure is absolutely continuous.
+    The level should put a couple dozen atoms in each interior bin.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
     meas = atoms(system, level)
-    lo = meas.atoms[0]
-    hi = meas.atoms[-1] + system.tail_max_sum(level)
+    lo = Fraction(meas.numerators[0], meas.denominator)
+    hi = Fraction(meas.numerators[-1], meas.denominator) + system.tail_max_sum(level)
     if hi <= lo:
         raise MoranError("degenerate support: zero bin width")
     counts, edges = np.histogram(
         meas.positions(), bins=bins, range=(float(lo), float(hi))
     )
-    q = len(meas.atoms)
+    q = len(meas.numerators)
     width = (float(hi) - float(lo)) / bins
     return Histogram(edges, counts, counts / (q * width), q, (lo, hi))
 

@@ -4,7 +4,7 @@ A triple is Hadamard when the N x N matrix (1/sqrt(N)) [exp(-2 pi i d l / p)]
 over d in D, l in L is unitary; equivalently L is a spectrum of the uniform
 measure on D/p.  ``construct_L`` builds a canonical companion set for each
 admissible class, ``unitarity_residual`` measures the numeric deviation from
-unitarity, and ``is_hadamard`` decides the property exactly through rational
+unitarity, and ``is_hadamard`` decides the property exactly through integer
 membership in the mask's zero set.
 """
 
@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from .core import DigitSet, LevelClass, classify_level
+from .core import DigitSet, LevelClass, _in_zero_set, classify_level
 
 
 def _as_digit_set(p: int, digits: DigitSet | Iterable[int]) -> DigitSet:
@@ -69,32 +69,17 @@ def is_hadamard(p: int, digits: DigitSet | Iterable[int], L: Iterable[int]) -> b
     """Exact Hadamard-triple test via the mask zero set.
 
     True iff every difference of distinct elements of L, scaled by 1/p, lies
-    in the zero set of the mask of D: for T3 that set is (2Z+1)/(2d), for T2
-    it is (3Z + {1,2})/3, for T1 it is (Z \\ NZ)/N.  Decided with exact
-    rational arithmetic; agrees with ``unitarity_residual`` being tiny.
+    in the zero set of the mask of D, decided in integers by the predicate
+    the full transform's zero set uses; agrees with ``unitarity_residual``
+    being tiny.
     """
     ds = _as_digit_set(p, digits)
     Ls = tuple(L)
     if len(Ls) != ds.N:
         raise ValueError(f"cardinality mismatch: #D = {ds.N}, #L = {len(Ls)}")
-    cls = ds.cls
-    if cls is LevelClass.INVALID:
+    if ds.cls is LevelClass.INVALID:
         raise ValueError(f"not admissible: {ds.violations}")
-    for i in range(len(Ls)):
-        for j in range(i + 1, len(Ls)):
-            diff = Ls[i] - Ls[j]
-            if cls is LevelClass.T3:
-                t = Fraction(2 * ds.d * diff, p)
-                ok = t.denominator == 1 and t.numerator % 2 != 0
-            elif cls is LevelClass.T2:
-                t = Fraction(3 * diff, p)
-                ok = t.denominator == 1 and t.numerator % 3 != 0
-            else:
-                t = Fraction(ds.N * diff, p)
-                ok = t.denominator == 1 and t.numerator % ds.N != 0
-            if not ok:
-                return False
-    return True
+    return all(_in_zero_set(ds, a - b, p) for a, b in combinations(Ls, 2))
 
 
 @dataclass(frozen=True)

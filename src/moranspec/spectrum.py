@@ -18,6 +18,7 @@ quadratic sum Q(xi) = sum over points of |F_n(xi + lambda)|^2 is constant 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +27,8 @@ from .core import (
     LevelClass,
     MoranStructureError,
     MoranSystem,
-    fourier_level,
+    mask_eval,
+    minkowski_sum,
     zero_set_contains,
 )
 
@@ -111,12 +113,10 @@ def level_spectrum(
     Phi(1)...Phi(n) points).
     """
     factors, used = level_factors(system, n, sigma)
-    pts = [0]
-    for factor in factors:
-        pts = [s + f for s in pts for f in factor]
-    if len(set(pts)) != system.phi_product(n):
+    pts = minkowski_sum(factors)
+    if len(pts) != system.phi_product(n):
         raise MoranStructureError(f"spectrum collision at level {n}")
-    return SpectrumLevel(n, used, tuple(sorted(pts)))
+    return SpectrumLevel(n, used, pts)
 
 
 def _points(points: SpectrumLevel | Iterable) -> tuple:
@@ -150,47 +150,39 @@ def check_orthogonal(
     pts = _points(points)
     failures = []
     witnessed = set()
-    checked = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            checked += 1
-            w = zero_set_contains(system, pts[i] - pts[j], max_level=max_level)
-            if w is None:
-                failures.append((pts[i], pts[j]))
-            else:
-                witnessed.add(w.level)
+    for a, b in combinations(pts, 2):
+        w = zero_set_contains(system, a - b, max_level=max_level)
+        if w is None:
+            failures.append((a, b))
+        else:
+            witnessed.add(w.level)
+    q = len(pts)
     return OrthogonalityReport(
-        len(pts), checked, tuple(failures), tuple(sorted(witnessed))
+        q, q * (q - 1) // 2, tuple(failures), tuple(sorted(witnessed))
     )
 
 
 def q_sum_finite(
-    system: MoranSystem, n: int, points: SpectrumLevel | Iterable, xi: float
-) -> float:
+    system: MoranSystem, n: int, points: SpectrumLevel | Iterable, xi
+) -> float | np.ndarray:
     """Quadratic sum sum_lambda |F_n(xi + lambda)|^2 for the level-n measure.
 
     Identically 1 (up to floating error) exactly when the points form a
-    spectrum of the level-n truncation.
+    spectrum of the level-n truncation; past the points' level it is at most
+    1 (Bessel) for an orthogonal set.  Accepts scalar or ndarray xi.  Masks
+    are 1-periodic, so lambda is reduced mod P_i exactly before xi/P_i is
+    added wherever P_i <= max|lambda|: large points lose no phase.
     """
-    pts = np.array([float(p) for p in _points(points)])
-    vals = fourier_level(system, n, pts + float(xi))
-    return float(np.sum(np.abs(vals) ** 2))
-
-
-def q_partial(
-    system: MoranSystem,
-    points: SpectrumLevel | Iterable,
-    tail_depth: int,
-    xi: float,
-) -> float:
-    """Quadratic sum against the depth-truncated measure.
-
-    For an orthogonal set this is bounded by 1 (Bessel); it increases when
-    points are added and tends to the full quadratic sum as depth grows.
-    """
-    pts = np.array([float(p) for p in _points(points)])
-    vals = fourier_level(system, tail_depth, pts + float(xi))
-    return float(np.sum(np.abs(vals) ** 2))
+    lam = _points(points)
+    top = max((abs(v) for v in lam), default=0)
+    x = np.asarray(xi, dtype=np.float64)[..., None]
+    vals = np.ones(x.shape[:-1] + (len(lam),), dtype=np.complex128)
+    for i in range(1, n + 1):
+        Pi = system.P(i)
+        red = np.array([v % Pi for v in lam] if Pi <= top else lam, dtype=float)
+        vals *= mask_eval(system.digit_set(i), red / Pi + x / Pi)
+    q = np.sum(np.abs(vals) ** 2, axis=-1)
+    return float(q) if q.ndim == 0 else q
 
 
 def exp_matrix_residual(positions: Iterable, frequencies: Iterable) -> float:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from moranspec.cli import main, parse_sigma
@@ -6,6 +8,9 @@ FINAL = "cycle: (2,{0,1}) (3,{0,1,2})\n"
 ALTERNATING = "cycle: (9,{0,1,2}) (4,{0,2})\n"
 PURE_T3 = "preamble: (4,{0,2})\ncycle: (4,{0,1})\n"
 NONUNIFORM = "preamble: (2,{0,1,2}) (2,{0,5,6})\ncycle: (2,{0,3})\n"
+FINITE = "preamble: (4,{0,2}) (12,{0,1,2})\n"
+# level-6 spectrum points reach about P_6 = 8.6e9, far beyond P_1 = 36
+LARGE_POINTS = "cycle: (36,{0,31}) (57,{0,1,20})\n"
 
 
 @pytest.fixture
@@ -66,6 +71,14 @@ class TestSpectrumCommands:
         assert len(lines) == 21
         qs = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(abs(q - 1) < 1e-9 for q in qs)
+
+    @pytest.mark.parametrize("sigma", ["--sigma=+-", "--sigma=-+"])
+    def test_qsum_large_points_complete(self, system_file, capsys, sigma):
+        assert main(["qsum", system_file(LARGE_POINTS), "--level", "6",
+                     sigma]) == 0
+        out = capsys.readouterr().out
+        assert "  complete at tolerance 1e-09" in out
+        assert float(re.search(r"max\|Q-1\| (\S+)", out).group(1)) < 1e-12
 
     def test_qsum_with_depth(self, system_file, capsys):
         assert main(["qsum", system_file(ALTERNATING), "--level", "3",
@@ -154,3 +167,18 @@ class TestErrorPaths:
 
     def test_structural_error_file(self, system_file, capsys):
         assert main(["validate", system_file("cycle: (1,{0,1})")]) == 66
+
+    @pytest.mark.parametrize("text, argv", [
+        pytest.param(FINITE, ["certify"], id="certify-finite"),
+        pytest.param(FINAL, ["density", "--level", "0"], id="density-level-0"),
+        pytest.param(FINAL, ["tiling", "--level", "0"], id="tiling-level-0"),
+        pytest.param(FINAL, ["ortho", "--level", "-1"], id="ortho-level-minus-1"),
+        pytest.param(FINAL, ["qsum", "--grid", "0"], id="qsum-grid-0"),
+        pytest.param(FINAL, ["density", "--bins", "0"], id="density-bins-0"),
+        pytest.param(FINITE, ["spectrum", "--level", "5"], id="spectrum-past-end"),
+        pytest.param(FINITE, ["qsum", "--level", "2", "--depth", "4"],
+                     id="qsum-depth-past-end"),
+    ])
+    def test_bad_argument_values(self, system_file, capsys, text, argv):
+        assert main([argv[0], system_file(text), *argv[1:]]) == 64
+        assert capsys.readouterr().err.startswith("usage error: ")

@@ -10,7 +10,6 @@ from moranspec import (
     digit_star,
     exp_matrix_residual,
     level_spectrum,
-    q_partial,
     q_sum_finite,
 )
 
@@ -143,21 +142,29 @@ class TestQSumFinite:
             for xi in rng.uniform(-5, 5, 100):
                 assert abs(q_sum_finite(s, n, pts, xi) - 1.0) < 1e-9
 
+    def test_array_xi_matches_scalar_calls(self, alternating_system):
+        pts = level_spectrum(alternating_system, 4)
+        xs = np.linspace(-3, 3, 7)
+        qs = q_sum_finite(alternating_system, 4, pts, xs)
+        assert qs.shape == xs.shape
+        assert qs.tolist() == [q_sum_finite(alternating_system, 4, pts, x)
+                               for x in xs]
+
 
 class TestQPartial:
     def test_zero_point_at_origin(self, final_system):
-        assert abs(q_partial(final_system, [0], 25, 0.0) - 1.0) < 1e-12
+        assert abs(q_sum_finite(final_system, 25, [0], 0.0) - 1.0) < 1e-12
 
     def test_bessel_bound(self, alternating_system):
         pts = level_spectrum(alternating_system, 6)
         for xi in np.linspace(-1, 1, 40):
-            assert q_partial(alternating_system, pts, 30, xi) <= 1 + 1e-6
+            assert q_sum_finite(alternating_system, 30, pts, xi) <= 1 + 1e-6
 
     def test_monotone_in_level(self, alternating_system):
         for xi in (0.0, 0.31, -0.77):
             vals = [
-                q_partial(alternating_system,
-                          level_spectrum(alternating_system, n), 12, xi)
+                q_sum_finite(alternating_system, 12,
+                             level_spectrum(alternating_system, n), xi)
                 for n in range(1, 7)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
