@@ -466,6 +466,33 @@ def mask_eval(digits: DigitSet | Iterable[int], xi):
     return complex(acc) if x.ndim == 0 else acc
 
 
+def _mask_product(system: MoranSystem, lo: int, hi: int, lam, xi):
+    """Product of mask(D_i, (lam + xi)/P_i) over lo < i <= hi, and a scale S.
+
+    Integer ``lam`` and float ``xi`` broadcast together; lam is reduced mod
+    P_i exactly wherever P_i <= max|lam| (masks are 1-periodic).  Past level
+    m the factors differ from 1 by at most expm1(4 pi c |lam + xi| / P_m) in
+    all (see fourier_tail), so the product stops once that is below 2**-54
+    and never divides by a P_i too large for a float.  The same bound holds
+    with the float-sized S <= P_m for every omitted factor, past hi too.
+    """
+    system.P(hi)  # a level past a finite system's end is named as requested
+    lam = np.asarray(lam)
+    x = np.asarray(xi, dtype=np.float64)
+    top = int(np.max(np.abs(lam), initial=0))
+    # P_m > 2**57 pi c max(|lam|, |xi|) puts the bound below 2**-54 (nan: never)
+    stop = math.ceil(2**57 * math.pi * system.max_digit_ratio) * max(
+        float(np.max(np.abs(x), initial=0.0)), top)
+    out = np.ones(np.broadcast_shapes(lam.shape, x.shape), dtype=np.complex128)
+    m, Pm = lo, system.P(lo)
+    while m < hi and not Pm > stop:
+        m += 1
+        Pm = system.P(m)
+        red = (lam % Pm if Pm <= top else lam).astype(np.float64)
+        out *= mask_eval(system.digit_set(m), red / Pm + x / Pm)
+    return out, min(Pm, stop) or 1
+
+
 def fourier_level(system: MoranSystem, n: int, xi):
     """Fourier transform of the level-n truncation via the mask product.
 
@@ -474,11 +501,8 @@ def fourier_level(system: MoranSystem, n: int, xi):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x = np.asarray(xi, dtype=np.float64)
-    out = np.ones(x.shape, dtype=np.complex128)
-    for i in range(1, n + 1):
-        out *= mask_eval(system.digit_set(i), x / float(system.P(i)))
-    return complex(out) if x.ndim == 0 else out
+    out, _ = _mask_product(system, 0, n, 0, xi)
+    return complex(out) if out.ndim == 0 else out
 
 
 def fourier_tail(
@@ -491,17 +515,18 @@ def fourier_tail(
     |t - v| <= |v| * B where v is the returned product.  The bound comes from
     |1 - mask(D, x)| <= 2 pi max(D) |x| and the at-least-geometric growth of
     P_i, giving sum_{i > n+depth} 2 pi max(D_i) |xi| / P_i
-    <= 4 pi c |xi| / P_{n+depth} with c = sup max(D_i)/p_i.
+    <= 4 pi c |xi| / P_{n+depth} with c = sup max(D_i)/p_i; where the
+    product stops early, its scale replaces P_{n+depth}.  An ndarray xi gives
+    arrays of values and bounds, one per entry.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    x = float(xi)
-    val = complex(1.0)
-    for i in range(n + 1, n + depth + 1):
-        val *= complex(mask_eval(system.digit_set(i), x / float(system.P(i))))
+    x = np.asarray(xi, dtype=np.float64)
+    val, scale = _mask_product(system, n, n + depth, 0, x)
     c = float(system.max_digit_ratio)
-    bound = math.expm1(4.0 * math.pi * c * abs(x) / float(system.P(n + depth)))
-    return val, bound
+    # the omitted factor has modulus <= 1, so B = 2 = expm1(log 3) always holds
+    bound = np.expm1(np.minimum(4.0 * math.pi * c * np.abs(x) / scale, math.log(3.0)))
+    return (complex(val), float(bound)) if x.ndim == 0 else (val, bound)
 
 
 # -- exact zero set ----------------------------------------------------------

@@ -93,8 +93,8 @@ def run_check(system: MoranSystem, name: str, params: dict, seed: int = 0) -> Ch
     if kind == "qsum":
         pts = level_spectrum(system, params["level"])
         xs = np.linspace(-5.0, 5.0, params["grid"])
-        worst = max(abs(q_sum_finite(system, params["level"], pts, x) - 1.0)
-                    for x in xs)
+        qs = q_sum_finite(system, params["level"], pts, xs)
+        worst = float(np.max(np.abs(qs - 1.0)))
         return CheckResult(name, f"{kind}@{params['level']}",
                            f"|Q-1| < {params['tol']:g}", f"|Q-1| <= {worst:.3g}",
                            worst < params["tol"])

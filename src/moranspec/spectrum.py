@@ -27,7 +27,7 @@ from .core import (
     LevelClass,
     MoranStructureError,
     MoranSystem,
-    mask_eval,
+    _mask_product,
     minkowski_sum,
     zero_set_contains,
 )
@@ -75,6 +75,7 @@ def level_factors(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    system.P(n)  # a level past a finite system's end is named as requested
     factors: list[tuple[int, ...]] = []
     used: list[int] = []
     for i in range(1, n + 1):
@@ -169,18 +170,11 @@ def q_sum_finite(
 
     Identically 1 (up to floating error) exactly when the points form a
     spectrum of the level-n truncation; past the points' level it is at most
-    1 (Bessel) for an orthogonal set.  Accepts scalar or ndarray xi.  Masks
-    are 1-periodic, so lambda is reduced mod P_i exactly before xi/P_i is
-    added wherever P_i <= max|lambda|: large points lose no phase.
+    1 (Bessel) for an orthogonal set.  Accepts scalar or ndarray xi; lambda
+    is reduced mod P_i exactly, so large points lose no phase.
     """
-    lam = _points(points)
-    top = max((abs(v) for v in lam), default=0)
     x = np.asarray(xi, dtype=np.float64)[..., None]
-    vals = np.ones(x.shape[:-1] + (len(lam),), dtype=np.complex128)
-    for i in range(1, n + 1):
-        Pi = system.P(i)
-        red = np.array([v % Pi for v in lam] if Pi <= top else lam, dtype=float)
-        vals *= mask_eval(system.digit_set(i), red / Pi + x / Pi)
+    vals, _ = _mask_product(system, 0, n, _points(points), x)
     q = np.sum(np.abs(vals) ** 2, axis=-1)
     return float(q) if q.ndim == 0 else q
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from moranspec import certificates
 from moranspec import (
     Verdict,
     certify,
@@ -216,6 +217,17 @@ class TestCertify:
         s = make_system(preamble=[(4, (0, 2))])
         with pytest.raises(ValueError, match="infinite"):
             certify(s)
+
+    def test_truncation_bound_judges_samples(self, alternating_system, monkeypatch):
+        # a sample only counts when |v| (1 - B) clears the chained bound, so a
+        # bound of B = 1 must stop the certificate
+        assert certify(alternating_system).verdict is Verdict.PASS
+        tail = certificates.fourier_tail
+        monkeypatch.setattr(certificates, "fourier_tail",
+                            lambda *args: (tail(*args)[0], 1.0))
+        cert = certify(alternating_system)
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert "sampled tail minimum 0 " in cert.diagnostics
 
     def test_deterministic_for_seed(self, alternating_system):
         a = certify(alternating_system, seed=5)

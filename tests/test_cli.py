@@ -11,6 +11,8 @@ NONUNIFORM = "preamble: (2,{0,1,2}) (2,{0,5,6})\ncycle: (2,{0,3})\n"
 FINITE = "preamble: (4,{0,2}) (12,{0,1,2})\n"
 # level-6 spectrum points reach about P_6 = 8.6e9, far beyond P_1 = 36
 LARGE_POINTS = "cycle: (36,{0,31}) (57,{0,1,20})\n"
+# P_400 = 8**400 is far past the largest float
+T1_CYCLE = "cycle: (8,{0,1,2,3})\n"
 
 
 @pytest.fixture
@@ -86,6 +88,14 @@ class TestSpectrumCommands:
                      "--depth", "20"]) == 0
         assert "max" in capsys.readouterr().out
 
+    def test_qsum_depth_past_float_range(self, system_file, capsys):
+        path = system_file(T1_CYCLE)
+        assert main(["qsum", path, "--level", "2", "--depth", "400"]) == 0
+        deep = capsys.readouterr().out.splitlines()
+        assert main(["qsum", path, "--level", "2", "--depth", "20"]) == 0
+        shallow = capsys.readouterr().out.splitlines()
+        assert "depth 400" in deep[0] and deep[1:] == shallow[1:]
+
 
 class TestHadamardCommand:
     def test_levels_printed(self, system_file, capsys):
@@ -121,6 +131,13 @@ class TestCertifyCommand:
         first = capsys.readouterr().out
         main(["certify", path, "--seed", "3"])
         assert capsys.readouterr().out == first
+
+    def test_depth_past_float_range(self, system_file, capsys):
+        path = system_file(T1_CYCLE)
+        assert main(["certify", path, "--depth", "400"]) == 0
+        deep = capsys.readouterr().out
+        assert main(["certify", path]) == 0
+        assert deep == capsys.readouterr().out.replace("depth=30", "depth=400")
 
 
 class TestDensityTilingCommands:
@@ -168,17 +185,25 @@ class TestErrorPaths:
     def test_structural_error_file(self, system_file, capsys):
         assert main(["validate", system_file("cycle: (1,{0,1})")]) == 66
 
-    @pytest.mark.parametrize("text, argv", [
-        pytest.param(FINITE, ["certify"], id="certify-finite"),
-        pytest.param(FINAL, ["density", "--level", "0"], id="density-level-0"),
-        pytest.param(FINAL, ["tiling", "--level", "0"], id="tiling-level-0"),
-        pytest.param(FINAL, ["ortho", "--level", "-1"], id="ortho-level-minus-1"),
-        pytest.param(FINAL, ["qsum", "--grid", "0"], id="qsum-grid-0"),
-        pytest.param(FINAL, ["density", "--bins", "0"], id="density-bins-0"),
-        pytest.param(FINITE, ["spectrum", "--level", "5"], id="spectrum-past-end"),
+    @pytest.mark.parametrize("text, argv, message", [
+        pytest.param(FINITE, ["certify"], "infinite system", id="certify-finite"),
+        pytest.param(FINAL, ["density", "--level", "0"], "at least 1",
+                     id="density-level-0"),
+        pytest.param(FINAL, ["tiling", "--level", "0"], "level must be at least 1",
+                     id="tiling-level-0"),
+        pytest.param(FINAL, ["ortho", "--level", "-1"], "nonnegative",
+                     id="ortho-level-minus-1"),
+        pytest.param(FINAL, ["qsum", "--grid", "0"], "--grid", id="qsum-grid-0"),
+        pytest.param(FINAL, ["density", "--bins", "0"], "bins must be positive",
+                     id="density-bins-0"),
+        pytest.param(FINITE, ["spectrum", "--level", "5"],
+                     "level 5 requested from a finite system of 2 levels",
+                     id="spectrum-past-end"),
         pytest.param(FINITE, ["qsum", "--level", "2", "--depth", "4"],
+                     "level 4 requested from a finite system of 2 levels",
                      id="qsum-depth-past-end"),
     ])
-    def test_bad_argument_values(self, system_file, capsys, text, argv):
+    def test_bad_argument_values(self, system_file, capsys, text, argv, message):
         assert main([argv[0], system_file(text), *argv[1:]]) == 64
-        assert capsys.readouterr().err.startswith("usage error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err

@@ -224,6 +224,12 @@ class TestFourier:
             for n in range(w.level, w.level + 4):
                 assert abs(fourier_level(final_system, n, float(xi))) < 1e-12
 
+    def test_level_past_float_range(self):
+        # P_400 = 8**400 overflows a float; the factors past about level 20
+        # equal 1 to double precision
+        s = make_system(cycle=[(8, (0, 1, 2, 3))])
+        assert fourier_level(s, 400, 0.5) == fourier_level(s, 20, 0.5)
+
 
 class TestFourierTail:
     def test_at_zero(self, final_system):
@@ -248,6 +254,12 @@ class TestFourierTail:
             val, err = fourier_tail(final_system, 1, xi, depth)
             deeper, _ = fourier_tail(final_system, 1, xi, depth + 15)
             assert abs(deeper - val) <= abs(val) * err + 1e-15
+
+    def test_level_past_float_range(self):
+        s = make_system(cycle=[(8, (0, 1, 2, 3))])
+        val, err = fourier_tail(s, 380, 0.5, 30)
+        assert (val, err) == fourier_tail(s, 30, 0.5, 30)
+        assert val == 1.0 and 0.0 < err < 1e-16
 
 
 class TestZeroSet:

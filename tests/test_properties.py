@@ -1,8 +1,10 @@
-"""Property tests: the integer layer against small Fraction oracles.
+"""Property tests: the integer layer and the mask product against oracles.
 
 Systems are drawn with the random level generators from conftest.py, seeded
 by hypothesis; arbitrary (possibly colliding, inadmissible) levels are mixed
-in so that collisions and INVALID classes are exercised too.
+in so that collisions and INVALID classes are exercised too.  Exact layers
+are checked against small Fraction oracles, transforms against the scalar
+per-level mask loop they were first written as.
 """
 
 from fractions import Fraction
@@ -18,7 +20,11 @@ from moranspec import (
     LevelClass,
     atoms,
     classify_level,
+    fourier_level,
+    fourier_tail,
     make_system,
+    mask_eval,
+    q_sum_finite,
     zero_set_contains,
 )
 from moranspec.core import _in_zero_set
@@ -121,3 +127,51 @@ def test_zero_set_contains_matches_fraction_scan(seed, a, b):
     witness = zero_set_contains(system, x, max_level=4)
     expected = fraction_zero_set_level(system, x, 4)
     assert (witness.level if witness else None) == expected
+
+
+def scalar_mask_loop(system, lo: int, hi: int, x: float, lam: int = 0) -> complex:
+    """The per-level scalar product the array transforms replaced, kept as the oracle.
+
+    lam is reduced mod P_i exactly before x/P_i is added, as q_sum_finite does.
+    """
+    val = complex(1.0)
+    for i in range(lo + 1, hi + 1):
+        Pi = system.P(i)
+        val *= complex(mask_eval(system.digit_set(i), (lam % Pi) / Pi + x / float(Pi)))
+    return val
+
+
+XIS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(0, 8), st.integers(1, 40), XIS)
+def test_transforms_match_scalar_loop(seed, n, depth, xi):
+    system = random_system(seed)
+    level = fourier_level(system, n, xi)
+    assert abs(level - scalar_mask_loop(system, 0, n, xi)) < 1e-12
+    val, _ = fourier_tail(system, n, xi, depth)
+    assert abs(val - scalar_mask_loop(system, n, n + depth, xi)) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(0, 8),
+       st.lists(st.integers(-10**15, 10**15), min_size=1, max_size=12), XIS)
+def test_q_sum_matches_scalar_loop(seed, n, lams, xi):
+    system = random_system(seed)
+    oracle = sum(abs(scalar_mask_loop(system, 0, n, xi, lam)) ** 2 for lam in lams)
+    assert abs(q_sum_finite(system, n, lams, xi) - oracle) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(0, 8), st.integers(1, 40),
+       st.lists(XIS, min_size=1, max_size=6))
+def test_tail_array_call_matches_scalar_calls(seed, n, depth, xs):
+    system = random_system(seed)
+    vals, errs = fourier_tail(system, n, np.array(xs), depth)
+    for x, v, e in zip(xs, vals, errs):
+        val, err = fourier_tail(system, n, x, depth)
+        assert abs(v - val) < 1e-12
+        # a wider array may cut the product later; the bounds then both sit
+        # below 2**-54
+        assert e == pytest.approx(err, rel=1e-12, abs=2.0**-53)

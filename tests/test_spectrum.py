@@ -10,6 +10,7 @@ from moranspec import (
     digit_star,
     exp_matrix_residual,
     level_spectrum,
+    make_system,
     q_sum_finite,
 )
 
@@ -154,6 +155,10 @@ class TestQSumFinite:
 class TestQPartial:
     def test_zero_point_at_origin(self, final_system):
         assert abs(q_sum_finite(final_system, 25, [0], 0.0) - 1.0) < 1e-12
+
+    def test_depth_past_float_range(self):
+        s = make_system(cycle=[(8, (0, 1, 2, 3))])
+        assert q_sum_finite(s, 400, [0, 2], 0.3) == q_sum_finite(s, 20, [0, 2], 0.3)
 
     def test_bessel_bound(self, alternating_system):
         pts = level_spectrum(alternating_system, 6)
