@@ -30,6 +30,8 @@ from .spectrum import SigmaPrefix, level_factors, level_spectrum, q_sum_finite
 
 #: Bounds below this are treated as numerically indistinguishable from zero.
 BOUND_FLOOR = 1e-9
+#: Grid points per axis of the angle box ``epsilon_next_level`` minimizes over.
+_ANGLE_GRID = 801
 
 
 def h_bound(system: MoranSystem, k: int, n: int) -> Fraction:
@@ -120,7 +122,7 @@ def f_min_points() -> tuple[float, tuple[tuple[float, float], ...]]:
     return -0.125, pts
 
 
-def tail_constant(system: MoranSystem, n_k: int) -> float:
+def tail_constant(n_k: int) -> float:
     """Universal lower bound for the tail product beyond level n_k + 1.
 
     Evaluates prod_{i >= n_k+2} (1 - (43 pi / (96 * 2**(i-9)))**2 / 2) until
@@ -143,10 +145,7 @@ def tail_constant(system: MoranSystem, n_k: int) -> float:
 
 
 def epsilon_next_level(
-    system: MoranSystem,
-    n_k: int,
-    sigma: SigmaPrefix | None = None,
-    grid: int = 801,
+    system: MoranSystem, n_k: int, sigma: SigmaPrefix | None = None
 ) -> float:
     """Certified lower bound for the level-(n_k + 1) mask factor.
 
@@ -186,14 +185,14 @@ def epsilon_next_level(
     u = 1.0 + 1.0 / system.P(n_k)
     w1 = math.pi * ds.a * u / nxt.p
     w2 = math.pi * ds.b * u / nxt.p
-    om1 = np.linspace(-w1, w1, grid)
-    om2 = np.linspace(-w2, w2, grid)
+    om1 = np.linspace(-w1, w1, _ANGLE_GRID)
+    om2 = np.linspace(-w2, w2, _ANGLE_GRID)
     g = (1.0 + 8.0 * f_eval(om1[:, None], om2[None, :])) / 9.0
     gmin = float(g.min())
     # 1 + 8f >= 0 everywhere; a grid value below that means a bug
     assert gmin >= -1e-12
     # each partial derivative of g is bounded by 8/9
-    slack = (8.0 / 9.0) * (w1 + w2) / (grid - 1)
+    slack = (8.0 / 9.0) * (w1 + w2) / (_ANGLE_GRID - 1)
     return math.sqrt(max(gmin - slack, 0.0))
 
 
@@ -251,8 +250,11 @@ def certify(
     two-digit, the tail conditions are exactly the per-level class
     conditions already verified, and the finite head is checked for
     completeness directly.  PASS is never returned on a bound below
-    BOUND_FLOOR or on a failed confirmation.
+    BOUND_FLOOR or on a failed confirmation.  ``samples`` must be at
+    least 1.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     sig = tuple(int(s) for s in sigma) if sigma is not None else ()
     diag = [f"seed={seed} samples={samples} depth={depth}"]
 
@@ -295,7 +297,7 @@ def _certify_infinite_branch(system, sig, levels_to_scan, samples, depth, seed, 
     # there, and the spectrum sampled against stays small.
     best = None  # (product, n_k, eps_tail, eps_next)
     for n_k in candidates:
-        eps_tail = tail_constant(system, n_k)
+        eps_tail = tail_constant(n_k)
         eps_next = epsilon_next_level(system, n_k, sig)
         if best is None or eps_tail * eps_next > best[0]:
             best = (eps_tail * eps_next, n_k, eps_tail, eps_next)
@@ -320,7 +322,7 @@ def _certify_infinite_branch(system, sig, levels_to_scan, samples, depth, seed, 
     # the true tail t has |t| >= |val| (1 - err): that must clear the product
     lower = np.abs(val) * (1.0 - err)
     failures = int(np.count_nonzero(lower < product))
-    diag.append(f"sampled tail minimum {np.min(lower, initial=math.inf):.6g} "
+    diag.append(f"sampled tail minimum {lower.min():.6g} "
                 f"vs bound {product:.6g}")
     if failures:
         diag.append(f"{failures} sampled pairs fell below the chained bound")
@@ -339,7 +341,7 @@ def _certify_two_digit_tail(system, sig, samples, seed, diag):
     if head > 0:
         rng = np.random.default_rng(seed)
         pts = level_spectrum(system, head, sig)
-        xs = rng.uniform(-5.0, 5.0, max(samples, 1))
+        xs = rng.uniform(-5.0, 5.0, samples)
         worst = np.max(np.abs(q_sum_finite(system, head, pts, xs) - 1.0))
         diag.append(f"head completeness |Q - 1| <= {worst:.3g} at level {head}")
         if worst > BOUND_FLOOR:

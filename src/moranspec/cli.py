@@ -17,13 +17,7 @@ import numpy as np
 
 from . import corpus
 from .certificates import certify
-from .core import (
-    LevelClass,
-    MoranError,
-    MoranSystem,
-    atoms,
-    parse_system,
-)
+from .core import LevelClass, MoranError, MoranSystem, parse_system
 from .density import (
     density_histogram,
     density_verdict,
@@ -64,6 +58,13 @@ def parse_sigma(text: str) -> tuple[int, ...]:
     return vals
 
 
+def finite_float(text: str) -> float:
+    """argparse type for a float that is neither infinite nor nan."""
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
@@ -85,18 +86,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="moranspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, with_file=True):
+    def add(name, help_text, with_file=True, seed=False, output=False):
         p = sub.add_parser(name, help=help_text)
         if with_file:
             p.add_argument("system", help="path to a .moran system file")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for all sampled checks (default 0)")
-        p.add_argument("-o", "--output", default=None, help="CSV output path")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for all sampled checks (default 0)")
+        if output:
+            p.add_argument("-o", "--output", default=None, help="CSV output path")
         return p
 
     add("validate", "parse a system file and print per-level classification")
 
-    p = add("spectrum", "construct the level-n candidate spectrum")
+    p = add("spectrum", "construct the level-n candidate spectrum", output=True)
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--sigma", default="",
                    help="sign prefix, e.g. '+-+' (leading '-' needs --sigma=-+)")
@@ -105,29 +108,31 @@ def build_parser() -> _Parser:
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--sigma", default="")
 
-    p = add("qsum", "quadratic sum Q(xi) of the level-n spectrum on a grid")
+    p = add("qsum", "quadratic sum Q(xi) of the level-n spectrum on a grid",
+            output=True)
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--sigma", default="")
     p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--xmin", type=float, default=-5.0)
-    p.add_argument("--xmax", type=float, default=5.0)
+    p.add_argument("--xmin", type=finite_float, default=-5.0)
+    p.add_argument("--xmax", type=finite_float, default=5.0)
     p.add_argument("--depth", type=int, default=0,
                    help="evaluate against this tail depth instead of the level")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=finite_float, default=1e-9,
                    help="completeness tolerance on |Q - 1| (default 1e-9)")
 
     add("hadamard", "companion sets and unitarity residuals per level")
 
-    p = add("certify", "assemble the spectrality certificate")
+    p = add("certify", "assemble the spectrality certificate", seed=True)
     p.add_argument("--sigma", default="")
     p.add_argument("--depth", type=int, default=30)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--scan-levels", type=int, default=24)
 
-    p = add("density", "histogram density estimate over the support hull")
+    p = add("density", "histogram density estimate over the support hull",
+            output=True)
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--bins", type=int, default=4096)
-    p.add_argument("--tol", type=float, default=0.1,
+    p.add_argument("--tol", type=finite_float, default=0.1,
                    help="relative tolerance for the uniformity check")
 
     p = add("tiling", "check integer-translate tiling of the support cover")
@@ -136,7 +141,8 @@ def build_parser() -> _Parser:
                    help="translate range (default: smallest window covering the diameter)")
     p.add_argument("--samples", type=int, default=10000)
 
-    p = add("examples", "run the built-in example corpus", with_file=False)
+    p = add("examples", "run the built-in example corpus", with_file=False,
+            seed=True)
     p.add_argument("--name", default=None, help="run a single example by name")
     return parser
 

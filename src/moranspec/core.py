@@ -540,23 +540,6 @@ class ZeroWitness:
     cls: LevelClass
 
 
-def _in_zero_set(digits: DigitSet, num: int, den: int) -> bool:
-    """Exact membership of num/den in the zero set of the mask of D.
-
-    T3: (2Z+1)/(2d), T2: (3Z+{1,2})/3, T1: (Z \\ NZ)/N; that is, m num/den is
-    an integer not divisible by k for (m, k) = (2d, 2), (3, 3) or (N, N).
-    INVALID sets have no family.
-    """
-    if digits.cls is LevelClass.T3:
-        m, k = 2 * digits.d, 2
-    elif digits.cls is LevelClass.INVALID:
-        return False
-    else:
-        m = k = digits.N
-    q, r = divmod(m * num, den)
-    return r == 0 and q % k != 0
-
-
 def zero_set_contains(
     system: MoranSystem, xi, max_level: int | None = None
 ) -> ZeroWitness | None:
@@ -565,12 +548,15 @@ def zero_set_contains(
     The zero set is the union over levels of three families:
     T3 level i:  P_i (2Z+1) / (2 d_i),
     T2 level j:  P_j (3Z+{1,2}) / 3,
-    T1 level m:  P_m (Z \\ N_m Z) / N_m.
+    T1 level m:  P_m (Z \\ N_m Z) / N_m;
+    that is, s xi / P_i is an integer not divisible by k for (s, k) =
+    (2 d_i, 2), (3, 3) or (N_m, N_m), decided with one integer divmod.
     Returns a witness for the first matching level, or None.  Levels with an
-    INVALID class contribute no family.  With ``max_level`` set, only levels
-    up to it are searched (membership relative to the level-truncated
-    measure); otherwise the scan stops once every remaining family's least
-    positive element exceeds |xi|, which happens because P_i grows.
+    INVALID class contribute no family.  The set is symmetric: xi and -xi
+    get the same answer.  With ``max_level`` set, only levels up to it are
+    searched (membership relative to the level-truncated measure);
+    otherwise the scan stops once every remaining family's least positive
+    element exceeds |xi|, which happens because P_i grows.
     """
     x = xi if isinstance(xi, (int, Fraction)) else Fraction(xi)
     num, den = x.numerator, x.denominator
@@ -584,7 +570,10 @@ def zero_set_contains(
     # so once that passes |xi| nothing further can match.
     while (last is None or i <= last) and system.P(i - 1) * den <= 2 * abs(num):
         ds = system.digit_set(i)
-        if _in_zero_set(ds, num, den * system.P(i)):
-            return ZeroWitness(i, ds.cls)
+        if ds.cls is not LevelClass.INVALID:
+            s, k = (2 * ds.d, 2) if ds.cls is LevelClass.T3 else (ds.N, ds.N)
+            q, r = divmod(s * num, den * system.P(i))
+            if r == 0 and q % k != 0:
+                return ZeroWitness(i, ds.cls)
         i += 1
     return None

@@ -4,20 +4,21 @@ A triple is Hadamard when the N x N matrix (1/sqrt(N)) [exp(-2 pi i d l / p)]
 over d in D, l in L is unitary; equivalently L is a spectrum of the uniform
 measure on D/p.  ``construct_L`` builds a canonical companion set for each
 admissible class, ``unitarity_residual`` measures the numeric deviation from
-unitarity, and ``is_hadamard`` decides the property exactly through integer
-membership in the mask's zero set.
+unitarity, and ``is_hadamard`` decides the property exactly: it is the
+one-level case of ``check_orthogonal``, which decides each distinct
+|difference| of L once through the zero set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from .core import DigitSet, LevelClass, _in_zero_set, classify_level
+from .core import DigitSet, Level, LevelClass, MoranSystem, classify_level
+from .spectrum import check_orthogonal
 
 
 def _as_digit_set(p: int, digits: DigitSet | Iterable[int]) -> DigitSet:
@@ -69,9 +70,9 @@ def is_hadamard(p: int, digits: DigitSet | Iterable[int], L: Iterable[int]) -> b
     """Exact Hadamard-triple test via the mask zero set.
 
     True iff every difference of distinct elements of L, scaled by 1/p, lies
-    in the zero set of the mask of D, decided in integers by the predicate
-    the full transform's zero set uses; agrees with ``unitarity_residual``
-    being tiny.
+    in the zero set of the mask of D: L is orthogonal for the one-level
+    system (p, D), decided by ``check_orthogonal`` once per distinct
+    |difference|; agrees with ``unitarity_residual`` being tiny.
     """
     ds = _as_digit_set(p, digits)
     Ls = tuple(L)
@@ -79,7 +80,7 @@ def is_hadamard(p: int, digits: DigitSet | Iterable[int], L: Iterable[int]) -> b
         raise ValueError(f"cardinality mismatch: #D = {ds.N}, #L = {len(Ls)}")
     if ds.cls is LevelClass.INVALID:
         raise ValueError(f"not admissible: {ds.violations}")
-    return all(_in_zero_set(ds, a - b, p) for a, b in combinations(Ls, 2))
+    return check_orthogonal(MoranSystem((Level(p, ds),), ()), Ls).passed
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ Every factor is a set of integers (the class divisibility conditions make
 the scaled fractions integral), the sets nest as n grows, and the level-n
 set has exactly Phi(1)...Phi(n) points, matching the atom count of the
 level-n truncation.  Orthogonality of the set is decided exactly through
-the zero set; completeness at finite level is the statement that the
-quadratic sum Q(xi) = sum over points of |F_n(xi + lambda)|^2 is constant 1.
+the zero set, once per distinct |difference| of points; completeness at
+finite level is the statement that the quadratic sum
+Q(xi) = sum over points of |F_n(xi + lambda)|^2 is constant 1.
 """
 
 from __future__ import annotations
@@ -145,22 +146,20 @@ def check_orthogonal(
 ) -> OrthogonalityReport:
     """Exact orthogonality: every pairwise difference must hit the zero set.
 
+    The zero set is symmetric, so each distinct |difference| is decided
+    once; the pairs are walked again only to list failures in pair order.
     With ``max_level`` set the membership scan is restricted to that many
     levels, i.e. orthogonality relative to the level-truncated measure.
     """
     pts = _points(points)
-    failures = []
-    witnessed = set()
-    for a, b in combinations(pts, 2):
-        w = zero_set_contains(system, a - b, max_level=max_level)
-        if w is None:
-            failures.append((a, b))
-        else:
-            witnessed.add(w.level)
+    witness = {d: zero_set_contains(system, d, max_level=max_level)
+               for d in {abs(a - b) for a, b in combinations(pts, 2)}}
+    missed = {d for d, w in witness.items() if w is None}
+    failures = tuple((a, b) for a, b in combinations(pts, 2)
+                     if abs(a - b) in missed) if missed else ()
+    levels = {w.level for w in witness.values() if w is not None}
     q = len(pts)
-    return OrthogonalityReport(
-        q, q * (q - 1) // 2, tuple(failures), tuple(sorted(witnessed))
-    )
+    return OrthogonalityReport(q, q * (q - 1) // 2, failures, tuple(sorted(levels)))
 
 
 def q_sum_finite(

@@ -202,11 +202,11 @@ def test_criterion_08_normalization_invariance(rng):
                   f"{worst:.2e} over 1000 points each")
 
 
-def test_criterion_09_tail_constant(final_system):
+def test_criterion_09_tail_constant():
     base = 0.5 * (43 * math.pi / 96) ** 2
     oracle = math.prod(1 - base / 4.0 ** t for t in range(250))
-    got = tail_constant(final_system, 7)
-    vals = [tail_constant(final_system, nk) for nk in range(7, 13)]
+    got = tail_constant(7)
+    vals = [tail_constant(nk) for nk in range(7, 13)]
     monotone = all(b > a for a, b in zip(vals, vals[1:]))
     ok = abs(got - oracle) < 1e-12 and got > 0 and monotone
     report(9, ok, f"tail constant at checkpoint 7 = {got:.6e} "

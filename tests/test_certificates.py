@@ -124,21 +124,21 @@ class TestFMin:
 
 
 class TestTailConstant:
-    def test_oracle_value(self, final_system):
+    def test_oracle_value(self):
         # independent direct product with a fixed long factor count
         base = 0.5 * (43 * math.pi / 96) ** 2
         oracle = math.prod(1 - base / 4.0 ** t for t in range(200))
-        assert abs(tail_constant(final_system, 7) - oracle) < 1e-12
-        assert tail_constant(final_system, 7) > 0
+        assert abs(tail_constant(7) - oracle) < 1e-12
+        assert tail_constant(7) > 0
 
-    def test_monotone_in_checkpoint(self, final_system):
-        vals = [tail_constant(final_system, nk) for nk in range(7, 13)]
+    def test_monotone_in_checkpoint(self):
+        vals = [tail_constant(nk) for nk in range(7, 13)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(0 < v < 1 for v in vals)
 
-    def test_checkpoint_floor(self, final_system):
+    def test_checkpoint_floor(self):
         with pytest.raises(ValueError):
-            tail_constant(final_system, 6)
+            tail_constant(6)
 
 
 class TestEpsilonNextLevel:

@@ -202,6 +202,26 @@ class TestErrorPaths:
         pytest.param(FINITE, ["qsum", "--level", "2", "--depth", "4"],
                      "level 4 requested from a finite system of 2 levels",
                      id="qsum-depth-past-end"),
+        pytest.param(FINAL, ["certify", "--samples", "0"],
+                     "samples must be at least 1", id="certify-samples-0"),
+        pytest.param(FINAL, ["certify", "--samples", "-3"],
+                     "samples must be at least 1", id="certify-samples-minus-3"),
+        pytest.param(FINAL, ["qsum", "--xmax", "inf"],
+                     "argument --xmax: must be a finite number", id="qsum-xmax-inf"),
+        pytest.param(FINAL, ["qsum", "--xmin", "nan"],
+                     "argument --xmin: must be a finite number", id="qsum-xmin-nan"),
+        pytest.param(FINAL, ["qsum", "--tol", "nan"],
+                     "argument --tol: must be a finite number", id="qsum-tol-nan"),
+        pytest.param(FINAL, ["density", "--tol", "nan"],
+                     "argument --tol: must be a finite number", id="density-tol-nan"),
+        pytest.param(FINAL, ["ortho", "--seed", "3"],
+                     "unrecognized arguments: --seed 3", id="ortho-seed"),
+        pytest.param(FINAL, ["tiling", "--seed", "9"],
+                     "unrecognized arguments: --seed 9", id="tiling-seed"),
+        pytest.param(FINAL, ["certify", "-o", "x.csv"],
+                     "unrecognized arguments: -o x.csv", id="certify-output"),
+        pytest.param(FINAL, ["tiling", "-o", "x.csv"],
+                     "unrecognized arguments: -o x.csv", id="tiling-output"),
     ])
     def test_bad_argument_values(self, system_file, capsys, text, argv, message):
         assert main([argv[0], system_file(text), *argv[1:]]) == 64

@@ -3,11 +3,13 @@
 Systems are drawn with the random level generators from conftest.py, seeded
 by hypothesis; arbitrary (possibly colliding, inadmissible) levels are mixed
 in so that collisions and INVALID classes are exercised too.  Exact layers
-are checked against small Fraction oracles, transforms against the scalar
-per-level mask loop they were first written as.
+are checked against small Fraction oracles and the per-pair orthogonality
+loop, transforms against the scalar per-level mask loop they were first
+written as.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,17 +19,23 @@ from hypothesis import given, settings, strategies as st
 
 from moranspec import (
     AtomCollisionError,
+    Level,
     LevelClass,
+    MoranSystem,
+    OrthogonalityReport,
     atoms,
+    check_orthogonal,
     classify_level,
+    construct_L,
     fourier_level,
     fourier_tail,
+    is_hadamard,
+    level_spectrum,
     make_system,
     mask_eval,
     q_sum_finite,
     zero_set_contains,
 )
-from moranspec.core import _in_zero_set
 from conftest import random_t1_level, random_t2_level, random_t3_level
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -43,14 +51,15 @@ def arbitrary_level(rng) -> tuple[int, tuple[int, ...]]:
     return p, (0,) + tuple(int(d) for d in extra)
 
 
-GENERATORS = (random_t1_level, random_t2_level, random_t3_level, arbitrary_level)
+ADMISSIBLE = (random_t1_level, random_t2_level, random_t3_level)
+GENERATORS = ADMISSIBLE + (arbitrary_level,)
 
 
-def random_system(seed: int):
+def random_system(seed: int, generators=GENERATORS):
     rng = np.random.default_rng(seed)
 
     def levels(count):
-        return [GENERATORS[int(rng.integers(len(GENERATORS)))](rng)
+        return [generators[int(rng.integers(len(generators)))](rng)
                 for _ in range(count)]
 
     return make_system(preamble=levels(int(rng.integers(0, 3))),
@@ -113,10 +122,12 @@ def test_predicate_matches_fraction_test(seed, a, b):
     rng = np.random.default_rng(seed)
     p, digits = GENERATORS[int(rng.integers(len(GENERATORS)))](rng)
     ds = classify_level(p, digits)
+    one_level = MoranSystem((Level(p, ds),), ())
     # x = p a / b puts x/p = a/b on the zero-set lattices often enough to hit
     for num, den in ((p * a, b), (a, 1)):
-        assert _in_zero_set(ds, num, den * p) == fraction_member(
-            ds, Fraction(num, den), p)
+        x = Fraction(num, den)
+        assert (zero_set_contains(one_level, x) is not None) == fraction_member(
+            ds, x, p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,6 +138,64 @@ def test_zero_set_contains_matches_fraction_scan(seed, a, b):
     witness = zero_set_contains(system, x, max_level=4)
     expected = fraction_zero_set_level(system, x, 4)
     assert (witness.level if witness else None) == expected
+
+
+def pair_loop_orthogonality(system, pts, max_level) -> OrthogonalityReport:
+    """The per-pair loop check_orthogonal replaced, kept as the oracle."""
+    failures, witnessed = [], set()
+    for a, b in combinations(pts, 2):
+        w = zero_set_contains(system, a - b, max_level=max_level)
+        if w is None:
+            failures.append((a, b))
+        else:
+            witnessed.add(w.level)
+    q = len(pts)
+    return OrthogonalityReport(
+        q, q * (q - 1) // 2, tuple(failures), tuple(sorted(witnessed)))
+
+
+MAX_LEVELS = st.one_of(st.none(), st.integers(1, 3))
+SIGMAS = st.lists(st.sampled_from((1, -1)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(1, 3), MAX_LEVELS, SIGMAS)
+def test_check_orthogonal_matches_pair_loop_on_spectra(seed, n, max_level, sigma):
+    system = random_system(seed, ADMISSIBLE)
+    while n > 1 and system.phi_product(n) > 150:
+        n -= 1
+    pts = level_spectrum(system, n, sigma)
+    report = check_orthogonal(system, pts, max_level)
+    assert report == pair_loop_orthogonality(system, pts.points, max_level)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.lists(st.integers(-300, 300), max_size=30), MAX_LEVELS)
+def test_check_orthogonal_matches_pair_loop_on_point_sets(seed, pts, max_level):
+    # random integers miss the zero set often, so failures are compared too
+    system = random_system(seed)
+    report = check_orthogonal(system, pts, max_level)
+    assert report == pair_loop_orthogonality(system, pts, max_level)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_is_hadamard_matches_fraction_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    p, digits = GENERATORS[int(rng.integers(len(GENERATORS)))](rng)
+    ds = classify_level(p, digits)
+    if ds.cls is LevelClass.INVALID:
+        with pytest.raises(ValueError, match="not admissible"):
+            is_hadamard(p, digits, range(ds.N))
+        return
+    L = list(construct_L(p, ds))
+    # move some companions off their lattice (duplicates included)
+    for k in range(len(L)):
+        if rng.uniform() < 0.3:
+            L[k] += int(rng.integers(-2 * p, 2 * p + 1))
+    expected = all(fraction_member(ds, Fraction(a - b), p)
+                   for a, b in combinations(L, 2))
+    assert is_hadamard(p, digits, L) == expected
 
 
 def scalar_mask_loop(system, lo: int, hi: int, x: float, lam: int = 0) -> complex:
