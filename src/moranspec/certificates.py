@@ -5,9 +5,9 @@ bound: along a checkpoint subsequence n_k, the tail transform must stay
 above a positive epsilon uniformly over shifted spectrum points.  This
 module implements the ingredient bounds (per-class mask minorants, the
 two-variable cosine product minimum, the decay weights h(k, n), the
-universal tail product constant, the next-level factor bound) and chains
-them into a finite-depth numeric certificate with an honest verdict: each
-sampled tail value is judged with its truncation bound.
+universal tail product constant, the exact next-level factor bound) and
+chains them into a finite-depth numeric certificate with an honest verdict:
+each sampled tail value is judged with its truncation bound.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .spectrum import SigmaPrefix, level_factors, level_spectrum, q_sum_finite
 
 #: Bounds below this are treated as numerically indistinguishable from zero.
 BOUND_FLOOR = 1e-9
-#: Grid points per axis of the angle box ``epsilon_next_level`` minimizes over.
-_ANGLE_GRID = 801
+#: Rounding allowance subtracted from the closed-form angle-box minimum.
+_ROUNDING_MARGIN = 1e-12
 
 
 def h_bound(system: MoranSystem, k: int, n: int) -> Fraction:
@@ -154,16 +154,15 @@ def epsilon_next_level(
     at least three digits:
 
     T1: the constant 1 - (3 pi / 4)**2 / 6.
-    T2: sqrt(min over the reachable angle box of (1 + 8 f(w1, w2)) / 9),
-        where w1, w2 are the two scaled digit angles; the box minimum is
-        evaluated on a grid and lowered by a Lipschitz slack so the result
-        is a true lower bound (clipped at 0).
+    T2: sqrt(min of (1 + 8 f) / 9 over the reachable angle box), taken in
+        closed form from the box corners and the critical points of f on
+        its edges, less a 1e-12 rounding margin; exactly 0, decided in
+        integers, when the box reaches a zero of 1 + 8f.
 
     The angle box uses the uniform norm bound |lambda| <= P_{n_k}, which
     holds for every sign prefix and every checkpoint, so the bound carries
-    to the whole periodic checkpoint subsequence.  At the boundary ratio
-    b/p = 2/3 the box reaches a zero of 1 + 8f and the bound degenerates
-    to 0.
+    to the whole periodic checkpoint subsequence.  The T2 bound is 0 exactly
+    when 3a (P + 1) >= p P, P = P_{n_k}; b/p = 2/3 alone does not make it 0.
     """
     nxt = system.level(n_k + 1)
     ds = nxt.digits
@@ -182,18 +181,18 @@ def epsilon_next_level(
         raise MoranStructureError(
             f"spectrum norm {norm} exceeds 1 at level {n_k}"
         )
-    u = 1.0 + 1.0 / system.P(n_k)
-    w1 = math.pi * ds.a * u / nxt.p
-    w2 = math.pi * ds.b * u / nxt.p
-    om1 = np.linspace(-w1, w1, _ANGLE_GRID)
-    om2 = np.linspace(-w2, w2, _ANGLE_GRID)
-    g = (1.0 + 8.0 * f_eval(om1[:, None], om2[None, :])) / 9.0
-    gmin = float(g.min())
-    # 1 + 8f >= 0 everywhere; a grid value below that means a bug
-    assert gmin >= -1e-12
-    # each partial derivative of g is bounded by 8/9
-    slack = (8.0 / 9.0) * (w1 + w2) / (_ANGLE_GRID - 1)
-    return math.sqrt(max(gmin - slack, 0.0))
+    P, p = system.P(n_k), nxt.p
+    if 3 * ds.a * (P + 1) >= p * P:  # w2 > w1 >= pi/3: (pi/3, -pi/3) is a zero
+        return 0.0
+    w1, w2 = (math.pi * (d * (P + 1) / (p * P)) for d in (ds.a, ds.b))
+    # 1 + 8f has no zero here and its other critical values are 1 and 9, so
+    # the minimum lies on the edge x = w1 or y = w2 (as f(x, y) = f(-x, -y)):
+    # at a corner, or at t = w/2 + k pi/2 where f is critical along the edge.
+    ks = 0.5 * math.pi * np.arange(-2, 3)
+    x = np.concatenate((np.full(7, w1), np.clip(w2 / 2 + ks, -w1, w1)))
+    y = np.concatenate(([w2, -w2], np.clip(w1 / 2 + ks, -w2, w2), np.full(5, w2)))
+    gmin = (1.0 + 8.0 * f_eval(x, y).min()) / 9.0
+    return math.sqrt(max(gmin - _ROUNDING_MARGIN, 0.0))
 
 
 class Verdict(Enum):
@@ -250,11 +249,13 @@ def certify(
     two-digit, the tail conditions are exactly the per-level class
     conditions already verified, and the finite head is checked for
     completeness directly.  PASS is never returned on a bound below
-    BOUND_FLOOR or on a failed confirmation.  ``samples`` must be at
-    least 1.
+    BOUND_FLOOR or on a failed confirmation.  ``samples`` and ``depth``
+    must be at least 1, ``levels_to_scan`` (checkpoints 7, 8, ...) at least 8.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    for name, value, least in (("samples", samples, 1), ("depth", depth, 1),
+                               ("scan levels", levels_to_scan, 8)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}")
     sig = tuple(int(s) for s in sigma) if sigma is not None else ()
     diag = [f"seed={seed} samples={samples} depth={depth}"]
 
@@ -287,8 +288,7 @@ def certify(
 
 def _certify_infinite_branch(system, sig, levels_to_scan, samples, depth, seed, diag):
     """(verdict, n_k, tail bound, next-level bound) of the sampled tail check."""
-    candidates = [n_k for n_k in range(7, max(levels_to_scan, 8))
-                  if system.phi(n_k + 1) >= 3]
+    candidates = [n_k for n_k in range(7, levels_to_scan) if system.phi(n_k + 1) >= 3]
     if not candidates:
         diag.append(f"no checkpoint with Phi(n_k+1) >= 3 in 7..{levels_to_scan - 1}")
         return Verdict.INCONCLUSIVE, None, None, None

@@ -229,7 +229,6 @@ def cmd_hadamard(args) -> int:
 
 def cmd_certify(args) -> int:
     system = load_system(args.system)
-    print(f"seed: {args.seed}")
     cert = certify(
         system,
         sigma=parse_sigma(args.sigma),
@@ -239,6 +238,7 @@ def cmd_certify(args) -> int:
         seed=args.seed,
         system_id=args.system,
     )
+    print(f"seed: {args.seed}")
     print(f"verdict: {cert.verdict.value}")
     print(cert.diagnostics)
     return cert.exit_code

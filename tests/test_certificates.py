@@ -162,7 +162,28 @@ class TestEpsilonNextLevel:
         assert eps ** 2 >= box_min - 1e-9
 
     def test_boundary_ratio_degenerates(self, final_system):
-        assert epsilon_next_level(final_system, 7) < 1e-9
+        assert epsilon_next_level(final_system, 7) == 0.0
+
+    def test_zero_reached_through_xi(self):
+        # 3a = 390 < p = 393, but |xi + lambda| <= P_7 + 1 = 129 stretches
+        # w1 = pi 130 129 / (393 128) just past pi/3
+        s = make_system(cycle=[(2, (0, 1))] * 7 + [(393, (0, 130, 131))])
+        assert epsilon_next_level(s, 7) == 0.0
+
+    def test_small_box_minimum_certifies(self):
+        # 3a = 57 < p = 60 keeps the zeros of the mask out of the angle box;
+        # the box minimum of (1 + 8f)/9 is about 0.0012, below a mesh slack
+        s = make_system(cycle=[(60, (0, 19, 20)), (52, (0, 9))])
+        assert epsilon_next_level(s, 8) == pytest.approx(0.0348906, abs=1e-7)
+        assert certify(s).verdict is Verdict.PASS
+
+    def test_boundary_ratio_alone_stays_positive(self):
+        # b/p = 8/12 = 2/3, but 3a = 3 < p, so the box holds no zero
+        s = make_system(cycle=[(4, (0, 1)), (12, (0, 1, 8))])
+        xs = np.linspace(-math.pi / 12, math.pi / 12, 401) * (1 + 1 / s.P(7))
+        ys = np.linspace(-2 * math.pi / 3, 2 * math.pi / 3, 401) * (1 + 1 / s.P(7))
+        box_min = (1 + 8 * f_eval(xs[:, None], ys[None, :]).min()) / 9
+        assert box_min - 1e-4 < epsilon_next_level(s, 7) ** 2 <= box_min + 1e-12
 
     def test_two_digit_next_level_rejected(self, alternating_system):
         with pytest.raises(ValueError, match="Phi >= 3"):

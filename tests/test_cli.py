@@ -222,8 +222,13 @@ class TestErrorPaths:
                      "unrecognized arguments: -o x.csv", id="certify-output"),
         pytest.param(FINAL, ["tiling", "-o", "x.csv"],
                      "unrecognized arguments: -o x.csv", id="tiling-output"),
+        pytest.param(PURE_T3, ["certify", "--depth", "0"],
+                     "depth must be at least 1", id="certify-depth-0"),
+        pytest.param(FINAL, ["certify", "--scan-levels", "3"],
+                     "scan levels must be at least 8", id="certify-scan-levels-3"),
     ])
     def test_bad_argument_values(self, system_file, capsys, text, argv, message):
         assert main([argv[0], system_file(text), *argv[1:]]) == 64
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("usage error: ") and message in err
+        assert out == ""  # a rejected command prints no report line

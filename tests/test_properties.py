@@ -5,9 +5,11 @@ by hypothesis; arbitrary (possibly colliding, inadmissible) levels are mixed
 in so that collisions and INVALID classes are exercised too.  Exact layers
 are checked against small Fraction oracles and the per-pair orthogonality
 loop, transforms against the scalar per-level mask loop they were first
-written as.
+written as, and the closed-form next-level bound against the sampled angle
+mesh it replaced.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,6 +29,8 @@ from moranspec import (
     check_orthogonal,
     classify_level,
     construct_L,
+    epsilon_next_level,
+    f_eval,
     fourier_level,
     fourier_tail,
     is_hadamard,
@@ -244,3 +248,50 @@ def test_tail_array_call_matches_scalar_calls(seed, n, depth, xs):
         # a wider array may cut the product later; the bounds then both sit
         # below 2**-54
         assert e == pytest.approx(err, rel=1e-12, abs=2.0**-53)
+
+
+def mesh_next_level_bound(system, n_k: int) -> tuple[float, float]:
+    """The mesh-plus-slack T2 bound the closed form replaced, and its mesh minimum.
+
+    Kept as the oracle: 1 + 8f is sampled on an 801 x 801 mesh of the angle
+    box and lowered by a Lipschitz slack.
+    """
+    nxt = system.level(n_k + 1)
+    u = 1.0 + 1.0 / system.P(n_k)
+    w1 = math.pi * nxt.digits.a * u / nxt.p
+    w2 = math.pi * nxt.digits.b * u / nxt.p
+    om1 = np.linspace(-w1, w1, 801)
+    om2 = np.linspace(-w2, w2, 801)
+    gmin = float(((1.0 + 8.0 * f_eval(om1[:, None], om2[None, :])) / 9.0).min())
+    slack = (8.0 / 9.0) * (w1 + w2) / 800
+    return math.sqrt(max(gmin - slack, 0.0)), gmin
+
+
+def boundary_t2_level(rng) -> tuple[int, tuple[int, ...]]:
+    """T2 level with b/p = 2/3 exactly, the boundary ratio."""
+    while True:
+        k = int(rng.integers(2, 16))
+        a = int(rng.integers(1, 2 * k))
+        if math.gcd(a, 2 * k) == 1 and {a % 3, (2 * k) % 3} == {1, 2}:
+            return 3 * k, (0, a, 2 * k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.booleans(), st.integers(7, 14))
+def test_next_level_bound_matches_mesh_oracle(seed, boundary, n_min):
+    rng = np.random.default_rng(seed)
+    cycle = [ADMISSIBLE[int(rng.integers(3))](rng)
+             for _ in range(int(rng.integers(0, 3)))]
+    t2 = (boundary_t2_level if boundary else random_t2_level)(rng)
+    cycle.insert(int(rng.integers(len(cycle) + 1)), t2)
+    system = make_system(preamble=[random_t3_level(rng)] * int(rng.integers(2)),
+                         cycle=cycle)
+    # the first checkpoint from n_min on whose next level is T2
+    n_k = next(n for n in range(n_min, n_min + len(cycle))
+               if system.level(n + 1).digits.cls is LevelClass.T2)
+    new = epsilon_next_level(system, n_k)
+    old, mesh_min = mesh_next_level_bound(system, n_k)
+    nxt, P = system.level(n_k + 1), system.P(n_k)
+    assert old <= new
+    assert new ** 2 <= mesh_min + 1e-12
+    assert (new == 0.0) == (3 * nxt.digits.a * (P + 1) >= nxt.p * P)
