@@ -45,9 +45,7 @@ from .certificates import (
     epsilon_next_level,
     f_eval,
     f_min_points,
-    h_bound,
     lambda_norm_check,
-    mask_lower_bound,
     tail_constant,
 )
 from .density import (

@@ -3,11 +3,10 @@
 The infinite statement "the candidate set is a spectrum" reduces to a tail
 bound: along a checkpoint subsequence n_k, the tail transform must stay
 above a positive epsilon uniformly over shifted spectrum points.  This
-module implements the ingredient bounds (per-class mask minorants, the
-two-variable cosine product minimum, the decay weights h(k, n), the
-universal tail product constant, the exact next-level factor bound) and
-chains them into a finite-depth numeric certificate with an honest verdict:
-each sampled tail value is judged with its truncation bound.
+module implements the ingredient bounds (the two-variable cosine product
+minimum, the universal tail product constant, the exact next-level factor
+bound) and chains them into a finite-depth numeric certificate with an
+honest verdict: each sampled tail value is judged with its truncation bound.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    DigitSet,
     LevelClass,
     MoranStructureError,
     MoranSystem,
@@ -32,23 +30,6 @@ from .spectrum import SigmaPrefix, level_factors, level_spectrum, q_sum_finite
 BOUND_FLOOR = 1e-9
 #: Rounding allowance subtracted from the closed-form angle-box minimum.
 _ROUNDING_MARGIN = 1e-12
-
-
-def h_bound(system: MoranSystem, k: int, n: int) -> Fraction:
-    """Decay weight h(k, n) = prod_{i=k+1}^{n-1} 1/Phi(i) * (prod_{j<=k} 1/Phi(j) + 1).
-
-    Controls the scaled frequency seen by level n after fixing a level-k
-    spectrum point; empty products are 1.  Exact rational value.
-    """
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    mid = Fraction(1)
-    for i in range(k + 1, n):
-        mid /= system.phi(i)
-    head = Fraction(1)
-    for j in range(1, k + 1):
-        head /= system.phi(j)
-    return mid * (head + 1)
 
 
 def lambda_norm_check(
@@ -66,34 +47,6 @@ def lambda_norm_check(
     hi = sum(max(f) for f in factors)
     lo = sum(min(f) for f in factors)
     return Fraction(max(hi, -lo), system.P(k))
-
-
-def mask_lower_bound(digits: DigitSet, P: int, x: float) -> float:
-    """Class-specific lower bound for |mask(D, x/P)|.
-
-    T1: 1 - (N pi x / P)^2 / 6
-    T3: 1 - (pi d x / P)^2 / 2
-    T2: |cos(pi (a+b) x / P) + 2 cos(pi (a-b) x / P)| / 3
-
-    Each minorizes the corresponding mask modulus for every real x (the T1
-    and T3 bounds go negative once useless, the T2 bound is the modulus of
-    the real part).
-    """
-    cls = digits.cls
-    if cls is LevelClass.T1:
-        return 1.0 - (digits.N * math.pi * x / P) ** 2 / 6.0
-    if cls is LevelClass.T3:
-        return 1.0 - 0.5 * (math.pi * digits.d * x / P) ** 2
-    if cls is LevelClass.T2:
-        a, b = digits.a, digits.b
-        return (
-            abs(
-                math.cos(math.pi * (a + b) * x / P)
-                + 2.0 * math.cos(math.pi * (a - b) * x / P)
-            )
-            / 3.0
-        )
-    raise ValueError(f"unknown class: {digits.violations}")
 
 
 def f_eval(x, y):

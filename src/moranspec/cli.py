@@ -11,6 +11,7 @@ malformed system file, 2/3 for failed/inconclusive certification.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -82,6 +83,7 @@ def load_system(path: str) -> MoranSystem:
     return parse_system(text)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="moranspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -190,7 +192,9 @@ def cmd_ortho(args) -> int:
 def cmd_qsum(args) -> int:
     system = load_system(args.system)
     pts = level_spectrum(system, args.level, parse_sigma(args.sigma))
-    depth = args.depth if args.depth > 0 else args.level
+    if args.depth < 0:
+        raise UsageError("--depth must be nonnegative (0 means the level)")
+    depth = args.depth or args.level
     if depth < args.level:
         raise UsageError("--depth must be at least the spectrum level")
     if args.grid < 1:

@@ -469,8 +469,10 @@ def mask_eval(digits: DigitSet | Iterable[int], xi):
 def _mask_product(system: MoranSystem, lo: int, hi: int, lam, xi):
     """Product of mask(D_i, (lam + xi)/P_i) over lo < i <= hi, and a scale S.
 
-    Integer ``lam`` and float ``xi`` broadcast together; lam is reduced mod
-    P_i exactly wherever P_i <= max|lam| (masks are 1-periodic).  Past level
+    ``lam`` is 0 or a 1-D integer array along the last axis of the result,
+    and float ``xi`` broadcasts against it.  Wherever P_i <= max|lam|, lam is
+    reduced mod P_i exactly (masks are 1-periodic) and the mask is evaluated
+    once per distinct residue, then gathered back onto lam.  Past level
     m the factors differ from 1 by at most expm1(4 pi c |lam + xi| / P_m) in
     all (see fourier_tail), so the product stops once that is below 2**-54
     and never divides by a P_i too large for a float.  The same bound holds
@@ -488,8 +490,12 @@ def _mask_product(system: MoranSystem, lo: int, hi: int, lam, xi):
     while m < hi and not Pm > stop:
         m += 1
         Pm = system.P(m)
-        red = (lam % Pm if Pm <= top else lam).astype(np.float64)
-        out *= mask_eval(system.digit_set(m), red / Pm + x / Pm)
+        if Pm <= top:
+            res, inv = np.unique(lam % Pm, return_inverse=True)
+            out *= mask_eval(system.digit_set(m),
+                             res.astype(np.float64) / Pm + x / Pm)[..., inv]
+        else:
+            out *= mask_eval(system.digit_set(m), lam.astype(np.float64) / Pm + x / Pm)
     return out, min(Pm, stop) or 1
 
 

@@ -10,15 +10,18 @@ factor sets:
 Every factor is a set of integers (the class divisibility conditions make
 the scaled fractions integral), the sets nest as n grows, and the level-n
 set has exactly Phi(1)...Phi(n) points, matching the atom count of the
-level-n truncation.  Orthogonality of the set is decided exactly through
-the zero set, once per distinct |difference| of points; completeness at
-finite level is the statement that the quadratic sum
+level-n truncation.  The level-j factor lies in P_{j-1} Z, so orthogonality
+is decided exactly per factor, against level j's zero-set family alone (a
+Hadamard triple per level); completeness at finite level is the statement
+that the quadratic sum
 Q(xi) = sum over points of |F_n(xi + lambda)|^2 is constant 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -56,14 +59,24 @@ def _sign(sigma: SigmaPrefix | None, k: int) -> int:
 
 @dataclass(frozen=True)
 class SpectrumLevel:
-    """Level-n candidate spectrum: the sign prefix actually used + points."""
+    """Level-n candidate spectrum: the sign prefix actually used + factors.
+
+    The points, the factors' Minkowski sum, are built on first access.
+    """
 
     level: int
     sigma: tuple[int, ...]
-    points: tuple[int, ...]
+    factors: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return math.prod(map(len, self.factors))
+
+    @cached_property
+    def points(self) -> tuple[int, ...]:
+        pts = minkowski_sum(self.factors)
+        if len(pts) != len(self):
+            raise MoranStructureError(f"spectrum collision at level {self.level}")
+        return pts
 
 
 def level_factors(
@@ -111,14 +124,10 @@ def level_spectrum(
 
     ``sigma`` assigns a sign to successive two-digit (T3) levels; entries
     beyond the prefix default to +1.  Raises when a level up to n is not
-    admissible or when the Minkowski sum collides (fewer than
-    Phi(1)...Phi(n) points).
+    admissible.  The points are not built until they are asked for.
     """
     factors, used = level_factors(system, n, sigma)
-    pts = minkowski_sum(factors)
-    if len(pts) != system.phi_product(n):
-        raise MoranStructureError(f"spectrum collision at level {n}")
-    return SpectrumLevel(n, used, pts)
+    return SpectrumLevel(n, used, tuple(factors))
 
 
 def _points(points: SpectrumLevel | Iterable) -> tuple:
@@ -139,6 +148,22 @@ class OrthogonalityReport:
         return not self.failures
 
 
+def _factors_orthogonal(system: MoranSystem, factors) -> bool:
+    """Each level-j factor lies in P_{j-1} Z and, over P_{j-1}, is a Hadamard companion.
+
+    Then two points whose digit words first differ at level j differ by
+    (f - f') + P_j m with s (f - f') / P_j an integer not divisible by k
+    for level j's family (s, k), and s m divisible by k: level j holds the
+    difference, and no level below it can, since P_{j-1} divides it.
+    """
+    for j, factor in enumerate(factors, start=1):
+        below = system.P(j - 1)
+        if any(f % below for f in factor) or not check_orthogonal(
+                MoranSystem((system.level(j),), ()), [f // below for f in factor]).passed:
+            return False
+    return True
+
+
 def check_orthogonal(
     system: MoranSystem,
     points: SpectrumLevel | Iterable,
@@ -146,11 +171,22 @@ def check_orthogonal(
 ) -> OrthogonalityReport:
     """Exact orthogonality: every pairwise difference must hit the zero set.
 
-    The zero set is symmetric, so each distinct |difference| is decided
-    once; the pairs are walked again only to list failures in pair order.
-    With ``max_level`` set the membership scan is restricted to that many
-    levels, i.e. orthogonality relative to the level-truncated measure.
+    A SpectrumLevel is decided from its factors in O(sum |F_j|**2) integer
+    work, with no point built (see ``_factors_orthogonal``); its witness
+    levels are those with |F_j| > 1.  A failing factor, a plain point
+    iterable, or ``max_level`` below the spectrum's level takes the point
+    path: the zero set is symmetric, so each distinct |difference| is
+    decided once, and the pairs are walked again only to list failures in
+    pair order.  With ``max_level`` set the membership scan is restricted to
+    that many levels, i.e. orthogonality relative to the level-truncated
+    measure.
     """
+    if (isinstance(points, SpectrumLevel)
+            and (max_level is None or max_level >= len(points.factors))
+            and _factors_orthogonal(system, points.factors)):
+        q = math.prod(map(len, points.factors))  # may exceed what len() returns
+        levels = tuple(j for j, f in enumerate(points.factors, start=1) if len(f) > 1)
+        return OrthogonalityReport(q, q * (q - 1) // 2, (), levels)
     pts = _points(points)
     witness = {d: zero_set_contains(system, d, max_level=max_level)
                for d in {abs(a - b) for a, b in combinations(pts, 2)}}

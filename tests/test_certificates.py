@@ -8,43 +8,16 @@ from moranspec import certificates
 from moranspec import (
     Verdict,
     certify,
-    classify_level,
     epsilon_next_level,
     f_eval,
     f_min_points,
-    h_bound,
     lambda_norm_check,
     level_spectrum,
     make_system,
     mask_eval,
-    mask_lower_bound,
     q_sum_finite,
     tail_constant,
 )
-from conftest import random_t1_level, random_t2_level, random_t3_level
-
-
-class TestHBound:
-    def test_direct_values(self, dyadic_system):
-        assert h_bound(dyadic_system, 1, 3) == Fraction(3, 4)
-        assert h_bound(dyadic_system, 1, 2) == Fraction(3, 2)
-
-    def test_recursion(self, final_system, mixed_system):
-        for s in (final_system, mixed_system):
-            for k in (1, 2, 3):
-                for n in range(k + 1, k + 6):
-                    assert (h_bound(s, k, n + 1)
-                            == h_bound(s, k, n) / s.phi(n))
-
-    def test_decreasing_in_n(self, alternating_system):
-        vals = [h_bound(alternating_system, 2, n) for n in range(3, 10)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_bad_range(self, dyadic_system):
-        with pytest.raises(ValueError):
-            h_bound(dyadic_system, 0, 3)
-        with pytest.raises(ValueError):
-            h_bound(dyadic_system, 3, 3)
 
 
 class TestLambdaNorm:
@@ -73,34 +46,6 @@ class TestLambdaNorm:
                   pure_t3_system):
             for k in range(13):
                 assert lambda_norm_check(s, k) <= 1
-
-
-class TestMaskLowerBound:
-    def test_two_digit_example(self):
-        ds = classify_level(4, [0, 1])  # d/P = 1/4 at P = 4
-        bound = mask_lower_bound(ds, 4, 1.0)
-        assert bound == pytest.approx(1 - math.pi ** 2 / 32)
-        assert bound <= abs(math.cos(math.pi / 4)) + 1e-15
-
-    def test_at_zero(self):
-        assert mask_lower_bound(classify_level(8, [0, 1, 2, 3]), 8, 0.0) == 1.0
-        assert mask_lower_bound(classify_level(3, [0, 1, 2]), 3, 0.0) == 1.0
-
-    def test_invalid_class(self):
-        with pytest.raises(ValueError, match="unknown class"):
-            mask_lower_bound(classify_level(8, [0, 5, 6]), 8, 0.1)
-
-    @pytest.mark.parametrize("gen", [random_t1_level, random_t2_level,
-                                     random_t3_level])
-    def test_dominated_by_mask(self, gen, rng):
-        # 10^4 random (class, params, x) triples across the three generators
-        for _ in range(200):
-            p, digits = gen(rng)
-            ds = classify_level(p, digits)
-            P = p * int(rng.integers(1, 50))
-            for x in rng.uniform(-3 * P / p, 3 * P / p, 17):
-                assert (mask_lower_bound(ds, P, x)
-                        <= abs(mask_eval(ds, x / P)) + 1e-12)
 
 
 class TestFMin:

@@ -97,6 +97,26 @@ class TestSpectrumCommands:
         assert "depth 400" in deep[0] and deep[1:] == shallow[1:]
 
 
+class TestRepeatedCalls:
+    def test_each_call_sees_only_its_own_arguments(self, system_file, capsys):
+        # one parser serves every call in a process
+        path = system_file(FINAL)
+        assert main(["spectrum", path, "--level", "3"]) == 0
+        assert capsys.readouterr().out.startswith("level 3 spectrum: 12 points")
+        assert main(["spectrum", path]) == 0
+        assert capsys.readouterr().out.startswith("level 6 spectrum: 216 points")
+        assert main(["qsum", path, "--grid", "0"]) == 64
+        assert "--grid" in capsys.readouterr().err
+        assert main(["qsum", path, "--level", "2", "--grid", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Q over [-5.0, 5.0] at 5 points, level 2, depth 2:")
+        assert "complete at tolerance 1e-09" in out
+        assert main(["ortho", path, "--level", "2", "--sigma", "-"]) == 0
+        capsys.readouterr()
+        assert main(["spectrum", path, "--level", "1"]) == 0
+        assert "sigma prefix (1,)" in capsys.readouterr().out
+
+
 class TestHadamardCommand:
     def test_levels_printed(self, system_file, capsys):
         assert main(["hadamard", system_file(FINAL)]) == 0
@@ -226,6 +246,8 @@ class TestErrorPaths:
                      "depth must be at least 1", id="certify-depth-0"),
         pytest.param(FINAL, ["certify", "--scan-levels", "3"],
                      "scan levels must be at least 8", id="certify-scan-levels-3"),
+        pytest.param(FINAL, ["qsum", "--depth", "-3"],
+                     "--depth must be nonnegative", id="qsum-depth-minus-3"),
     ])
     def test_bad_argument_values(self, system_file, capsys, text, argv, message):
         assert main([argv[0], system_file(text), *argv[1:]]) == 64

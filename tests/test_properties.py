@@ -4,9 +4,12 @@ Systems are drawn with the random level generators from conftest.py, seeded
 by hypothesis; arbitrary (possibly colliding, inadmissible) levels are mixed
 in so that collisions and INVALID classes are exercised too.  Exact layers
 are checked against small Fraction oracles and the per-pair orthogonality
-loop, transforms against the scalar per-level mask loop they were first
-written as, and the closed-form next-level bound against the sampled angle
-mesh it replaced.
+loop (the factor path on spectra, perturbed ones included), transforms
+against the scalar per-level mask loop they were first written as, the
+Q-sum bit for bit against the per-point mask loop it replaced, and the
+closed-form next-level bound against the sampled angle mesh it replaced.
+Normalized systems are checked against the raw signed levels they come
+from.
 """
 
 import math
@@ -23,8 +26,10 @@ from moranspec import (
     AtomCollisionError,
     Level,
     LevelClass,
+    MoranStructureError,
     MoranSystem,
     OrthogonalityReport,
+    SpectrumLevel,
     atoms,
     check_orthogonal,
     classify_level,
@@ -173,6 +178,41 @@ def test_check_orthogonal_matches_pair_loop_on_spectra(seed, n, max_level, sigma
     assert report == pair_loop_orthogonality(system, pts.points, max_level)
 
 
+def perturbed_spectrum(system, n: int, sigma, rng) -> SpectrumLevel:
+    """The level-n spectrum with one factor element moved.
+
+    The move is a multiple of P_j (the factor test still passes), of
+    P_{j-1} (level j's family may fail), or less than P_{j-1} (the factor
+    leaves P_{j-1} Z while its floor quotients by P_{j-1} stay put).
+    """
+    pts = level_spectrum(system, n, sigma)
+    j = int(rng.integers(1, n + 1))
+    unit = (system.P(j), system.P(j - 1), 1)[int(rng.integers(3))]
+    step = int(rng.integers(1, max(2, system.P(j - 1)))) if unit == 1 else unit
+    factors = [list(f) for f in pts.factors]
+    e = int(rng.integers(len(factors[j - 1])))
+    factors[j - 1][e] += step * int(rng.choice((-2, -1, 1, 2)))
+    return SpectrumLevel(n, pts.sigma, tuple(map(tuple, factors)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(1, 3), MAX_LEVELS, SIGMAS)
+def test_check_orthogonal_matches_pair_loop_on_perturbed_spectra(
+        seed, n, max_level, sigma):
+    rng = np.random.default_rng(seed)
+    system = random_system(seed, ADMISSIBLE)
+    while n > 1 and system.phi_product(n) > 150:
+        n -= 1
+    pts = perturbed_spectrum(system, n, sigma, rng)
+    try:
+        expected = pair_loop_orthogonality(system, pts.points, max_level)
+    except MoranStructureError:  # two digit words collide
+        with pytest.raises(MoranStructureError, match="spectrum collision"):
+            check_orthogonal(system, pts, max_level)
+        return
+    assert check_orthogonal(system, pts, max_level) == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(SEEDS, st.lists(st.integers(-300, 300), max_size=30), MAX_LEVELS)
 def test_check_orthogonal_matches_pair_loop_on_point_sets(seed, pts, max_level):
@@ -214,6 +254,27 @@ def scalar_mask_loop(system, lo: int, hi: int, x: float, lam: int = 0) -> comple
     return val
 
 
+def per_point_q_sum(system, n: int, lams, xs) -> np.ndarray:
+    """The per-point mask loop q_sum_finite ran before residue classes, kept as the oracle.
+
+    Every level's mask is evaluated at every (xi, lambda) entry, lambda
+    reduced mod P_m wherever P_m <= max|lambda|, with the same stop rule.
+    """
+    lam = np.asarray(lams)
+    x = np.asarray(xs, dtype=np.float64)[..., None]
+    top = int(np.max(np.abs(lam), initial=0))
+    stop = math.ceil(2**57 * math.pi * system.max_digit_ratio) * max(
+        float(np.max(np.abs(x), initial=0.0)), top)
+    out = np.ones(np.broadcast_shapes(lam.shape, x.shape), dtype=np.complex128)
+    m, Pm = 0, 1
+    while m < n and not Pm > stop:
+        m += 1
+        Pm = system.P(m)
+        red = (lam % Pm if Pm <= top else lam).astype(np.float64)
+        out *= mask_eval(system.digit_set(m), red / Pm + x / Pm)
+    return np.sum(np.abs(out) ** 2, axis=-1)
+
+
 XIS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
@@ -234,6 +295,31 @@ def test_q_sum_matches_scalar_loop(seed, n, lams, xi):
     system = random_system(seed)
     oracle = sum(abs(scalar_mask_loop(system, 0, n, xi, lam)) ** 2 for lam in lams)
     assert abs(q_sum_finite(system, n, lams, xi) - oracle) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(0, 8), st.lists(XIS, min_size=1, max_size=5),
+       st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=12),
+       st.sampled_from((1, 10**6, 10**20)))
+def test_q_sum_equals_per_point_loop(seed, n, xs, lams, scale):
+    # scale 10**20 leaves few distinct lambda; scale 1 leaves int64
+    system = random_system(seed)
+    lams = [lam // scale for lam in lams]
+    for x in (np.array(xs), xs[0]):
+        assert np.array_equal(q_sum_finite(system, n, lams, x),
+                              per_point_q_sum(system, n, lams, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(1, 5), SIGMAS, st.lists(XIS, min_size=1, max_size=5))
+def test_q_sum_on_spectra_equals_per_point_loop(seed, n, sigma, xs):
+    system = random_system(seed, ADMISSIBLE)
+    while n > 1 and system.phi_product(n) > 3000:
+        n -= 1
+    pts = level_spectrum(system, n, sigma)
+    for depth in (n, n + 3):
+        assert np.array_equal(q_sum_finite(system, depth, pts, np.array(xs)),
+                              per_point_q_sum(system, depth, pts.points, xs))
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,3 +381,43 @@ def test_next_level_bound_matches_mesh_oracle(seed, boundary, n_min):
     assert old <= new
     assert new ** 2 <= mesh_min + 1e-12
     assert (new == 0.0) == (3 * nxt.digits.a * (P + 1) >= nxt.p * P)
+
+
+def signed_levels(rng, count: int):
+    """Admissible levels, and the same levels with a negative scale or digits."""
+    plain, raw = [], []
+    for _ in range(count):
+        p, digits = ADMISSIBLE[int(rng.integers(3))](rng)
+        theta, flip = [(-1, False), (1, True), (-1, True)][int(rng.integers(3))]
+        plain.append((p, digits))
+        raw.append((theta * p, tuple(-d for d in digits) if flip else digits))
+    return plain, raw
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.integers(1, 4), MAX_LEVELS, SIGMAS,
+       st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False),
+                min_size=1, max_size=8))
+def test_normalization_keeps_transform_modulus_and_orthogonality(
+        seed, n, max_level, sigma, xs):
+    rng = np.random.default_rng(seed)
+    pre_plain, pre_raw = signed_levels(rng, int(rng.integers(0, 3)))
+    cyc_plain, cyc_raw = signed_levels(rng, int(rng.integers(1, 3)))
+    normalized = make_system(pre_raw, cyc_raw)
+    plain = make_system(pre_plain, cyc_plain)
+    # the raw mask product over the signed levels, nothing normalized
+    raw = pre_raw + cyc_raw * n
+    x = np.array(xs)
+    product, P = np.ones(len(xs), dtype=np.complex128), 1
+    for p, digits in raw[:n]:
+        P *= p
+        product *= mask_eval(digits, x / P)
+    assert np.allclose(np.abs(fourier_level(normalized, n, x)), np.abs(product),
+                       rtol=0, atol=1e-10)
+    while n > 1 and plain.phi_product(n) > 150:
+        n -= 1
+    report = check_orthogonal(normalized, level_spectrum(normalized, n, sigma),
+                              max_level)
+    assert report.passed or max_level < n
+    assert report == check_orthogonal(plain, level_spectrum(plain, n, sigma),
+                                      max_level)

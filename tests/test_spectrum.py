@@ -5,6 +5,7 @@ import pytest
 
 from moranspec import (
     MoranStructureError,
+    SpectrumLevel,
     atoms,
     check_orthogonal,
     digit_star,
@@ -94,6 +95,29 @@ class TestOrthogonality:
         assert restricted.failures == ((2, 0),) or restricted.failures == ((0, 2),)
         full = check_orthogonal(final_system, [0, 2], max_level=2)
         assert full.passed
+
+    def test_factor_path_builds_no_points(self, mixed_system):
+        pts = level_spectrum(mixed_system, 40, (-1,))
+        report = check_orthogonal(mixed_system, pts)
+        q = mixed_system.phi_product(40)
+        assert report.point_count == q and report.pairs_checked == q * (q - 1) // 2
+        assert report.passed and report.witness_levels == tuple(range(1, 41))
+        assert "points" not in vars(pts)
+
+    def test_failing_factor_falls_back_to_pairs(self, final_system):
+        # (0, 1, -2) is no companion of (3, {0,1,2}): 3 * 3 / 3 is divisible by 3
+        # (-4, 2) and (-3, 3) differ by 6, which only level 3 holds
+        pts = SpectrumLevel(2, (1,), ((0, 1), (0, 2, -4)))
+        for max_level in (2, None):
+            report = check_orthogonal(final_system, pts, max_level)
+            assert report == check_orthogonal(final_system, pts.points, max_level)
+        assert report.passed and report.witness_levels == (1, 2, 3)
+        assert check_orthogonal(final_system, pts, 2).failures == ((-4, 2), (-3, 3))
+
+    def test_colliding_factors_rejected(self, final_system):
+        pts = SpectrumLevel(2, (1,), ((0, 2), (0, 2, -2)))
+        with pytest.raises(MoranStructureError, match="spectrum collision"):
+            check_orthogonal(final_system, pts)
 
     def test_sigma_variants_pass(self, final_system):
         for sigma in itertools.product((-1, 1), repeat=3):
