@@ -54,7 +54,7 @@ from .density import (
     density_histogram,
     density_verdict,
     support_cover,
-    tiling_check,
+    tiling_defects,
     uniformity_check,
 )
 

@@ -23,15 +23,16 @@ from .density import (
     density_histogram,
     density_verdict,
     support_cover,
-    tiling_check,
+    tiling_defects,
     uniformity_check,
 )
 from .hadamard import hadamard_triple
-from .spectrum import check_orthogonal, level_spectrum, q_sum_finite
+from .spectrum import SpectrumLevel, check_orthogonal, level_spectrum, q_sum_finite
 
 EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_FILE = 66
+MAX_BUILT_POINTS = 2**20  # spectrum and qsum build every point (the corpus: hundreds)
 
 
 class UsageError(Exception):
@@ -139,9 +140,8 @@ def build_parser() -> _Parser:
 
     p = add("tiling", "check integer-translate tiling of the support cover")
     p.add_argument("--level", type=int, default=6)
-    p.add_argument("--window", type=int, default=None,
-                   help="translate range (default: smallest window covering the diameter)")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=int, default=None,
+                   help="ignored: the tiling decision is exact")
 
     p = add("examples", "run the built-in example corpus", with_file=False,
             seed=True)
@@ -161,10 +161,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
+def built_spectrum(args) -> tuple[MoranSystem, SpectrumLevel, int]:
+    """System, level spectrum and exact point count q; refuses q > MAX_BUILT_POINTS."""
     system = load_system(args.system)
     pts = level_spectrum(system, args.level, parse_sigma(args.sigma))
-    print(f"level {args.level} spectrum: {len(pts)} points, "
+    if (q := system.phi_product(args.level)) > MAX_BUILT_POINTS:
+        raise UsageError(f"level {args.level} spectrum has {q} points, more than "
+                         f"the {MAX_BUILT_POINTS} that {args.command} builds")
+    return system, pts, q
+
+
+def cmd_spectrum(args) -> int:
+    _, pts, q = built_spectrum(args)
+    print(f"level {args.level} spectrum: {q} points, "
           f"sigma prefix {pts.sigma}")
     print(" ".join(str(p) for p in pts.points))
     if args.output:
@@ -190,8 +199,7 @@ def cmd_ortho(args) -> int:
 
 
 def cmd_qsum(args) -> int:
-    system = load_system(args.system)
-    pts = level_spectrum(system, args.level, parse_sigma(args.sigma))
+    system, pts, q = built_spectrum(args)
     if args.depth < 0:
         raise UsageError("--depth must be nonnegative (0 means the level)")
     depth = args.depth or args.level
@@ -201,7 +209,7 @@ def cmd_qsum(args) -> int:
         raise UsageError("--grid must be positive")
     xs = np.linspace(args.xmin, args.xmax, args.grid)
     # blocks of grid points keep the (block x points) arrays near 2**13 entries
-    step = max(1, 2**13 // len(pts))
+    step = max(1, 2**13 // q)
     qs = np.concatenate([q_sum_finite(system, depth, pts, xs[k:k + step])
                          for k in range(0, args.grid, step)])
     print(f"Q over [{args.xmin}, {args.xmax}] at {args.grid} points, "
@@ -270,14 +278,11 @@ def cmd_tiling(args) -> int:
     system = load_system(args.system)
     cover = support_cover(system, args.level)
     lo, hi = cover.hull
-    window = args.window
-    if window is None:
-        window = int(hi - lo) + 1
     print(f"support cover at level {args.level}: {len(cover.intervals)} "
           f"interval(s), hull [{lo}, {hi}], length {float(cover.total_length):.6g}")
-    ok = tiling_check(cover, window, args.samples)
-    print(f"tiling by integer translates (window {window}, "
-          f"{args.samples} samples): {'yes' if ok else 'no'}")
+    gap, overlap = tiling_defects(cover)
+    print(f"tiling by integer translates: {'no' if gap or overlap else 'yes'} "
+          f"(gap {gap}, overlap {overlap})")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from .density import (
     density_histogram,
     density_verdict,
     support_cover,
-    tiling_check,
+    tiling_defects,
     uniformity_check,
 )
 from .spectrum import check_orthogonal, level_spectrum, q_sum_finite
@@ -41,6 +41,8 @@ def example_names() -> list[str]:
 
 
 def load_example(name: str) -> tuple[MoranSystem, dict]:
+    if name not in (names := example_names()):
+        raise ValueError(f"unknown example {name!r}; known: {', '.join(names)}")
     root = _data_root()
     system = parse_system((root / f"{name}.moran").read_text())
     expect = json.loads((root / f"{name}.expect.json").read_text())
@@ -100,9 +102,7 @@ def run_check(system: MoranSystem, name: str, params: dict, seed: int = 0) -> Ch
                            worst < params["tol"])
     if kind == "cover_equals":
         cover = support_cover(system, params["level"])
-        target = IntervalUnion.from_intervals(
-            [(Fraction(params["target"][0]), Fraction(params["target"][1]))]
-        )
+        target = IntervalUnion.from_intervals([params["target"]])
         return CheckResult(name, f"{kind}@{params['level']}",
                            str(params["target"]),
                            "match" if cover == target else f"{len(cover.intervals)} intervals",
@@ -110,9 +110,7 @@ def run_check(system: MoranSystem, name: str, params: dict, seed: int = 0) -> Ch
     if kind == "cover_hausdorff":
         lvl = params["level"]
         cover = support_cover(system, lvl)
-        target = IntervalUnion.from_intervals(
-            [(Fraction(params["target"][0]), Fraction(params["target"][1]))]
-        )
+        target = IntervalUnion.from_intervals([params["target"]])
         dist = cover.hausdorff_distance(target)
         budget = Fraction(params["max_mult"]).limit_denominator() * system.tail_max_sum(lvl)
         return CheckResult(name, f"{kind}@{lvl}",
@@ -120,7 +118,7 @@ def run_check(system: MoranSystem, name: str, params: dict, seed: int = 0) -> Ch
                            dist <= budget)
     if kind == "tiling":
         cover = support_cover(system, params["level"])
-        obs = tiling_check(cover, params["window"], params["samples"])
+        obs = tiling_defects(cover) == (0, 0)
         return CheckResult(name, f"{kind}@{params['level']}", str(params["expect"]),
                            str(obs), obs == params["expect"])
     if kind == "density_plateaus":

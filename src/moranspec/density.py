@@ -4,12 +4,14 @@ When every level satisfies Phi(n) = p_n the Moran measure is absolutely
 continuous; its support can then be approximated from outside by finite
 unions of closed rational intervals, its density estimated by histograms of
 the level atoms (integer numerators over P_n), and the tiling of the line by
-integer translates of the support checked by sampling.  Interval endpoints
-stay exact rationals; only the density values are floating point.
+integer translates of the support decided exactly by one sweep mod 1.
+Interval endpoints stay exact rationals; only the density values are
+floating point.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,26 +247,21 @@ def density_verdict(histogram: Histogram, tol: float = 0.1) -> str:
     return VERDICT_UNIFORM
 
 
-def tiling_check(T: IntervalUnion, window: int, samples: int) -> bool:
-    """Do integer translates of T cover almost every point exactly once?
+def tiling_defects(T: IntervalUnion) -> tuple[Fraction, Fraction]:
+    """Exact (gap, overlap) of the integer translates of T over one period.
 
-    Samples midpoints (2j+1)/(2*samples) of a uniform refinement of [0, 1)
-    and counts exact membership of x + k over |k| <= window.  Midpoint
-    sampling avoids integer boundary points; an even sample count also
-    avoids half-integers, so shared endpoints of exact tilings never double
-    count.  The window must reach past the diameter of T.
+    gap is the measure of [0, 1) left uncovered and overlap the measure
+    covered more than once, with multiplicity; T tiles iff both are 0.  Over
+    one denominator each interval is reduced mod 1 and cut at the integer it
+    straddles, and one sweep measures the union (Lagarias-Wang 1996).
     """
-    if T.is_empty:
-        raise ValueError("empty union")
-    lo, hi = T.hull
-    if window < hi - lo:
-        raise ValueError(f"window {window} smaller than diameter {hi - lo}")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    shifts = range(-window, window + 1)
-    for j in range(samples):
-        x = Fraction(2 * j + 1, 2 * samples)
-        cover = sum(1 for k in shifts if T.contains(x + k))
-        if cover != 1:
-            return False
-    return True
+    den = math.lcm(*(x.denominator for x in T._flat))
+    ends = [x.numerator * (den // x.denominator) for x in T._flat]
+    pieces = []
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        end = lo % den + min(hi - lo, den)  # length 1 already covers the period
+        pieces += [(lo % den, min(end, den)), (0, max(end - den, 0))]
+    covered = reach = 0
+    for a, b in sorted(pieces):
+        covered, reach = covered + max(b - max(a, reach), 0), max(reach, b)
+    return Fraction(den - covered, den), T.total_length - Fraction(covered, den)

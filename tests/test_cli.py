@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from moranspec import cli
 from moranspec.cli import main, parse_sigma
 
 FINAL = "cycle: (2,{0,1}) (3,{0,1,2})\n"
@@ -9,6 +10,7 @@ ALTERNATING = "cycle: (9,{0,1,2}) (4,{0,2})\n"
 PURE_T3 = "preamble: (4,{0,2})\ncycle: (4,{0,1})\n"
 NONUNIFORM = "preamble: (2,{0,1,2}) (2,{0,5,6})\ncycle: (2,{0,3})\n"
 FINITE = "preamble: (4,{0,2}) (12,{0,1,2})\n"
+MIXED = "preamble: (4,{0,2}) (12,{0,1,2})\ncycle: (8,{0,1,2,3})\n"
 # level-6 spectrum points reach about P_6 = 8.6e9, far beyond P_1 = 36
 LARGE_POINTS = "cycle: (36,{0,31}) (57,{0,1,20})\n"
 # P_400 = 8**400 is far past the largest float
@@ -171,9 +173,16 @@ class TestDensityTilingCommands:
         assert header == "bin_center,density"
 
     def test_tiling_yes(self, system_file, capsys):
+        # --samples is accepted and ignored: the decision is exact
         assert main(["tiling", system_file(FINAL), "--level", "8",
                      "--samples", "2000"]) == 0
-        assert "tiling by integer translates" in capsys.readouterr().out
+        assert ("tiling by integer translates: yes (gap 0, overlap 0)"
+                in capsys.readouterr().out)
+
+    def test_tiling_no_reports_overlap(self, system_file, capsys):
+        assert main(["tiling", system_file(NONUNIFORM), "--level", "6"]) == 0
+        assert ("tiling by integer translates: no (gap 0, overlap 9/4)"
+                in capsys.readouterr().out)
 
 
 class TestExamplesCommand:
@@ -204,6 +213,13 @@ class TestErrorPaths:
 
     def test_structural_error_file(self, system_file, capsys):
         assert main(["validate", system_file("cycle: (1,{0,1})")]) == 66
+
+    def test_spectrum_size_limit_is_inclusive(self, system_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BUILT_POINTS", 6)
+        assert main(["spectrum", system_file(FINAL), "--level", "2"]) == 0
+        assert "level 2 spectrum: 6 points" in capsys.readouterr().out
+        assert main(["qsum", system_file(FINAL), "--level", "3"]) == 64
+        assert "has 12 points, more than the 6 that qsum builds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, argv, message", [
         pytest.param(FINITE, ["certify"], "infinite system", id="certify-finite"),
@@ -248,9 +264,18 @@ class TestErrorPaths:
                      "scan levels must be at least 8", id="certify-scan-levels-3"),
         pytest.param(FINAL, ["qsum", "--depth", "-3"],
                      "--depth must be nonnegative", id="qsum-depth-minus-3"),
+        # q = 2 * 3 * 4**68 points: refused before any is built
+        pytest.param(MIXED, ["spectrum", "--level", "70"],
+                     f"level 70 spectrum has {6 * 4**68} points", id="spectrum-level-70"),
+        pytest.param(MIXED, ["qsum", "--level", "70"],
+                     f"level 70 spectrum has {6 * 4**68} points", id="qsum-level-70"),
+        pytest.param(None, ["examples", "--name", "nope"],
+                     "unknown example 'nope'; known: mixed_classes, nonuniform_density",
+                     id="examples-unknown-name"),
     ])
     def test_bad_argument_values(self, system_file, capsys, text, argv, message):
-        assert main([argv[0], system_file(text), *argv[1:]]) == 64
+        files = [] if text is None else [system_file(text)]
+        assert main([argv[0], *files, *argv[1:]]) == 64
         out, err = capsys.readouterr()
         assert err.startswith("usage error: ") and message in err
         assert out == ""  # a rejected command prints no report line

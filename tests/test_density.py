@@ -9,7 +9,7 @@ from moranspec import (
     density_verdict,
     make_system,
     support_cover,
-    tiling_check,
+    tiling_defects,
     uniformity_check,
 )
 from moranspec.density import VERDICT_NOT_SPECTRAL, VERDICT_SPARSE, VERDICT_UNIFORM
@@ -159,34 +159,47 @@ class TestUniformity:
 class TestTiling:
     def test_unit_interval(self):
         u = IntervalUnion.from_intervals([(0, 1)])
-        assert tiling_check(u, 3, 10000)
+        assert tiling_defects(u) == (0, 0)
 
     def test_long_interval_overcovers(self):
         u = IntervalUnion.from_intervals([(0, Fraction(13, 4))])
-        assert not tiling_check(u, 5, 2000)
+        assert tiling_defects(u) == (0, Fraction(9, 4))
 
     def test_split_tile(self):
         u = IntervalUnion.from_intervals([(0, Fraction(1, 2)),
                                           (Fraction(3, 2), 2)])
-        assert tiling_check(u, 3, 2000)
+        assert tiling_defects(u) == (0, 0)
 
     def test_gap_undercovers(self):
         u = IntervalUnion.from_intervals([(0, Fraction(1, 2))])
-        assert not tiling_check(u, 2, 500)
+        assert tiling_defects(u) == (Fraction(1, 2), 0)
 
     def test_translation_invariance(self):
-        u = IntervalUnion.from_intervals([(0, Fraction(1, 2)),
-                                          (Fraction(3, 2), 2)])
+        u = IntervalUnion.from_intervals([(Fraction(-1, 3), Fraction(1, 2)),
+                                          (Fraction(3, 2), Fraction(7, 4))])
         for shift in (-3, 1, 7):
-            assert tiling_check(u.translate(shift), 3 + abs(shift), 500)
+            assert tiling_defects(u.translate(shift)) == tiling_defects(u)
+        assert tiling_defects(u) == (0, Fraction(1, 12))
 
-    def test_window_too_small(self):
-        u = IntervalUnion.from_intervals([(0, Fraction(13, 4))])
-        with pytest.raises(ValueError, match="window"):
-            tiling_check(u, 3, 100)
+    def test_hull_far_from_origin(self):
+        # a window of translates at least the diameter, but not reaching
+        # the hull, used to call [5, 6] no tile and [-9/4, -1] a tile
+        assert tiling_defects(IntervalUnion.from_intervals([(5, 6)])) == (0, 0)
+        u = IntervalUnion.from_intervals([(Fraction(-9, 4), -1)])
+        assert tiling_defects(u) == (0, Fraction(1, 4))
+
+    def test_planted_gap_below_sampling(self):
+        # 10**4 midpoint probes all miss both defects, each 10**-6 wide
+        eps = Fraction(1, 10**6)
+        u = IntervalUnion.from_intervals([(0, Fraction(1, 2)),
+                                          (Fraction(1, 2) + eps, 1 + eps)])
+        assert tiling_defects(u) == (eps, eps)
+
+    def test_empty_union_covers_nothing(self):
+        assert tiling_defects(IntervalUnion(())) == (1, 0)
 
     def test_end_to_end_unit_tile(self, final_system):
         # finite-level orthogonality and the tiling check are the two faces
         # of the same structure for this system
         cover = support_cover(final_system, 8)
-        assert tiling_check(cover, 3, 4000)
+        assert tiling_defects(cover) == (0, 0)

@@ -7,7 +7,8 @@ are checked against small Fraction oracles and the per-pair orthogonality
 loop (the factor path on spectra, perturbed ones included), transforms
 against the scalar per-level mask loop they were first written as, the
 Q-sum bit for bit against the per-point mask loop it replaced, and the
-closed-form next-level bound against the sampled angle mesh it replaced.
+closed-form next-level bound against the sampled angle mesh it replaced,
+and the exact tiling defects against the midpoint-probe loop they replaced.
 Normalized systems are checked against the raw signed levels they come
 from.
 """
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from moranspec import (
     AtomCollisionError,
+    IntervalUnion,
     Level,
     LevelClass,
     MoranStructureError,
@@ -43,6 +45,7 @@ from moranspec import (
     make_system,
     mask_eval,
     q_sum_finite,
+    tiling_defects,
     zero_set_contains,
 )
 from conftest import random_t1_level, random_t2_level, random_t3_level
@@ -421,3 +424,50 @@ def test_normalization_keeps_transform_modulus_and_orthogonality(
     assert report.passed or max_level < n
     assert report == check_orthogonal(plain, level_spectrum(plain, n, sigma),
                                       max_level)
+
+
+def sampled_tiling_check(T, window: int, samples: int) -> bool:
+    """The midpoint-probe loop the exact tiling decision replaced, kept as the oracle.
+
+    Midpoints (2j+1)/(2*samples) of [0, 1) count exact membership of x + k
+    over |k| <= window; T tiles when every count is 1.
+    """
+    shifts = range(-window, window + 1)
+    for j in range(samples):
+        x = Fraction(2 * j + 1, 2 * samples)
+        cover = sum(1 for k in shifts if T.contains(x + k))
+        if cover != 1:
+            return False
+    return True
+
+
+def grid_cover(rng, g: int) -> IntervalUnion:
+    """Closed intervals with endpoints on (1/g)Z, each at most 3 long.
+
+    Half the draws cut [0, 1] at grid points and move each piece by an
+    integer (a tile), then, most of the time, move one endpoint by 1/g.
+    """
+    if rng.integers(2):
+        cuts = sorted({0, g, *(int(c) for c in rng.integers(0, g + 1, size=3))})
+        shifts = g * rng.integers(-3, 4, size=len(cuts) - 1)
+        pairs = [[lo + k, hi + k] for lo, hi, k in zip(cuts, cuts[1:], shifts)]
+        if rng.integers(4):
+            pairs[int(rng.integers(len(pairs)))][int(rng.integers(2))] += 1
+    else:
+        pairs = [[lo, lo + int(rng.integers(0, 3 * g + 1))]
+                 for lo in rng.integers(-3 * g, 3 * g, size=int(rng.integers(1, 5)))]
+    return IntervalUnion.from_intervals(
+        (Fraction(int(lo), g), Fraction(int(hi), g)) for lo, hi in pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.integers(1, 12))
+def test_tiling_defects_match_sampled_oracle(seed, g):
+    T = grid_cover(np.random.default_rng(seed), g)
+    lo, hi = T.hull
+    # two probes per grid cell, none on an endpoint; the window reaches the hull
+    window = math.ceil(max(abs(lo), abs(hi))) + 1
+    gap, overlap = tiling_defects(T)
+    assert 0 <= gap <= 1 and 0 <= overlap and gap * g == int(gap * g)
+    assert 1 - gap + overlap == T.total_length
+    assert ((gap, overlap) == (0, 0)) == sampled_tiling_check(T, window, 2 * g)
