@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 import numpy as np
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_FILE = 66
 MAX_BUILT_POINTS = 2**20  # spectrum and qsum build every point (the corpus: hundreds)
+MAX_BUILT_ATOMS = 2**24  # density and tiling build every atom (the corpus: thousands)
 
 
 class UsageError(Exception):
@@ -68,11 +70,14 @@ def finite_float(text: str) -> float:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """CSV rows, floats as %.15g, else str; a block's rows share its first's types."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.15g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        while block := list(itertools.islice(rows, 2**13)):
+            line = ",".join("%.15g" if isinstance(v, float) else "%s" for v in block[0])
+            values = tuple(itertools.chain.from_iterable(block))
+            fh.write((line + "\n") * len(block) % values)
 
 
 def load_system(path: str) -> MoranSystem:
@@ -171,14 +176,22 @@ def built_spectrum(args) -> tuple[MoranSystem, SpectrumLevel, int]:
     return system, pts, q
 
 
+def atom_system(args) -> MoranSystem:
+    """System of a density or tiling call; refuses more than MAX_BUILT_ATOMS atoms."""
+    system = load_system(args.system)
+    if (q := system.phi_product(args.level)) > MAX_BUILT_ATOMS:
+        raise UsageError(f"level {args.level} has {q} atoms, more than "
+                         f"the {MAX_BUILT_ATOMS} that {args.command} builds")
+    return system
+
+
 def cmd_spectrum(args) -> int:
     _, pts, q = built_spectrum(args)
     print(f"level {args.level} spectrum: {q} points, "
           f"sigma prefix {pts.sigma}")
     print(" ".join(str(p) for p in pts.points))
     if args.output:
-        write_csv(args.output, ["index", "lambda"],
-                  list(enumerate(pts.points)))
+        write_csv(args.output, ["index", "lambda"], enumerate(pts.points))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -257,7 +270,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_density(args) -> int:
-    system = load_system(args.system)
+    system = atom_system(args)
     hist = density_histogram(system, args.level, args.bins)
     lo, hi = hist.hull
     print(f"level {args.level}: {hist.atom_count} atoms on [{lo}, {hi}], "
@@ -275,7 +288,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_tiling(args) -> int:
-    system = load_system(args.system)
+    system = atom_system(args)
     cover = support_cover(system, args.level)
     lo, hi = cover.hull
     print(f"support cover at level {args.level}: {len(cover.intervals)} "

@@ -283,10 +283,7 @@ class MoranSystem:
 
     def phi_product(self, n: int) -> int:
         """Product Phi(1) ... Phi(n) = number of atoms at level n."""
-        out = 1
-        for i in range(1, n + 1):
-            out *= self.phi(i)
-        return out
+        return math.prod(self.phi(i) for i in range(n, 0, -1))  # past the end: names n
 
     # -- whole-system views -------------------------------------------------
 
@@ -400,35 +397,49 @@ def parse_system(text: str) -> MoranSystem:
 # -- finite-level measures and Fourier data ---------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Uniform measure on level-n atoms: sorted distinct integer numerators over P_n."""
 
-    numerators: tuple[int, ...]
+    numerators: np.ndarray  # as minkowski_sum builds them; compared by value
     denominator: int
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.denominator == other.denominator
+                and np.array_equal(self.numerators, other.numerators))
+
+    def __hash__(self):
+        return hash((self.denominator, tuple(self.numerators.tolist())))
 
     @property
     def atoms(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(k, self.denominator) for k in self.numerators)
+        return tuple(Fraction(k, self.denominator) for k in self.numerators.tolist())
 
     @property
     def weight(self) -> Fraction:
         return Fraction(1, len(self.numerators))
 
     def positions(self) -> np.ndarray:
-        # int / int is correctly rounded, exactly as float(Fraction) is
-        return np.array([k / self.denominator for k in self.numerators])
+        nums, P = self.numerators, self.denominator
+        if P < 2**53 and max(-int(nums[0]), int(nums[-1])) < 2**53:  # exact floats
+            return nums / P  # rounded once, as float(Fraction) and int / int are
+        return np.array([k / P for k in nums.tolist()])
 
 
-def minkowski_sum(factors: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """Sorted distinct sums f_1 + ... + f_n, one f_i from each integer factor.
+def minkowski_sum(factors: Iterable[Sequence[int]]) -> np.ndarray:
+    """Sorted sums f_1 + ... + f_n, one f_i from each integer factor.
 
-    A result shorter than the product of the factor sizes means a collision.
+    int64 when sum max|f_i| < 2**63 proves every partial sum fits, else Python
+    ints.  Every choice is one entry, so equal neighbours mean a collision.
     """
-    sums = [0]
+    factors = [[int(f) for f in factor] for factor in factors]
+    big = sum(max(map(abs, factor), default=0) for factor in factors) >= 2**63
+    sums = np.zeros(1, dtype=object if big else np.int64)
     for factor in factors:
-        sums = [s + f for s in sums for f in factor]
-    return tuple(sorted(set(sums)))
+        # each row f + sums is a sorted run, and the stable sort merges runs
+        sums = np.add.outer(np.array(factor, dtype=sums.dtype), sums).ravel()
+        sums.sort(kind="stable")
+    return sums
 
 
 def atoms(system: MoranSystem, n: int) -> DiscreteMeasure:
@@ -446,7 +457,7 @@ def atoms(system: MoranSystem, n: int) -> DiscreteMeasure:
         [d * (Pn // system.P(i)) for d in system.digit_set(i).digits]
         for i in range(1, n + 1)
     )
-    if len(nums) != system.phi_product(n):
+    if (nums[1:] == nums[:-1]).any():
         raise AtomCollisionError(f"atom collision at level {n}")
     return DiscreteMeasure(nums, Pn)
 

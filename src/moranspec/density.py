@@ -140,11 +140,10 @@ def support_cover(system: MoranSystem, level: int) -> IntervalUnion:
     r = system.tail_max_sum(level)
     nums, P = meas.numerators, meas.denominator
     reach = r.numerator * P // r.denominator
-    cuts = [j for j in range(1, len(nums)) if nums[j] - nums[j - 1] > reach]
-    return IntervalUnion(tuple(
-        (Fraction(nums[a], P), Fraction(nums[b - 1], P) + r)
-        for a, b in zip([0] + cuts, cuts + [len(nums)])
-    ))
+    cut = np.diff(nums) > reach  # an interval ends before each cut, the next starts after
+    starts, ends = nums[np.r_[True, cut]].tolist(), nums[np.r_[cut, True]].tolist()
+    return IntervalUnion(tuple((Fraction(a, P), Fraction(b, P) + r)
+                               for a, b in zip(starts, ends)))
 
 
 @dataclass(frozen=True)
@@ -184,24 +183,30 @@ class Histogram:
 def density_histogram(system: MoranSystem, level: int, bins: int) -> Histogram:
     """Histogram density estimate of the level-truncated measure.
 
-    Atoms are integer numerators over P_n with equal weight, so bin
-    assignment is exact up to float rounding of the positions; the estimate
-    converges weakly to the density when the measure is absolutely continuous.
-    The level should put a couple dozen atoms in each interior bin.
+    Atoms k/P_n have equal weight, and on the hull [k_0/P, k_max/P + r/s]
+    atom k falls in bin floor((k - k_0) s' bins / span), the top edge in the
+    last, decided in integers: s' = s/gcd(s, P), span = (hi - lo) P s'.  The
+    estimate converges weakly to the density when the measure is absolutely
+    continuous.  The level should put a couple dozen atoms in each interior bin.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
     meas = atoms(system, level)
-    lo = Fraction(meas.numerators[0], meas.denominator)
-    hi = Fraction(meas.numerators[-1], meas.denominator) + system.tail_max_sum(level)
+    nums, P = meas.numerators, meas.denominator
+    k0, top, R = int(nums[0]), int(nums[-1]), system.tail_max_sum(level)
+    lo, hi = Fraction(k0, P), Fraction(top, P) + R
     if hi <= lo:
         raise MoranError("degenerate support: zero bin width")
-    counts, edges = np.histogram(
-        meas.positions(), bins=bins, range=(float(lo), float(hi))
-    )
-    q = len(meas.numerators)
+    s1 = math.lcm(P, R.denominator) // P
+    span = int((hi - lo) * P * s1)  # an integer: P s1 is a common denominator
+    if max(top - k0, 1) * s1 * bins >= 2**63 or span >= 2**63:
+        nums = nums.astype(object)  # exact Python ints past the int64 range
+    idx = np.minimum((nums - k0) * s1 * bins // span, bins - 1)
+    counts = np.bincount(idx.astype(np.intp, copy=False), minlength=bins)
+    q = len(nums)
     width = (float(hi) - float(lo)) / bins
-    return Histogram(edges, counts, counts / (q * width), q, (lo, hi))
+    return Histogram(np.linspace(float(lo), float(hi), bins + 1), counts,
+                     counts / (q * width), q, (lo, hi))
 
 
 def uniformity_check(

@@ -74,9 +74,9 @@ class SpectrumLevel:
     @cached_property
     def points(self) -> tuple[int, ...]:
         pts = minkowski_sum(self.factors)
-        if len(pts) != len(self):
+        if (pts[1:] == pts[:-1]).any():
             raise MoranStructureError(f"spectrum collision at level {self.level}")
-        return pts
+        return tuple(pts.tolist())
 
 
 def level_factors(

@@ -1,8 +1,10 @@
 import re
 
+import numpy as np
 import pytest
 
-from moranspec import cli
+from moranspec import (cli, corpus, density_histogram, level_spectrum, parse_system,
+                       q_sum_finite)
 from moranspec.cli import main, parse_sigma
 
 FINAL = "cycle: (2,{0,1}) (3,{0,1,2})\n"
@@ -185,6 +187,57 @@ class TestDensityTilingCommands:
                 in capsys.readouterr().out)
 
 
+def row_formatter_csv(header, rows) -> str:
+    """The per-value row formatter write_csv replaced, kept as the oracle."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.15g}" if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [
+        pytest.param([], id="zero-rows"),
+        pytest.param([(0.1, -0.0), (float("inf"), float("nan")), (5e-324, 1e300),
+                      (np.float64(1) / 3, -2.5e-7)], id="float-specials"),
+        pytest.param(list(enumerate([-(2**70), 2**63, 2**64 + 1, -5, 0, 7])),
+                     id="ints-past-int64"),
+        pytest.param([(k, float(k) / 7, -k) for k in range(2**13 + 5)],
+                     id="mixed-columns-two-blocks"),
+        pytest.param(list(zip(np.linspace(-1, 1, 2**14).tolist(),
+                              np.random.default_rng(5).normal(size=2**14).tolist())),
+                     id="floats-two-full-blocks"),
+    ])
+    def test_matches_row_formatter(self, tmp_path, rows):
+        path = tmp_path / "rows.csv"
+        cli.write_csv(str(path), ["a", "b"], iter(rows))
+        assert path.read_text() == row_formatter_csv(["a", "b"], rows)
+
+    @pytest.mark.parametrize("name", corpus.example_names())
+    def test_density_file(self, tmp_path, capsys, name):
+        out_csv = tmp_path / "d.csv"
+        path = str(corpus._data_root() / f"{name}.moran")
+        assert main(["density", path, "--level", "12", "-o", str(out_csv)]) == 0
+        hist = density_histogram(corpus.load_example(name)[0], 12, 4096)
+        assert out_csv.read_text() == row_formatter_csv(
+            ["bin_center", "density"],
+            zip(hist.centers.tolist(), hist.density.tolist()))
+
+    def test_spectrum_and_qsum_files(self, system_file, tmp_path, capsys):
+        system, path, out_csv = parse_system(MIXED), system_file(MIXED), tmp_path / "s.csv"
+        assert main(["spectrum", path, "--level", "5", "-o", str(out_csv)]) == 0
+        pts = level_spectrum(system, 5).points
+        assert out_csv.read_text() == row_formatter_csv(["index", "lambda"],
+                                                         enumerate(pts))
+        assert main(["qsum", path, "--level", "3", "--grid", "9", "-o",
+                     str(out_csv)]) == 0
+        xs = np.linspace(-5.0, 5.0, 9)
+        qs = q_sum_finite(system, 3, level_spectrum(system, 3), xs)
+        assert out_csv.read_text() == row_formatter_csv(["xi", "Q"],
+                                                         zip(xs.tolist(), qs.tolist()))
+
+
 class TestExamplesCommand:
     def test_single_example(self, capsys):
         assert main(["examples", "--name", "pure_two_digit"]) == 0
@@ -213,6 +266,15 @@ class TestErrorPaths:
 
     def test_structural_error_file(self, system_file, capsys):
         assert main(["validate", system_file("cycle: (1,{0,1})")]) == 66
+
+    def test_atom_limit_is_inclusive(self, system_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BUILT_ATOMS", 6)
+        assert main(["density", system_file(FINAL), "--level", "2"]) == 0
+        assert "level 2: 6 atoms" in capsys.readouterr().out
+        assert main(["tiling", system_file(FINAL), "--level", "2"]) == 0
+        capsys.readouterr()
+        assert main(["tiling", system_file(FINAL), "--level", "3"]) == 64
+        assert "has 12 atoms, more than the 6 that tiling builds" in capsys.readouterr().err
 
     def test_spectrum_size_limit_is_inclusive(self, system_file, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_BUILT_POINTS", 6)
@@ -269,6 +331,15 @@ class TestErrorPaths:
                      f"level 70 spectrum has {6 * 4**68} points", id="spectrum-level-70"),
         pytest.param(MIXED, ["qsum", "--level", "70"],
                      f"level 70 spectrum has {6 * 4**68} points", id="qsum-level-70"),
+        # the same count of atoms: refused before any is built
+        pytest.param(MIXED, ["density", "--level", "70"],
+                     f"level 70 has {6 * 4**68} atoms, more than the {2**24}",
+                     id="density-level-70"),
+        pytest.param(MIXED, ["tiling", "--level", "70"],
+                     f"level 70 has {6 * 4**68} atoms", id="tiling-level-70"),
+        pytest.param(FINITE, ["density", "--level", "5"],
+                     "level 5 requested from a finite system of 2 levels",
+                     id="density-past-end"),
         pytest.param(None, ["examples", "--name", "nope"],
                      "unknown example 'nope'; known: mixed_classes, nonuniform_density",
                      id="examples-unknown-name"),

@@ -6,6 +6,7 @@ import pytest
 
 from moranspec import (
     AtomCollisionError,
+    DiscreteMeasure,
     LevelClass,
     MoranStructureError,
     MoranSyntaxError,
@@ -19,6 +20,7 @@ from moranspec import (
     parse_system,
     zero_set_contains,
 )
+from moranspec.core import minkowski_sum
 
 
 class TestParse:
@@ -176,6 +178,43 @@ class TestAtoms:
         s = make_system(cycle=[(2, (0, 1, 2, 3))])
         with pytest.raises(AtomCollisionError):
             atoms(s, 2)
+
+    def test_measures_compare_and_hash_by_value(self, mixed_system):
+        a, b = atoms(mixed_system, 3), atoms(mixed_system, 3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != atoms(mixed_system, 2)
+        assert a != a.numerators.tolist()
+
+    def test_positions_correctly_rounded_past_2_53(self):
+        # P_n or a numerator past 2**53 is no exact float; int / int rounds once
+        for nums, P in (([1, 2**52 + 1, 3**33], 3**34), ([2**53 + 1, 3**38], 3)):
+            meas = DiscreteMeasure(np.array(nums), P)
+            assert meas.positions().tolist() == [float(Fraction(k, P)) for k in nums]
+
+
+class TestMinkowskiSum:
+    def test_int64_up_to_the_bound(self):
+        # sum of max|f| = 2**63 - 1: every partial sum fits in int64
+        sums = minkowski_sum([(0, 2**62), (0, 2**62 - 1)])
+        assert sums.dtype == np.int64
+        assert sums.tolist() == [0, 2**62 - 1, 2**62, 2**63 - 1]
+
+    def test_python_ints_past_the_bound(self):
+        sums = minkowski_sum([(0, 2**62), (2**62, 0)])
+        assert sums.dtype == object
+        assert sums.tolist() == [0, 2**62, 2**62, 2**63]  # a collision stays visible
+
+    def test_negative_factors(self):
+        sums = minkowski_sum([(-(2**62), 1), (-(2**62) + 1, 0)])
+        assert sums.dtype == np.int64
+        assert sums.tolist() == [-(2**63) + 1, -(2**62), -(2**62) + 2, 1]
+        sums = minkowski_sum([(-(2**62), 1), (-(2**62), 0)])
+        assert sums.dtype == object
+        assert sums.tolist() == [-(2**63), -(2**62), -(2**62) + 1, 1]
+
+    def test_no_factors(self):
+        assert minkowski_sum([]).tolist() == [0]
 
 
 class TestFourier:

@@ -5,6 +5,7 @@ import pytest
 
 from moranspec import (
     IntervalUnion,
+    atoms,
     density_histogram,
     density_verdict,
     make_system,
@@ -134,6 +135,29 @@ class TestHistogram:
     def test_bad_bins(self, final_system):
         with pytest.raises(ValueError):
             density_histogram(final_system, 3, 0)
+
+    def test_atoms_on_rational_edges(self):
+        # Over the hull [0, 25/11] with 4096 bins, the atoms 25/64 and 125/64
+        # lie exactly on edges 704 and 3520, whose float values exceed them:
+        # bins placed from float positions put each atom one bin low.
+        s = make_system(cycle=[(2, (0, 3)), (2, (0, 1)), (3, (0, 4, 2))])
+        hist = density_histogram(s, 9, 4096)
+        assert hist.hull == (0, Fraction(25, 11))
+        assert hist.edges[704] > 25 / 64 and hist.edges[3520] > 125 / 64
+        assert hist.counts[703:706].tolist() == [0, 1, 1]
+        assert hist.counts[3519:3522].tolist() == [0, 1, 1]
+        oracle = [0] * 4096
+        for x in atoms(s, 9).atoms:
+            oracle[min(x * 4096 // Fraction(25, 11), 4095)] += 1
+        assert hist.counts.tolist() == oracle
+
+    def test_top_edge_in_last_bin(self):
+        # a finite system at its last level has tail radius 0: the largest
+        # atom is the hull's right end and belongs to the last bin
+        s = make_system(preamble=[(2, (0, 1)), (2, (0, 1))])
+        hist = density_histogram(s, 2, 3)
+        assert hist.hull == (0, Fraction(3, 4))
+        assert hist.counts.tolist() == [1, 1, 2]
 
 
 class TestUniformity:

@@ -6,9 +6,11 @@ in so that collisions and INVALID classes are exercised too.  Exact layers
 are checked against small Fraction oracles and the per-pair orthogonality
 loop (the factor path on spectra, perturbed ones included), transforms
 against the scalar per-level mask loop they were first written as, the
-Q-sum bit for bit against the per-point mask loop it replaced, and the
+Q-sum bit for bit against the per-point mask loop it replaced, the
 closed-form next-level bound against the sampled angle mesh it replaced,
-and the exact tiling defects against the midpoint-probe loop they replaced.
+the exact tiling defects against the midpoint-probe loop they replaced,
+int64 atoms against the Python-int sum they replaced, and integer histogram
+bins against the Fraction floor (half the draws past int64).
 Normalized systems are checked against the raw signed levels they come
 from.
 """
@@ -36,6 +38,7 @@ from moranspec import (
     check_orthogonal,
     classify_level,
     construct_L,
+    density_histogram,
     epsilon_next_level,
     f_eval,
     fourier_level,
@@ -126,6 +129,82 @@ def test_integer_atoms_match_fraction_oracle(seed, n):
     assert meas.atoms == tuple(sorted(oracle))
     assert meas.weight == Fraction(1, len(oracle))
     assert meas.positions().tolist() == [float(a) for a in sorted(oracle)]
+
+
+def python_int_atoms(system, n: int) -> list[int]:
+    """The Python-int Minkowski sum the int64 atoms replaced, kept as the oracle."""
+    Pn, sums = system.P(n), [0]
+    for i in range(1, n + 1):
+        sums = [s + d * (Pn // system.P(i)) for s in sums
+                for d in system.digit_set(i).digits]
+    return sorted(set(sums))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(min_value=2, max_value=4))
+def test_atoms_past_int64_match_python_int_oracle(seed, n):
+    # p near 10**7: P_2 < 2**53 < P_3, and on most draws the numerators pass
+    # 2**63 at level 3 or 4
+    rng = np.random.default_rng(seed)
+    levels = []
+    for _ in range(n):
+        p = int(rng.integers(10**6, 10**7))
+        extra = rng.choice(np.arange(1, p), size=int(rng.integers(1, 3)), replace=False)
+        levels.append((p, (0,) + tuple(int(d) for d in extra)))
+    system = make_system(preamble=levels)
+    oracle = python_int_atoms(system, n)
+    meas = atoms(system, n)
+    assert meas.numerators.tolist() == oracle
+    assert (meas.numerators.dtype == object) == (oracle[-1] >= 2**63)
+    P = system.P(n)
+    assert meas.positions().tolist() == [float(Fraction(k, P)) for k in oracle]
+
+
+def bin_oracle(meas, tail: Fraction, bins: int) -> list[int]:
+    """Fraction bin floor((x - lo) bins / (hi - lo)) of each atom, top edge in the last."""
+    xs = meas.atoms
+    lo, hi = xs[0], xs[-1] + tail
+    counts = [0] * bins
+    for x in xs:
+        counts[min((x - lo) * bins // (hi - lo), bins - 1)] += 1
+    return counts
+
+
+def wide_bin_system(rng):
+    """A system and level whose exact bins pass int64 while its atoms do not.
+
+    Either the atoms span more than 2**59 units with tail radius 0, so
+    (k_max - k_0) s' bins passes 2**63 at 16 bins or more, or two atoms one
+    unit apart carry a tail radius R with R P_1 > 2**63, so only the span
+    (k_max - k_0) s' + r P/g does.
+    """
+    if rng.integers(2):
+        levels = []
+        for _ in range(2):
+            p = int(rng.integers(2**30, 2**31))
+            levels.append((p, (0, int(rng.integers(p // 2, p)))))
+        return make_system(preamble=levels), 2
+    q = int(rng.integers(3, 2**20))
+    digit = 2**63 * q + int(rng.integers(2**62))  # R P_1 = digit / (q - 1)
+    return make_system(preamble=[(2, (0, 1))], cycle=[(q, (0, digit))]), 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.booleans(), st.integers(min_value=16, max_value=4096))
+def test_integer_bins_match_fraction_oracle(seed, wide, bins):
+    if wide:
+        system, n = wide_bin_system(np.random.default_rng(seed))
+    else:
+        system = random_system(seed, ADMISSIBLE)  # digits below p: no collisions
+        n = 5
+        while n > 1 and system.phi_product(n) > MAX_ATOMS:
+            n -= 1
+    meas = atoms(system, n)
+    assert meas.numerators.dtype == np.int64
+    hist = density_histogram(system, n, bins)
+    tail = system.tail_max_sum(n)
+    assert hist.hull == (meas.atoms[0], meas.atoms[-1] + tail)
+    assert hist.counts.tolist() == bin_oracle(meas, tail, bins)
 
 
 @settings(max_examples=300, deadline=None)
