@@ -166,23 +166,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def refused_count(system: MoranSystem, args, cap: int, what: str) -> int:
+    """Exact count q = Phi(1)...Phi(level) the command builds; refuses q > cap."""
+    if (q := system.phi_product(args.level)) > cap:
+        raise UsageError(f"level {args.level} {what.format(q)}, more than "
+                         f"the {cap} that {args.command} builds")
+    return q
+
+
 def built_spectrum(args) -> tuple[MoranSystem, SpectrumLevel, int]:
     """System, level spectrum and exact point count q; refuses q > MAX_BUILT_POINTS."""
     system = load_system(args.system)
     pts = level_spectrum(system, args.level, parse_sigma(args.sigma))
-    if (q := system.phi_product(args.level)) > MAX_BUILT_POINTS:
-        raise UsageError(f"level {args.level} spectrum has {q} points, more than "
-                         f"the {MAX_BUILT_POINTS} that {args.command} builds")
-    return system, pts, q
-
-
-def atom_system(args) -> MoranSystem:
-    """System of a density or tiling call; refuses more than MAX_BUILT_ATOMS atoms."""
-    system = load_system(args.system)
-    if (q := system.phi_product(args.level)) > MAX_BUILT_ATOMS:
-        raise UsageError(f"level {args.level} has {q} atoms, more than "
-                         f"the {MAX_BUILT_ATOMS} that {args.command} builds")
-    return system
+    return system, pts, refused_count(system, args, MAX_BUILT_POINTS, "spectrum has {} points")
 
 
 def cmd_spectrum(args) -> int:
@@ -270,7 +266,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_density(args) -> int:
-    system = atom_system(args)
+    system = load_system(args.system)
+    refused_count(system, args, MAX_BUILT_ATOMS, "has {} atoms")
     hist = density_histogram(system, args.level, args.bins)
     lo, hi = hist.hull
     print(f"level {args.level}: {hist.atom_count} atoms on [{lo}, {hi}], "
@@ -288,7 +285,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_tiling(args) -> int:
-    system = atom_system(args)
+    system = load_system(args.system)
+    refused_count(system, args, MAX_BUILT_ATOMS, "has {} atoms")
     cover = support_cover(system, args.level)
     lo, hi = cover.hull
     print(f"support cover at level {args.level}: {len(cover.intervals)} "

@@ -420,10 +420,8 @@ class DiscreteMeasure:
         return Fraction(1, len(self.numerators))
 
     def positions(self) -> np.ndarray:
-        nums, P = self.numerators, self.denominator
-        if P < 2**53 and max(-int(nums[0]), int(nums[-1])) < 2**53:  # exact floats
-            return nums / P  # rounded once, as float(Fraction) and int / int are
-        return np.array([k / P for k in nums.tolist()])
+        # int / int is correctly rounded, exactly as float(Fraction) is
+        return np.array([k / self.denominator for k in self.numerators.tolist()])
 
 
 def minkowski_sum(factors: Iterable[Sequence[int]]) -> np.ndarray:

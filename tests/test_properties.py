@@ -9,8 +9,9 @@ against the scalar per-level mask loop they were first written as, the
 Q-sum bit for bit against the per-point mask loop it replaced, the
 closed-form next-level bound against the sampled angle mesh it replaced,
 the exact tiling defects against the midpoint-probe loop they replaced,
-int64 atoms against the Python-int sum they replaced, and integer histogram
-bins against the Fraction floor (half the draws past int64).
+int64 atoms and their support covers against the Python-int sum they
+replaced, and integer histogram bins against the Fraction floor (half the
+draws past int64).
 Normalized systems are checked against the raw signed levels they come
 from.
 """
@@ -48,6 +49,7 @@ from moranspec import (
     make_system,
     mask_eval,
     q_sum_finite,
+    support_cover,
     tiling_defects,
     zero_set_contains,
 )
@@ -151,6 +153,10 @@ def test_atoms_past_int64_match_python_int_oracle(seed, n):
         p = int(rng.integers(10**6, 10**7))
         extra = rng.choice(np.arange(1, p), size=int(rng.integers(1, 3)), replace=False)
         levels.append((p, (0,) + tuple(int(d) for d in extra)))
+    # a tail digit of up to 2**80 p puts the cover's reach floor(R P_n) anywhere
+    # from 0 (no merges) past 2**63 (one interval)
+    p = int(rng.integers(2, 10**7))
+    levels.append((p, (0, int(rng.integers(1, p)) << int(rng.integers(81)))))
     system = make_system(preamble=levels)
     oracle = python_int_atoms(system, n)
     meas = atoms(system, n)
@@ -158,6 +164,14 @@ def test_atoms_past_int64_match_python_int_oracle(seed, n):
     assert (meas.numerators.dtype == object) == (oracle[-1] >= 2**63)
     P = system.P(n)
     assert meas.positions().tolist() == [float(Fraction(k, P)) for k in oracle]
+    assert support_cover(system, n) == cover_oracle(system, n, oracle)
+
+
+def cover_oracle(system, n: int, nums) -> IntervalUnion:
+    """Merged intervals [k/P_n, k/P_n + R], one per atom numerator k."""
+    P, r = system.P(n), system.tail_max_sum(n)
+    return IntervalUnion.from_intervals((Fraction(k, P), Fraction(k, P) + r)
+                                        for k in nums)
 
 
 def bin_oracle(meas, tail: Fraction, bins: int) -> list[int]:
@@ -205,6 +219,8 @@ def test_integer_bins_match_fraction_oracle(seed, wide, bins):
     tail = system.tail_max_sum(n)
     assert hist.hull == (meas.atoms[0], meas.atoms[-1] + tail)
     assert hist.counts.tolist() == bin_oracle(meas, tail, bins)
+    # the second wide family has int64 atoms and a cover reach past 2**63
+    assert support_cover(system, n) == cover_oracle(system, n, meas.numerators.tolist())
 
 
 @settings(max_examples=300, deadline=None)
