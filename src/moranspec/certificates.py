@@ -41,8 +41,6 @@ def lambda_norm_check(
     enumeration is needed.  The value never exceeds 1 for admissible
     systems.
     """
-    if k == 0:
-        return Fraction(0)
     factors, _ = level_factors(system, k, sigma)
     hi = sum(max(f) for f in factors)
     lo = sum(min(f) for f in factors)
@@ -162,19 +160,11 @@ EXIT_CODES = {Verdict.PASS: 0, Verdict.CONDITIONS_FAILED: 2, Verdict.INCONCLUSIV
 class Certificate:
     """Outcome of the spectrality certification pipeline."""
 
-    system_id: str
-    sigma: tuple[int, ...]
     verdict: Verdict
     checkpoint: int | None  # the n_k used (infinite-branch case only)
     tail_bound: float | None  # epsilon: tail product beyond n_k + 1
     next_level_bound: float | None  # epsilon': level n_k + 1 factor
     diagnostics: str
-
-    @property
-    def product_bound(self) -> float | None:
-        if self.tail_bound is None or self.next_level_bound is None:
-            return None
-        return self.tail_bound * self.next_level_bound
 
     @property
     def exit_code(self) -> int:
@@ -188,7 +178,6 @@ def certify(
     samples: int = 200,
     depth: int = 30,
     seed: int = 0,
-    system_id: str = "system",
 ) -> Certificate:
     """Assemble a numeric spectrality certificate.
 
@@ -219,10 +208,7 @@ def certify(
                 f"{where} (p={lvl.p}, D={lvl.digits}): "
                 + "; ".join(lvl.digits.violations)
             )
-        return Certificate(
-            system_id, sig, Verdict.CONDITIONS_FAILED, None, None, None,
-            "\n".join(diag),
-        )
+        return Certificate(Verdict.CONDITIONS_FAILED, None, None, None, "\n".join(diag))
     for where, lvl in system.distinct_levels():
         for w in lvl.digits.warnings:
             diag.append(f"warning at {where} (p={lvl.p}, D={lvl.digits}): {w}")
@@ -236,26 +222,26 @@ def certify(
         )
     else:
         outcome = _certify_two_digit_tail(system, sig, samples, seed, diag)
-    return Certificate(system_id, sig, *outcome, "\n".join(diag))
+    return Certificate(*outcome, "\n".join(diag))
 
 
 def _certify_infinite_branch(system, sig, levels_to_scan, samples, depth, seed, diag):
     """(verdict, n_k, tail bound, next-level bound) of the sampled tail check."""
-    candidates = [n_k for n_k in range(7, levels_to_scan) if system.phi(n_k + 1) >= 3]
-    if not candidates:
-        diag.append(f"no checkpoint with Phi(n_k+1) >= 3 in 7..{levels_to_scan - 1}")
-        return Verdict.INCONCLUSIVE, None, None, None
-
     # Prefer the smallest viable checkpoint: the tail constant is anchored
     # there, and the spectrum sampled against stays small.
     best = None  # (product, n_k, eps_tail, eps_next)
-    for n_k in candidates:
+    for n_k in range(7, levels_to_scan):
+        if system.phi(n_k + 1) < 3:
+            continue
         eps_tail = tail_constant(n_k)
         eps_next = epsilon_next_level(system, n_k, sig)
         if best is None or eps_tail * eps_next > best[0]:
             best = (eps_tail * eps_next, n_k, eps_tail, eps_next)
         if eps_tail * eps_next >= BOUND_FLOOR:
             break
+    if best is None:
+        diag.append(f"no checkpoint with Phi(n_k+1) >= 3 in 7..{levels_to_scan - 1}")
+        return Verdict.INCONCLUSIVE, None, None, None
     product, n_k, eps_tail, eps_next = best
     diag.append(
         f"checkpoint n_k={n_k}: tail bound {eps_tail:.6g}, "
@@ -267,10 +253,10 @@ def _certify_infinite_branch(system, sig, levels_to_scan, samples, depth, seed, 
 
     rng = np.random.default_rng(seed)
     factors, _ = level_factors(system, n_k, sig)
-    # drawn sample by sample, xi before lambda, so a seed keeps its pairs
-    xs = np.array([rng.uniform(-1.0, 1.0)
-                   + sum(f[rng.integers(len(f))] for f in factors)
-                   for _ in range(samples)])
+    xi = rng.uniform(-1.0, 1.0, samples)
+    lam = sum(np.array(f, dtype=object)[rng.integers(len(f), size=samples)]
+              for f in factors)
+    xs = (xi + lam).astype(float)
     val, err = fourier_tail(system, n_k, xs, depth)
     # the true tail t has |t| >= |val| (1 - err): that must clear the product
     lower = np.abs(val) * (1.0 - err)

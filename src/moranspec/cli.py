@@ -257,7 +257,6 @@ def cmd_certify(args) -> int:
         samples=args.samples,
         depth=args.depth,
         seed=args.seed,
-        system_id=args.system,
     )
     print(f"seed: {args.seed}")
     print(f"verdict: {cert.verdict.value}")

@@ -82,7 +82,7 @@ def run_check(system: MoranSystem, name: str, params: dict, seed: int = 0) -> Ch
         return CheckResult(name, kind, str(params["expect"]), str(obs),
                            obs == params["expect"])
     if kind == "certify":
-        cert = certify(system, seed=seed, system_id=name)
+        cert = certify(system, seed=seed)
         return CheckResult(name, kind, params["expect"], cert.verdict.value,
                            cert.verdict.value == params["expect"])
     if kind == "orthogonality":

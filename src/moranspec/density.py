@@ -209,9 +209,12 @@ def density_histogram(system: MoranSystem, level: int, bins: int) -> Histogram:
                      counts / (q * width), q, (lo, hi))
 
 
-def uniformity_check(
-    histogram: Histogram | np.ndarray, tol: float, edge_exclude: int = 2
-) -> bool:
+#: Bins dropped at each end of the hull before the uniformity test: there the
+#: level-n atoms, the left ends of their cells, do not yet follow the density.
+EDGE_EXCLUDE = 2
+
+
+def uniformity_check(histogram: Histogram | np.ndarray, tol: float) -> bool:
     """True when all interior bins with positive mass agree within tol.
 
     Agreement is relative deviation from the mean of those bins.  For an
@@ -223,8 +226,7 @@ def uniformity_check(
         dens = histogram.density
     else:
         dens = np.asarray(histogram, dtype=float)
-    if edge_exclude:
-        dens = dens[edge_exclude:-edge_exclude]
+    dens = dens[EDGE_EXCLUDE:-EDGE_EXCLUDE]
     dens = dens[dens > 0]
     if dens.size == 0:
         return False

@@ -30,9 +30,9 @@ def construct_L(p: int, digits: DigitSet | Iterable[int]) -> tuple[int, ...]:
 
     T1 (D = {0..N-1}, N | p):  L = (p/N) {0, 1, ..., N-1}.
     T2 (D = {0,a,b}, 3 | p):   L = (p/3) {0, 1, -1}.
-    T3 (D = {0,d}):            with g = gcd(d,p), p = 2mg and d = g d'',
-                               L = {0, l} where l = m (d'')^{-1} mod 2m,
-                               taken as the least positive representative.
+    T3 (D = {0,d}):            with g = gcd(d,p) and p = 2mg, L = {0, m}.
+                               d/g is coprime to 2m, hence odd, so
+                               m (d/g)^{-1} = m mod 2m.
     """
     ds = _as_digit_set(p, digits)
     cls = ds.cls
@@ -43,13 +43,8 @@ def construct_L(p: int, digits: DigitSet | Iterable[int]) -> tuple[int, ...]:
         step = p // 3
         return (0, step, -step)
     if cls is LevelClass.T3:
-        g = math.gcd(ds.d, p)
-        two_m = p // g
-        # p/gcd(d,p) even is the T3 condition, so two_m = 2m with m >= 1
-        m = two_m // 2
-        d2 = ds.d // g  # coprime to 2m by construction
-        ell = (m * pow(d2, -1, two_m)) % two_m
-        return (0, ell)
+        # p/gcd(d,p) even is the T3 condition, so m = p/(2g) >= 1
+        return (0, p // (2 * math.gcd(ds.d, p)))
     raise ValueError(f"not admissible: {ds.violations}")
 
 

@@ -217,9 +217,9 @@ def test_criterion_10_certification_verdicts(alternating_system,
                                              pure_t3_system,
                                              nonuniform_system):
     certs = [
-        certify(alternating_system, system_id="alternating"),
-        certify(pure_t3_system, system_id="pure-two-digit"),
-        certify(nonuniform_system, system_id="nonuniform"),
+        certify(alternating_system),
+        certify(pure_t3_system),
+        certify(nonuniform_system),
     ]
     codes = [c.exit_code for c in certs]
     verdicts = [c.verdict.value for c in certs]

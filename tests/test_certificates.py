@@ -6,12 +6,14 @@ import pytest
 
 from moranspec import certificates
 from moranspec import (
+    MoranSystem,
     Verdict,
     certify,
     epsilon_next_level,
     f_eval,
     f_min_points,
     lambda_norm_check,
+    level_factors,
     level_spectrum,
     make_system,
     mask_eval,
@@ -150,33 +152,33 @@ class TestEpsilonNextLevel:
 
 class TestCertify:
     def test_alternating_passes(self, alternating_system):
-        cert = certify(alternating_system, system_id="alternating")
+        cert = certify(alternating_system)
         assert cert.verdict is Verdict.PASS
         assert cert.exit_code == 0
         assert cert.tail_bound > 0 and cert.next_level_bound > 0
         assert cert.checkpoint >= 7
 
     def test_pure_two_digit_passes(self, pure_t3_system):
-        cert = certify(pure_t3_system, system_id="head+tail")
+        cert = certify(pure_t3_system)
         assert cert.verdict is Verdict.PASS
         assert cert.exit_code == 0
         assert cert.checkpoint is None
 
     def test_inadmissible_fails(self, nonuniform_system):
-        cert = certify(nonuniform_system, system_id="nonuniform")
+        cert = certify(nonuniform_system)
         assert cert.verdict is Verdict.CONDITIONS_FAILED
         assert cert.exit_code == 2
         assert "preamble[1]" in cert.diagnostics
 
     def test_boundary_ratio_inconclusive(self, final_system):
-        cert = certify(final_system, system_id="boundary")
+        cert = certify(final_system)
         assert cert.verdict is Verdict.INCONCLUSIVE
         assert cert.exit_code == 3
         assert "boundary-ratio" in cert.diagnostics
 
     def test_mixed_passes_with_any_sigma(self, mixed_system):
         for sigma in [(), (-1,), (-1, -1)]:
-            cert = certify(mixed_system, sigma=sigma, system_id="mixed")
+            cert = certify(mixed_system, sigma=sigma)
             assert cert.verdict is Verdict.PASS
 
     def test_finite_system_rejected(self):
@@ -194,6 +196,36 @@ class TestCertify:
         cert = certify(alternating_system)
         assert cert.verdict is Verdict.INCONCLUSIVE
         assert "sampled tail minimum 0 " in cert.diagnostics
+
+    def test_checkpoint_scan_stops_at_first_pass(self, mixed_system, monkeypatch):
+        # the scan visits levels lazily: a PASS at n_k = 7 does not look at
+        # the other 10**6 candidate levels
+        calls = []
+        phi = MoranSystem.phi
+        monkeypatch.setattr(MoranSystem, "phi",
+                            lambda self, n: calls.append(n) or phi(self, n))
+        cert = certify(mixed_system, levels_to_scan=10**6)
+        assert cert.verdict is Verdict.PASS and cert.checkpoint == 7
+        assert len(calls) < 100
+
+    def test_sampled_lambda_summed_exactly(self, monkeypatch):
+        # every factor fits int64 but their sum does not: an int64 sum would
+        # wrap many draws negative, the exact sum stays in [0, P_7)
+        s = make_system(preamble=[(288230376151711742, (0, 1))] + [(2, (0, 1))] * 6,
+                        cycle=[(8, (0, 1, 2, 3))])
+        factors, _ = level_factors(s, 7)
+        lo = sum(min(f) for f in factors) - 1
+        hi = sum(max(f) for f in factors) + 1
+        assert hi > 2**63
+        seen = []
+        tail = certificates.fourier_tail
+        monkeypatch.setattr(certificates, "fourier_tail",
+                            lambda system, n, xs, depth: seen.append(xs)
+                            or tail(system, n, xs, depth))
+        certify(s)
+        (xs,) = seen
+        assert len(xs) == 200
+        assert np.all((xs >= float(lo)) & (xs <= float(hi)))
 
     def test_deterministic_for_seed(self, alternating_system):
         a = certify(alternating_system, seed=5)

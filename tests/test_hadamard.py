@@ -22,6 +22,11 @@ class TestConstruct:
     def test_consecutive(self):
         assert set(construct_L(12, [0, 1, 2, 3])) == {0, 3, 6, 9}
 
+    def test_two_digit_odd_part_in_gcd(self):
+        # g = gcd(d, p) = 3, so p = 2mg with m = 2 and L = {0, m}
+        assert construct_L(12, [0, 3]) == (0, 2)
+        assert construct_L(12, [0, 9]) == (0, 2)
+
     def test_invalid_rejected(self):
         with pytest.raises(ValueError, match="not admissible"):
             construct_L(8, [0, 5, 6])
