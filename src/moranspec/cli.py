@@ -208,7 +208,7 @@ def cmd_ortho(args) -> int:
 
 
 def cmd_qsum(args) -> int:
-    system, pts, q = built_spectrum(args)
+    system, pts, _ = built_spectrum(args)
     if args.depth < 0:
         raise UsageError("--depth must be nonnegative (0 means the level)")
     depth = args.depth or args.level
@@ -217,10 +217,7 @@ def cmd_qsum(args) -> int:
     if args.grid < 1:
         raise UsageError("--grid must be positive")
     xs = np.linspace(args.xmin, args.xmax, args.grid)
-    # blocks of grid points keep the (block x points) arrays near 2**13 entries
-    step = max(1, 2**13 // q)
-    qs = np.concatenate([q_sum_finite(system, depth, pts, xs[k:k + step])
-                         for k in range(0, args.grid, step)])
+    qs = q_sum_finite(system, depth, pts, xs)
     print(f"Q over [{args.xmin}, {args.xmax}] at {args.grid} points, "
           f"level {args.level}, depth {depth}:")
     dev = float(np.max(np.abs(qs - 1.0)))

@@ -475,37 +475,34 @@ def mask_eval(digits: DigitSet | Iterable[int], xi):
     return complex(acc) if x.ndim == 0 else acc
 
 
-def _mask_product(system: MoranSystem, lo: int, hi: int, lam, xi):
-    """Product of mask(D_i, (lam + xi)/P_i) over lo < i <= hi, and a scale S.
+def _last_level(system: MoranSystem, lo: int, hi: int, scale) -> tuple[int, float]:
+    """Last level m <= hi a mask product from lo takes at |lam + xi| <= scale, and its stop.
 
-    ``lam`` is 0 or a 1-D integer array along the last axis of the result,
-    and float ``xi`` broadcasts against it.  Wherever P_i <= max|lam|, lam is
-    reduced mod P_i exactly (masks are 1-periodic) and the mask is evaluated
-    once per distinct residue, then gathered back onto lam.  Past level
-    m the factors differ from 1 by at most expm1(4 pi c |lam + xi| / P_m) in
-    all (see fourier_tail), so the product stops once that is below 2**-54
-    and never divides by a P_i too large for a float.  The same bound holds
-    with the float-sized S <= P_m for every omitted factor, past hi too.
+    Past level m the factors differ from 1 by at most expm1(4 pi c scale /
+    P_m) in all (see fourier_tail), so the product stops at the first P_m
+    above stop = 2**57 pi c scale, where that is below 2**-54, and never
+    divides by a P_i too large for a float (nan: never stops).
+    """
+    stop = math.ceil(2**57 * math.pi * system.max_digit_ratio) * scale
+    m = lo
+    while m < hi and not system.P(m) > stop:
+        m += 1
+    return m, stop
+
+
+def _mask_product(system: MoranSystem, lo: int, hi: int, xi):
+    """Product of mask(D_i, xi/P_i) over lo < i <= hi, and a scale S.
+
+    The product stops where ``_last_level`` says; the float-sized S <= P_m
+    bounds every omitted factor as P_m does, past hi too.
     """
     system.P(hi)  # a level past a finite system's end is named as requested
-    lam = np.asarray(lam)
     x = np.asarray(xi, dtype=np.float64)
-    top = int(np.max(np.abs(lam), initial=0))
-    # P_m > 2**57 pi c max(|lam|, |xi|) puts the bound below 2**-54 (nan: never)
-    stop = math.ceil(2**57 * math.pi * system.max_digit_ratio) * max(
-        float(np.max(np.abs(x), initial=0.0)), top)
-    out = np.ones(np.broadcast_shapes(lam.shape, x.shape), dtype=np.complex128)
-    m, Pm = lo, system.P(lo)
-    while m < hi and not Pm > stop:
-        m += 1
-        Pm = system.P(m)
-        if Pm <= top:
-            res, inv = np.unique(lam % Pm, return_inverse=True)
-            out *= mask_eval(system.digit_set(m),
-                             res.astype(np.float64) / Pm + x / Pm)[..., inv]
-        else:
-            out *= mask_eval(system.digit_set(m), lam.astype(np.float64) / Pm + x / Pm)
-    return out, min(Pm, stop) or 1
+    last, stop = _last_level(system, lo, hi, float(np.max(np.abs(x), initial=0.0)))
+    out = np.ones(x.shape, dtype=np.complex128)
+    for m in range(lo + 1, last + 1):
+        out *= mask_eval(system.digit_set(m), x / system.P(m))
+    return out, min(system.P(last), stop) or 1
 
 
 def fourier_level(system: MoranSystem, n: int, xi):
@@ -516,7 +513,7 @@ def fourier_level(system: MoranSystem, n: int, xi):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out, _ = _mask_product(system, 0, n, 0, xi)
+    out, _ = _mask_product(system, 0, n, xi)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -537,7 +534,7 @@ def fourier_tail(
     if depth < 1:
         raise ValueError("depth must be at least 1")
     x = np.asarray(xi, dtype=np.float64)
-    val, scale = _mask_product(system, n, n + depth, 0, x)
+    val, scale = _mask_product(system, n, n + depth, x)
     c = float(system.max_digit_ratio)
     # the omitted factor has modulus <= 1, so B = 2 = expm1(log 3) always holds
     bound = np.expm1(np.minimum(4.0 * math.pi * c * np.abs(x) / scale, math.log(3.0)))

@@ -189,6 +189,8 @@ def density_histogram(system: MoranSystem, level: int, bins: int) -> Histogram:
     estimate converges weakly to the density when the measure is absolutely
     continuous.  The level should put a couple dozen atoms in each interior bin.
     """
+    if level < 1:
+        raise ValueError("level must be at least 1")
     if bins < 1:
         raise ValueError("bins must be positive")
     meas = atoms(system, level)

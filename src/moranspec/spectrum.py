@@ -20,6 +20,7 @@ Q(xi) = sum over points of |F_n(xi + lambda)|^2 is constant 1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -31,7 +32,7 @@ from .core import (
     LevelClass,
     MoranStructureError,
     MoranSystem,
-    _mask_product,
+    _last_level,
     minkowski_sum,
     zero_set_contains,
 )
@@ -148,20 +149,30 @@ class OrthogonalityReport:
         return not self.failures
 
 
+def _nested(system: MoranSystem, factors) -> bool:
+    """Every F_j lies in P_{j-1} Z with distinct residues mod P_j.
+
+    Then two points whose digit words first differ at level j differ by a
+    nonzero residue mod P_j, so none collide, and every point is congruent
+    mod P_m to the sum of its first m factor elements.
+    """
+    return all(all(f % system.P(j - 1) == 0 for f in F)
+               and len({f % system.P(j) for f in F}) == len(F)
+               for j, F in enumerate(factors, start=1))
+
+
 def _factors_orthogonal(system: MoranSystem, factors) -> bool:
-    """Each level-j factor lies in P_{j-1} Z and, over P_{j-1}, is a Hadamard companion.
+    """The factors nest and each F_j, over P_{j-1}, is a Hadamard companion.
 
     Then two points whose digit words first differ at level j differ by
     (f - f') + P_j m with s (f - f') / P_j an integer not divisible by k
     for level j's family (s, k), and s m divisible by k: level j holds the
     difference, and no level below it can, since P_{j-1} divides it.
     """
-    for j, factor in enumerate(factors, start=1):
-        below = system.P(j - 1)
-        if any(f % below for f in factor) or not check_orthogonal(
-                MoranSystem((system.level(j),), ()), [f // below for f in factor]).passed:
-            return False
-    return True
+    return _nested(system, factors) and all(
+        check_orthogonal(MoranSystem((system.level(j),), ()),
+                         [f // system.P(j - 1) for f in F]).passed
+        for j, F in enumerate(factors, start=1))
 
 
 def check_orthogonal(
@@ -198,6 +209,46 @@ def check_orthogonal(
     return OrthogonalityReport(q, q * (q - 1) // 2, failures, tuple(sorted(levels)))
 
 
+#: Grid points per block keep the (block x nodes) arrays near this many entries.
+_BLOCK_ENTRIES = 2**13
+
+
+def _level_terms(system: MoranSystem, m: int, nodes: np.ndarray, xi: np.ndarray):
+    """Level m's |mask|^2 = 1/N + sum_delta (2 c_delta / N^2) cos 2 pi delta (r + xi) / P_m.
+
+    Returns 1/N and, per distinct digit difference delta > 0 of multiplicity
+    c_delta, the cos and sin of 2 pi delta xi / P_m per grid point and of
+    2 pi (delta r mod P_m) / P_m per node r, the latter scaled by
+    2 c_delta / N^2.  Nodes are reduced exactly, and xi mod P_m once for
+    every delta (a float remainder is exact), so all of a level's terms see
+    one xi.
+    """
+    digits = system.digit_set(m).digits
+    N, Pm = len(digits), system.P(m)
+    counts = Counter(b - a for a, b in combinations(digits, 2))
+    if nodes.dtype == object or max(counts) * Pm >= 2**63:
+        nodes = nodes.astype(object)  # exact Python ints past the int64 range
+    r, u = nodes % Pm, np.remainder(xi, Pm) / Pm
+    terms = []
+    for delta, c in counts.items():
+        at_x = 2 * math.pi * (delta * u)
+        at_r = 2 * math.pi * np.asarray(delta * r % Pm / Pm, dtype=np.float64)
+        terms.append((np.cos(at_x), np.sin(at_x),
+                      2 * c / N**2 * np.cos(at_r), 2 * c / N**2 * np.sin(at_r)))
+    return 1 / N, terms
+
+
+def _level_weights(level, rows: slice) -> np.ndarray:
+    """(grid rows x nodes) |mask|^2 of one level, in real elementwise products only."""
+    base, terms = level
+    w = None
+    for cos_x, sin_x, cos_r, sin_r in terms:
+        term = np.multiply.outer(cos_x[rows], cos_r)
+        term -= np.multiply.outer(sin_x[rows], sin_r)
+        w = term if w is None else np.add(w, term, out=w)
+    return np.add(w, base, out=w)
+
+
 def q_sum_finite(
     system: MoranSystem, n: int, points: SpectrumLevel | Iterable, xi
 ) -> float | np.ndarray:
@@ -205,13 +256,48 @@ def q_sum_finite(
 
     Identically 1 (up to floating error) exactly when the points form a
     spectrum of the level-n truncation; past the points' level it is at most
-    1 (Bessel) for an orthogonal set.  Accepts scalar or ndarray xi; lambda
-    is reduced mod P_i exactly, so large points lose no phase.
+    1 (Bessel) for an orthogonal set.  Accepts scalar or ndarray xi.
+
+    The points are summed over their digit tree, whose level-m nodes are
+    F_1 + ... + F_m: a SpectrumLevel whose factors nest (see ``_nested``),
+    else one factor holding the points.  Level m's mask depends on a point
+    only through its level-m node, so Q = sum_{f_1} W_1 sum_{f_2} W_2 ... is
+    folded bottom-up, levels past the tree multiplying at its leaves.  Each
+    level's sum over a factor is 1 at any xi for a spectrum, and every level
+    sees one xi mod P_m, so Q stays 1 to rounding at any float xi.  The
+    product stops where ``_last_level`` says for the larger of max|xi| and
+    max|lambda|.
     """
-    x = np.asarray(xi, dtype=np.float64)[..., None]
-    vals, _ = _mask_product(system, 0, n, _points(points), x)
-    q = np.sum(np.abs(vals) ** 2, axis=-1)
-    return float(q) if q.ndim == 0 else q
+    system.P(n)  # a level past a finite system's end is named as requested
+    x = np.asarray(xi, dtype=np.float64)
+    flat = x.reshape(-1)
+    if (isinstance(points, SpectrumLevel)
+            and len(points.factors) <= (system.finite_length or len(points.factors))
+            and _nested(system, points.factors)):
+        factors = [[int(f) for f in F] for F in points.factors]
+    else:  # a perturbed or colliding spectrum, or a plain point list
+        factors = [[int(f) for f in _points(points)]]
+    big = sum(max(map(abs, F), default=0) for F in factors) >= 2**63
+    nodes = [np.zeros(1, dtype=object if big else np.int64)]
+    for F in factors:  # child k of node i sits at k q + i, q the parents' count
+        nodes.append(np.add.outer(np.array(F, dtype=nodes[-1].dtype), nodes[-1]).ravel())
+    top = int(np.max(np.abs(nodes[-1]), initial=0))
+    last, _ = _last_level(system, 0, n, max(float(np.max(np.abs(x), initial=0.0)), top))
+    depth = len(factors)
+    levels = {m: _level_terms(system, m, nodes[min(m, depth)], flat)
+              for m in range(1, last + 1) if system.phi(m) > 1}  # one digit: |mask| = 1
+    q = np.empty(flat.shape)
+    step = max(1, _BLOCK_ENTRIES // max(len(nodes[-1]), 1))
+    for k in range(0, len(flat), step):
+        rows, b = slice(k, k + step), min(step, len(flat) - k)
+        acc = np.ones((b, len(nodes[-1])))
+        for m in range(max(depth, last), 0, -1):
+            if m in levels:
+                acc *= _level_weights(levels[m], rows)
+            if m <= depth:  # sum each level-(m-1) node's children
+                acc = acc.reshape(b, len(factors[m - 1]), len(nodes[m - 1])).sum(axis=1)
+        q[rows] = acc[:, 0]
+    return float(q[0]) if x.ndim == 0 else q.reshape(x.shape)
 
 
 def exp_matrix_residual(positions: Iterable, frequencies: Iterable) -> float:

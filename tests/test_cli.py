@@ -86,6 +86,14 @@ class TestSpectrumCommands:
         assert "  complete at tolerance 1e-09" in out
         assert float(re.search(r"max\|Q-1\| (\S+)", out).group(1)) < 1e-12
 
+    def test_qsum_complete_far_from_origin(self, capsys):
+        # per-point float arguments once read max|Q-1| 2.9e-9 here: NOT complete
+        path = str(corpus._data_root() / "mixed_classes.moran")
+        assert main(["qsum", path, "--level", "4", "--xmin", "1e7", "--xmax", "2e7"]) == 0
+        out = capsys.readouterr().out
+        assert "  complete at tolerance 1e-09" in out
+        assert float(re.search(r"max\|Q-1\| (\S+)", out).group(1)) < 1e-13
+
     def test_qsum_with_depth(self, system_file, capsys):
         assert main(["qsum", system_file(ALTERNATING), "--level", "3",
                      "--grid", "11", "--xmin", "-1", "--xmax", "1",
@@ -285,7 +293,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("text, argv, message", [
         pytest.param(FINITE, ["certify"], "infinite system", id="certify-finite"),
-        pytest.param(FINAL, ["density", "--level", "0"], "at least 1",
+        pytest.param(FINAL, ["density", "--level", "0"], "level must be at least 1",
                      id="density-level-0"),
         pytest.param(FINAL, ["tiling", "--level", "0"], "level must be at least 1",
                      id="tiling-level-0"),

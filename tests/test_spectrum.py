@@ -176,6 +176,34 @@ class TestQSumFinite:
                                for x in xs]
 
 
+    def test_spectrum_folded_without_points(self, mixed_system):
+        pts = level_spectrum(mixed_system, 4, (-1,))
+        xs = np.linspace(-5, 5, 11)
+        tree = q_sum_finite(mixed_system, 4, pts, xs)
+        assert "points" not in vars(pts)
+        assert np.max(np.abs(tree - q_sum_finite(mixed_system, 4, pts.points, xs))) < 1e-13
+
+    def test_perturbed_spectrum_summed_as_its_points(self, final_system):
+        # (0, 2, -4) repeats residue 2 mod P_2 = 6: no digit tree
+        pts = SpectrumLevel(2, (1,), ((0, 1), (0, 2, -4)))
+        xs = np.linspace(-3, 3, 13)
+        assert np.array_equal(q_sum_finite(final_system, 2, pts, xs),
+                              q_sum_finite(final_system, 2, pts.points, xs))
+
+    def test_colliding_factors_rejected(self, final_system):
+        pts = SpectrumLevel(2, (1,), ((0, 2), (0, 2, -2)))
+        with pytest.raises(MoranStructureError, match="spectrum collision"):
+            q_sum_finite(final_system, 2, pts, 0.3)
+
+    def test_points_between_int64_and_uint64(self, final_system):
+        # numpy reads [2**63 + 5, 1] as float64; the Q-sum must not
+        lam = 36 * (2**63 // 36 + 1) + 5
+        assert 2**63 <= lam < 2**64
+        for xi in (0.3, -2.7):
+            assert abs(q_sum_finite(final_system, 4, [lam, 1], xi)
+                       - q_sum_finite(final_system, 4, [5, 1], xi)) < 1e-15
+
+
 class TestQPartial:
     def test_zero_point_at_origin(self, final_system):
         assert abs(q_sum_finite(final_system, 25, [0], 0.0) - 1.0) < 1e-12
