@@ -1,12 +1,13 @@
 """Quantitative spectrality certificates.
 
 The infinite statement "the candidate set is a spectrum" reduces to a tail
-bound: along a checkpoint subsequence n_k, the tail transform must stay
-above a positive epsilon uniformly over shifted spectrum points.  This
-module implements the ingredient bounds (the two-variable cosine product
-minimum, the universal tail product constant, the exact next-level factor
-bound) and chains them into a finite-depth numeric certificate with an
-honest verdict: each sampled tail value is judged with its truncation bound.
+bound: along checkpoints n_k, |mu_{>n_k}(xi + lambda)| must stay above some
+epsilon > 0 for |xi| < 1 and every level-n_k spectrum point lambda.
+``certify`` proves it for a whole checkpoint class n_k + j T at once, with
+no random numbers, by a Lipschitz covering of the tail over the class's
+exact range.  The paper's ingredient bounds (the cosine product minimum,
+the universal tail product constant, the exact next-level factor bound)
+are kept as tested functions.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .core import (
     MoranSystem,
     fourier_tail,
 )
-from .spectrum import SigmaPrefix, level_factors, level_spectrum, q_sum_finite
+from .spectrum import SigmaPrefix, check_orthogonal, level_factors, level_spectrum
 
 #: Bounds below this are treated as numerically indistinguishable from zero.
 BOUND_FLOOR = 1e-9
-#: Rounding allowance subtracted from the closed-form angle-box minimum.
+#: Rounding allowance subtracted from the angle-box minimum and the covering bound.
 _ROUNDING_MARGIN = 1e-12
 
 
@@ -161,9 +162,8 @@ class Certificate:
     """Outcome of the spectrality certification pipeline."""
 
     verdict: Verdict
-    checkpoint: int | None  # the n_k used (infinite-branch case only)
-    tail_bound: float | None  # epsilon: tail product beyond n_k + 1
-    next_level_bound: float | None  # epsilon': level n_k + 1 factor
+    checkpoint: int | None  # the class n_k proved (infinite-branch PASS only)
+    epsilon: float | None  # covered lower bound of the tail over that class
     diagnostics: str
 
     @property
@@ -172,117 +172,124 @@ class Certificate:
 
 
 def certify(
-    system: MoranSystem,
-    sigma: SigmaPrefix | None = None,
-    levels_to_scan: int = 24,
-    samples: int = 200,
-    depth: int = 30,
-    seed: int = 0,
+    system: MoranSystem, sigma: SigmaPrefix | None = None, depth: int = 30
 ) -> Certificate:
-    """Assemble a numeric spectrality certificate.
+    """Spectrality certificate; every level must be T1/T2/T3, else CONDITIONS_FAILED.
 
-    Pipeline: (a) every level must classify as T1/T2/T3, else
-    CONDITIONS_FAILED; (b) when the cycle contains a level with three or
-    more digits, pick the smallest checkpoint n_k >= 7 whose chained bound
-    tail_constant * epsilon_next_level clears the numeric floor, then
-    confirm the truncated tail transform stays above that bound at
-    ``samples`` random (xi, lambda) pairs, each judged with its truncation
-    bound B as |v| (1 - B) against the bound; (c) when the cycle is pure
-    two-digit, the tail conditions are exactly the per-level class
-    conditions already verified, and the finite head is checked for
-    completeness directly.  PASS is never returned on a bound below
-    BOUND_FLOOR or on a failed confirmation.  ``samples`` and ``depth``
-    must be at least 1, ``levels_to_scan`` (checkpoints 7, 8, ...) at least 8.
+    With a cycle level of three or more digits, the tail is covered over each
+    checkpoint class in turn (``_cover_class``): PASS at the first whose
+    epsilon clears BOUND_FLOOR.  A pure two-digit cycle meets the tail
+    conditions by classification, and the head is decided complete by exact
+    orthogonality.  Otherwise INCONCLUSIVE.  ``depth`` >= 1 truncates the tail.
     """
-    for name, value, least in (("samples", samples, 1), ("depth", depth, 1),
-                               ("scan levels", levels_to_scan, 8)):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     sig = tuple(int(s) for s in sigma) if sigma is not None else ()
-    diag = [f"seed={seed} samples={samples} depth={depth}"]
-
-    bad = system.invalid_levels()
-    if bad:
-        for where, lvl in bad:
-            diag.append(
-                f"{where} (p={lvl.p}, D={lvl.digits}): "
-                + "; ".join(lvl.digits.violations)
-            )
-        return Certificate(Verdict.CONDITIONS_FAILED, None, None, None, "\n".join(diag))
-    for where, lvl in system.distinct_levels():
-        for w in lvl.digits.warnings:
-            diag.append(f"warning at {where} (p={lvl.p}, D={lvl.digits}): {w}")
-
+    diag = [f"depth={depth}"]
+    if bad := system.invalid_levels():
+        diag += [f"{where} (p={lvl.p}, D={lvl.digits}): " + "; ".join(lvl.digits.violations)
+                 for where, lvl in bad]
+        return Certificate(Verdict.CONDITIONS_FAILED, None, None, "\n".join(diag))
+    diag += [f"warning at {where} (p={lvl.p}, D={lvl.digits}): {w}"
+             for where, lvl in system.distinct_levels() for w in lvl.digits.warnings]
     if not system.cycle:
         raise ValueError("certification needs an infinite system (nonempty cycle)")
-
     if any(lvl.phi >= 3 for lvl in system.cycle):
-        outcome = _certify_infinite_branch(
-            system, sig, levels_to_scan, samples, depth, seed, diag
-        )
+        outcome = _certify_infinite_branch(system, sig, depth, diag)
     else:
-        outcome = _certify_two_digit_tail(system, sig, samples, seed, diag)
+        outcome = _certify_two_digit_tail(system, sig, diag)
     return Certificate(*outcome, "\n".join(diag))
 
 
-def _certify_infinite_branch(system, sig, levels_to_scan, samples, depth, seed, diag):
-    """(verdict, n_k, tail bound, next-level bound) of the sampled tail check."""
-    # Prefer the smallest viable checkpoint: the tail constant is anchored
-    # there, and the spectrum sampled against stays small.
-    best = None  # (product, n_k, eps_tail, eps_next)
-    for n_k in range(7, levels_to_scan):
-        if system.phi(n_k + 1) < 3:
-            continue
-        eps_tail = tail_constant(n_k)
-        eps_next = epsilon_next_level(system, n_k, sig)
-        if best is None or eps_tail * eps_next > best[0]:
-            best = (eps_tail * eps_next, n_k, eps_tail, eps_next)
-        if eps_tail * eps_next >= BOUND_FLOOR:
-            break
-    if best is None:
-        diag.append(f"no checkpoint with Phi(n_k+1) >= 3 in 7..{levels_to_scan - 1}")
-        return Verdict.INCONCLUSIVE, None, None, None
-    product, n_k, eps_tail, eps_next = best
-    diag.append(
-        f"checkpoint n_k={n_k}: tail bound {eps_tail:.6g}, "
-        f"next-level bound {eps_next:.6g}, product {product:.6g}"
-    )
-    if product < BOUND_FLOOR:
-        diag.append("chained bound below the numeric floor; not certified")
-        return Verdict.INCONCLUSIVE, n_k, eps_tail, eps_next
-
-    rng = np.random.default_rng(seed)
-    factors, _ = level_factors(system, n_k, sig)
-    xi = rng.uniform(-1.0, 1.0, samples)
-    lam = sum(np.array(f, dtype=object)[rng.integers(len(f), size=samples)]
-              for f in factors)
-    xs = (xi + lam).astype(float)
-    val, err = fourier_tail(system, n_k, xs, depth)
-    # the true tail t has |t| >= |val| (1 - err): that must clear the product
-    lower = np.abs(val) * (1.0 - err)
-    failures = int(np.count_nonzero(lower < product))
-    diag.append(f"sampled tail minimum {lower.min():.6g} "
-                f"vs bound {product:.6g}")
-    if failures:
-        diag.append(f"{failures} sampled pairs fell below the chained bound")
-        return Verdict.INCONCLUSIVE, n_k, eps_tail, eps_next
-    return Verdict.PASS, n_k, eps_tail, eps_next
+#: The covering starts from this many equal cells; past this many tail
+#: evaluations a class is left unproved.
+_START_CELLS, _MAX_EVALUATIONS = 64, 2**12
 
 
-def _certify_two_digit_tail(system, sig, samples, seed, diag):
-    """(verdict, None, None, None) of the head completeness check."""
-    head = max((i for i, lvl in enumerate(system.preamble, start=1) if lvl.phi >= 3),
-               default=0)
-    diag.append(
-        f"pure two-digit tail beyond level {head}; "
-        "per-level tail conditions hold by classification"
-    )
-    if head > 0:
-        rng = np.random.default_rng(seed)
-        pts = level_spectrum(system, head, sig)
-        xs = rng.uniform(-5.0, 5.0, samples)
-        worst = np.max(np.abs(q_sum_finite(system, head, pts, xs) - 1.0))
-        diag.append(f"head completeness |Q - 1| <= {worst:.3g} at level {head}")
-        if worst > BOUND_FLOOR:
-            return Verdict.INCONCLUSIVE, None, None, None
-    return Verdict.PASS, None, None, None
+def _first_checkpoint(system: MoranSystem, sig: tuple[int, ...]) -> int:
+    """n_0: the first level >= 7 past the preamble and the last T3 level sig reaches."""
+    npre = len(system.preamble)
+    t3 = [i for i, lvl in enumerate(system.cycle, 1) if lvl.digits.cls is LevelClass.T3]
+    rest = len(sig) - sum(lvl.digits.cls is LevelClass.T3 for lvl in system.preamble)
+    if rest <= 0 or not t3:  # the prefix ends in the preamble, or is never read past it
+        return max(7, npre)
+    k, r = divmod(rest - 1, len(t3))
+    return max(7, npre + k * len(system.cycle) + t3[r])
+
+
+def _class_range(system: MoranSystem, n_k: int, sig) -> tuple[Fraction, Fraction]:
+    """Exact hull of y = (xi + lambda)/P_n, |xi| < 1, lambda in Lambda_n, n = n_k + j T.
+
+    The extremes of lambda/P_n add over the factors.  Past the preamble and
+    the sign prefix a period maps each by a -> a/C + K, C = P_{n+T}/P_n, so
+    they move monotonically from a_0 to K C/(C - 1) = (a_1 C - a_0)/(C - 1),
+    and |xi|/P_n adds at most 1/P_{n_k}.
+    """
+    P0, P1 = system.P(n_k), system.P(n_k + len(system.cycle))
+    factors, _ = level_factors(system, n_k + len(system.cycle), sig)
+
+    def end(pick):
+        a0 = Fraction(sum(pick(f) for f in factors[:n_k]), P0)
+        return pick(a0, (Fraction(sum(pick(f) for f in factors), P0) - a0) / (P1 // P0 - 1))
+
+    return end(min) - Fraction(1, P0), end(max) + Fraction(1, P0)
+
+
+def _cover_class(tail: MoranSystem, lo: Fraction, hi: Fraction, depth: int):
+    """Lipschitz covering of g(y) = prod_{i >= 1} mask(D_i, y/P_i) over [lo, hi].
+
+    ``tail`` holds the levels after n_k, so no float of P_{n_k} is formed.
+    On a cell (ends rounded outward) with midpoint c and half-width w,
+    |g| >= (|g_D(c)| - L w)(1 - B) - r: g_D is ``fourier_tail`` at ``depth``,
+    B its bound at the cell's far end, L = 2 pi sum_i mean(D_i)/P_i >= |g_D'|
+    and r = _ROUNDING_MARGIN.  A cell is accepted when that is >= |g_D(c)|/2,
+    else bisected.  Returns (epsilon, cells, evaluations, reason), epsilon 0
+    when a midpoint value is below BOUND_FLOOR or the evaluations run out.
+    """
+    lip = 2 * math.pi * float(tail._tail_sum(0, lambda ds: Fraction(sum(ds.digits), ds.N)))
+    edges = np.linspace(math.nextafter(float(lo), -math.inf),
+                        math.nextafter(float(hi), math.inf), _START_CELLS + 1)
+    a, b = edges[:-1], edges[1:]
+    eps, cells, evals = math.inf, 0, 0
+    while len(a):
+        if evals + len(a) > _MAX_EVALUATIONS:
+            return 0.0, cells, evals, f"no covering within {_MAX_EVALUATIONS} evaluations"
+        evals += len(a)
+        mid = (a + b) / 2
+        val, err = fourier_tail(tail, 0, np.concatenate((mid, np.maximum(-a, b))), depth)
+        g, err = np.abs(val[:len(a)]), err[len(a):]
+        if g.min() < BOUND_FLOOR:
+            return 0.0, cells, evals, f"tail value {g.min():.3g} at y = {mid[g.argmin()]:.17g}"
+        bound = (g - lip * (b - a) / 2) * (1.0 - err) - _ROUNDING_MARGIN
+        ok = bound >= g / 2
+        eps, cells = min(eps, bound[ok].min(initial=math.inf)), cells + np.count_nonzero(ok)
+        a, b = np.concatenate((a[~ok], mid[~ok])), np.concatenate((mid[~ok], b[~ok]))
+    return float(eps), int(cells), evals, f"epsilon {eps:.3g} below the floor"
+
+
+def _certify_infinite_branch(system, sig, depth, diag):
+    """(verdict, n_k, epsilon) of the covering, tried class by class from n_0."""
+    npre, T = len(system.preamble), len(system.cycle)
+    for n_k in range(n0 := _first_checkpoint(system, sig), n0 + T):
+        lo, hi = _class_range(system, n_k, sig)
+        r = (n_k - npre) % T  # tail.level(i) is system.level(n_k + i)
+        eps, cells, evals, reason = _cover_class(
+            MoranSystem((), system.cycle[r:] + system.cycle[:r]), lo, hi, depth)
+        where = f"checkpoint class n_k={n_k} (+ j*{T}): y in [{lo}, {hi}]"
+        if eps >= BOUND_FLOOR:
+            diag.append(f"{where}, epsilon {eps:.6g} from {cells} cells, {evals} evaluations")
+            return Verdict.PASS, n_k, eps
+        diag.append(f"{where}: not proved after {evals} evaluations ({reason})")
+    return Verdict.INCONCLUSIVE, None, None
+
+
+def _certify_two_digit_tail(system, sig, diag):
+    """(verdict, None, None) of the exact head completeness check."""
+    head = max((i for i, lvl in enumerate(system.preamble, 1) if lvl.phi >= 3), default=0)
+    # q orthogonal exponentials on a measure of at most q atoms are a basis
+    report = check_orthogonal(system, level_spectrum(system, head, sig), max_level=head)
+    diag.append(f"pure two-digit tail beyond level {head}; "
+                "per-level tail conditions hold by classification")
+    diag.append(f"level-{head} head spectrum: {report.point_count} exponentials, "
+                f"{len(report.failures)} of {report.pairs_checked} pairs not orthogonal")
+    return Verdict.PASS if report.passed else Verdict.INCONCLUSIVE, None, None

@@ -33,7 +33,7 @@ from .spectrum import SpectrumLevel, check_orthogonal, level_spectrum, q_sum_fin
 EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_FILE = 66
-MAX_BUILT_POINTS = 2**20  # spectrum and qsum build every point (the corpus: hundreds)
+MAX_BUILT_POINTS = 2**20  # spectrum and qsum build every point; qsum grid, density bins
 MAX_BUILT_ATOMS = 2**24  # density and tiling build every atom (the corpus: thousands)
 
 
@@ -94,13 +94,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="moranspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, with_file=True, seed=False, output=False):
+    def add(name, help_text, with_file=True, output=False):
         p = sub.add_parser(name, help=help_text)
         if with_file:
             p.add_argument("system", help="path to a .moran system file")
-        if seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for all sampled checks (default 0)")
         if output:
             p.add_argument("-o", "--output", default=None, help="CSV output path")
         return p
@@ -130,11 +127,9 @@ def build_parser() -> _Parser:
 
     add("hadamard", "companion sets and unitarity residuals per level")
 
-    p = add("certify", "assemble the spectrality certificate", seed=True)
+    p = add("certify", "assemble the spectrality certificate")
     p.add_argument("--sigma", default="")
     p.add_argument("--depth", type=int, default=30)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--scan-levels", type=int, default=24)
 
     p = add("density", "histogram density estimate over the support hull",
             output=True)
@@ -148,8 +143,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None,
                    help="ignored: the tiling decision is exact")
 
-    p = add("examples", "run the built-in example corpus", with_file=False,
-            seed=True)
+    p = add("examples", "run the built-in example corpus", with_file=False)
     p.add_argument("--name", default=None, help="run a single example by name")
     return parser
 
@@ -214,8 +208,8 @@ def cmd_qsum(args) -> int:
     depth = args.depth or args.level
     if depth < args.level:
         raise UsageError("--depth must be at least the spectrum level")
-    if args.grid < 1:
-        raise UsageError("--grid must be positive")
+    if not 1 <= args.grid <= MAX_BUILT_POINTS:
+        raise UsageError(f"--grid must be between 1 and {MAX_BUILT_POINTS}")
     xs = np.linspace(args.xmin, args.xmax, args.grid)
     qs = q_sum_finite(system, depth, pts, xs)
     print(f"Q over [{args.xmin}, {args.xmax}] at {args.grid} points, "
@@ -247,15 +241,7 @@ def cmd_hadamard(args) -> int:
 
 def cmd_certify(args) -> int:
     system = load_system(args.system)
-    cert = certify(
-        system,
-        sigma=parse_sigma(args.sigma),
-        levels_to_scan=args.scan_levels,
-        samples=args.samples,
-        depth=args.depth,
-        seed=args.seed,
-    )
-    print(f"seed: {args.seed}")
+    cert = certify(system, sigma=parse_sigma(args.sigma), depth=args.depth)
     print(f"verdict: {cert.verdict.value}")
     print(cert.diagnostics)
     return cert.exit_code
@@ -264,6 +250,8 @@ def cmd_certify(args) -> int:
 def cmd_density(args) -> int:
     system = load_system(args.system)
     refused_count(system, args, MAX_BUILT_ATOMS, "has {} atoms")
+    if args.bins > MAX_BUILT_POINTS:
+        raise UsageError(f"--bins {args.bins}, more than the {MAX_BUILT_POINTS} that density builds")
     hist = density_histogram(system, args.level, args.bins)
     lo, hi = hist.hull
     print(f"level {args.level}: {hist.atom_count} atoms on [{lo}, {hi}], "
@@ -294,9 +282,7 @@ def cmd_tiling(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    results = (corpus.run_example(args.name, seed=args.seed) if args.name
-               else corpus.run_all(seed=args.seed))
-    print(f"seed: {args.seed}")
+    results = corpus.run_example(args.name) if args.name else corpus.run_all()
     width = max(len(r.example) for r in results) + 2
     cwidth = max(len(r.check) for r in results) + 2
     ok_all = True

@@ -312,9 +312,13 @@ class MoranSystem:
 
     def tail_max_sum(self, n: int) -> Fraction:
         """Exact sum over i > n of max(D_i)/P_i (the support tail radius)."""
+        return self._tail_sum(n, lambda ds: ds.max_digit)
+
+    def _tail_sum(self, n: int, term) -> Fraction:
+        """Exact sum over i > n of term(D_i)/P_i, term(D) an int or a Fraction."""
 
         def terms(lo: int, hi: int) -> Fraction:
-            return sum((Fraction(self.digit_set(i).max_digit, self.P(i))
+            return sum((Fraction(term(self.digit_set(i)), self.P(i))
                         for i in range(lo, hi + 1)), Fraction(0))
 
         if not self.cycle:
@@ -501,7 +505,8 @@ def _mask_product(system: MoranSystem, lo: int, hi: int, xi):
     last, stop = _last_level(system, lo, hi, float(np.max(np.abs(x), initial=0.0)))
     out = np.ones(x.shape, dtype=np.complex128)
     for m in range(lo + 1, last + 1):
-        out *= mask_eval(system.digit_set(m), x / system.P(m))
+        Pm = system.P(m)  # fmod is exact, and leaves |xi| < P_m as it is
+        out *= mask_eval(system.digit_set(m), np.fmod(x, Pm) / Pm)
     return out, min(system.P(last), stop) or 1
 
 

@@ -75,14 +75,14 @@ def _plateau_error(hist, plateaus) -> float:
     return worst
 
 
-def run_check(system: MoranSystem, name: str, params: dict, seed: int = 0) -> CheckResult:
+def run_check(system: MoranSystem, name: str, params: dict) -> CheckResult:
     kind = params["check"]
     if kind == "admissible":
         obs = system.is_admissible()
         return CheckResult(name, kind, str(params["expect"]), str(obs),
                            obs == params["expect"])
     if kind == "certify":
-        cert = certify(system, seed=seed)
+        cert = certify(system)
         return CheckResult(name, kind, params["expect"], cert.verdict.value,
                            cert.verdict.value == params["expect"])
     if kind == "orthogonality":
@@ -140,13 +140,13 @@ def run_check(system: MoranSystem, name: str, params: dict, seed: int = 0) -> Ch
     raise ValueError(f"unknown check kind {kind!r}")
 
 
-def run_example(name: str, seed: int = 0) -> list[CheckResult]:
+def run_example(name: str) -> list[CheckResult]:
     system, expect = load_example(name)
-    return [run_check(system, name, params, seed=seed) for params in expect["checks"]]
+    return [run_check(system, name, params) for params in expect["checks"]]
 
 
-def run_all(seed: int = 0) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     out: list[CheckResult] = []
     for name in example_names():
-        out.extend(run_example(name, seed=seed))
+        out.extend(run_example(name))
     return out

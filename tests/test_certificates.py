@@ -6,7 +6,6 @@ import pytest
 
 from moranspec import certificates
 from moranspec import (
-    MoranSystem,
     Verdict,
     certify,
     epsilon_next_level,
@@ -155,7 +154,7 @@ class TestCertify:
         cert = certify(alternating_system)
         assert cert.verdict is Verdict.PASS
         assert cert.exit_code == 0
-        assert cert.tail_bound > 0 and cert.next_level_bound > 0
+        assert cert.epsilon > 0
         assert cert.checkpoint >= 7
 
     def test_pure_two_digit_passes(self, pure_t3_system):
@@ -170,11 +169,16 @@ class TestCertify:
         assert cert.exit_code == 2
         assert "preamble[1]" in cert.diagnostics
 
-    def test_boundary_ratio_inconclusive(self, final_system):
+    def test_boundary_ratio_passes(self, final_system):
+        # Lebesgue measure on [0, 1]: the class range at n_k = 7 is
+        # y in [-1/5, 4/5] +- 1/P_7, which misses the tail's zeros
         cert = certify(final_system)
-        assert cert.verdict is Verdict.INCONCLUSIVE
-        assert cert.exit_code == 3
+        assert cert.verdict is Verdict.PASS
+        assert cert.exit_code == 0
+        assert cert.checkpoint == 7
+        assert cert.epsilon == pytest.approx(0.216443, abs=1e-6)
         assert "boundary-ratio" in cert.diagnostics
+        assert "y in [-437/2160, 1733/2160]" in cert.diagnostics
 
     def test_mixed_passes_with_any_sigma(self, mixed_system):
         for sigma in [(), (-1,), (-1, -1)]:
@@ -186,51 +190,78 @@ class TestCertify:
         with pytest.raises(ValueError, match="infinite"):
             certify(s)
 
-    def test_truncation_bound_judges_samples(self, alternating_system, monkeypatch):
-        # a sample only counts when |v| (1 - B) clears the chained bound, so a
-        # bound of B = 1 must stop the certificate
+    def test_truncation_bound_judges_cells(self, alternating_system, monkeypatch):
+        # a cell only counts when (|g(c)| - L w)(1 - B) - r clears |g(c)|/2,
+        # so a bound of B = 1 leaves every class unproved
         assert certify(alternating_system).verdict is Verdict.PASS
         tail = certificates.fourier_tail
         monkeypatch.setattr(certificates, "fourier_tail",
-                            lambda *args: (tail(*args)[0], 1.0))
+                            lambda *args: (tail(*args)[0], np.ones(len(args[2]))))
         cert = certify(alternating_system)
-        assert cert.verdict is Verdict.INCONCLUSIVE
-        assert "sampled tail minimum 0 " in cert.diagnostics
+        assert cert.verdict is Verdict.INCONCLUSIVE and cert.exit_code == 3
+        assert cert.checkpoint is None and cert.epsilon is None
+        assert cert.diagnostics.count("no covering within 4096 evaluations") == 2
 
     def test_checkpoint_scan_stops_at_first_pass(self, mixed_system, monkeypatch):
-        # the scan visits levels lazily: a PASS at n_k = 7 does not look at
-        # the other 10**6 candidate levels
+        # the classes are tried in turn from n_0 = 7; the first PASS ends it
         calls = []
-        phi = MoranSystem.phi
-        monkeypatch.setattr(MoranSystem, "phi",
-                            lambda self, n: calls.append(n) or phi(self, n))
-        cert = certify(mixed_system, levels_to_scan=10**6)
+        cover = certificates._cover_class
+        monkeypatch.setattr(certificates, "_cover_class",
+                            lambda *args: calls.append(args) or cover(*args))
+        cert = certify(mixed_system)
         assert cert.verdict is Verdict.PASS and cert.checkpoint == 7
-        assert len(calls) < 100
+        assert len(calls) == 1
 
-    def test_sampled_lambda_summed_exactly(self, monkeypatch):
-        # every factor fits int64 but their sum does not: an int64 sum would
-        # wrap many draws negative, the exact sum stays in [0, P_7)
+    def test_every_class_is_tried(self):
+        # eight '+' signs reach the T3 level 10, so n_0 = 10; that class's
+        # range reaches the (4,{0,3}) mask zero at y = 2/3, and class 11 passes
+        s = make_system(cycle=[(2, (0, 1)), (2, (0, 1)), (4, (0, 3)), (9, (0, 1, 2))])
+        cert = certify(s, sigma=(1,) * 8)
+        assert cert.verdict is Verdict.PASS and cert.checkpoint == 11
+        assert "n_k=10 (+ j*4)" in cert.diagnostics
+        assert "not proved" in cert.diagnostics
+
+    def test_four_level_cycle_passes(self):
+        s = make_system(cycle=[(2, (0, 1)), (2, (0, 1)), (4, (0, 3)), (9, (0, 1, 2))])
+        cert = certify(s)
+        assert cert.verdict is Verdict.PASS and cert.checkpoint == 7
+        assert cert.epsilon == pytest.approx(0.904542, abs=1e-6)
+
+    def test_long_sign_prefixes_finish(self, alternating_system, mixed_system):
+        # 2000 signs over the alternating cycle's T3 levels (every other
+        # level) push n_0 past level 4000; on a cycle with no T3 level the
+        # prefix past the preamble is never read
+        cert = certify(alternating_system, sigma=(1, -1) * 1000)
+        assert cert.verdict is Verdict.PASS and cert.checkpoint == 4000
+        cert = certify(mixed_system, sigma=(-1, 1) * 1000)
+        assert cert.verdict is Verdict.PASS and cert.checkpoint == 7
+
+    def test_class_range_summed_exactly(self):
+        # every factor fits int64 but their sum does not; along the class
+        # n = 7 + j the upper end falls from 127/128 towards 2/7 and the lower
+        # from 0 towards -4/7, and the hull spans both, widened by 1/P_7
         s = make_system(preamble=[(288230376151711742, (0, 1))] + [(2, (0, 1))] * 6,
                         cycle=[(8, (0, 1, 2, 3))])
         factors, _ = level_factors(s, 7)
-        lo = sum(min(f) for f in factors) - 1
-        hi = sum(max(f) for f in factors) + 1
-        assert hi > 2**63
-        seen = []
-        tail = certificates.fourier_tail
-        monkeypatch.setattr(certificates, "fourier_tail",
-                            lambda system, n, xs, depth: seen.append(xs)
-                            or tail(system, n, xs, depth))
-        certify(s)
-        (xs,) = seen
-        assert len(xs) == 200
-        assert np.all((xs >= float(lo)) & (xs <= float(hi)))
+        assert sum(max(f) for f in factors) > 2**63
+        pad = Fraction(1, s.P(7))
+        lo, hi = certificates._class_range(s, 7, ())
+        assert (lo, hi) == (Fraction(-4, 7) - pad, Fraction(127, 128) + pad)
+        for n in range(7, 40):
+            factors, _ = level_factors(s, n)
+            a = Fraction(sum(min(f) for f in factors), s.P(n))
+            b = Fraction(sum(max(f) for f in factors), s.P(n))
+            assert lo + pad < a <= 0 < b <= hi - pad
+        assert certify(s).verdict is Verdict.PASS
 
-    def test_deterministic_for_seed(self, alternating_system):
-        a = certify(alternating_system, seed=5)
-        b = certify(alternating_system, seed=5)
-        assert a == b
+    def test_draws_no_random_numbers(self, alternating_system, pure_t3_system,
+                                     monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random numbers drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for s in (alternating_system, pure_t3_system):
+            assert certify(s) == certify(s)
 
     def test_pass_implies_completeness(self, alternating_system, rng):
         # cross-module consistency: a certified system must also look

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from moranspec import (cli, corpus, density_histogram, level_spectrum, parse_system,
+from moranspec import (certificates, cli, corpus, density_histogram, level_spectrum, parse_system,
                        q_sum_finite)
 from moranspec.cli import main, parse_sigma
 
@@ -144,7 +144,7 @@ class TestCertifyCommand:
     def test_pass_exit_zero(self, system_file, capsys):
         assert main(["certify", system_file(ALTERNATING)]) == 0
         out = capsys.readouterr().out
-        assert "verdict: PASS" in out and "seed: 0" in out
+        assert "verdict: PASS" in out and "seed" not in out
 
     def test_pure_t3_exit_zero(self, system_file):
         assert main(["certify", system_file(PURE_T3)]) == 0
@@ -153,15 +153,19 @@ class TestCertifyCommand:
         assert main(["certify", system_file(NONUNIFORM)]) == 2
         assert "CONDITIONS_FAILED" in capsys.readouterr().out
 
-    def test_inconclusive_exit_three(self, system_file, capsys):
+    def test_inconclusive_exit_three(self, system_file, capsys, monkeypatch):
+        # a truncation bound of B = 1 leaves no cell of the covering accepted
+        tail = certificates.fourier_tail
+        monkeypatch.setattr(certificates, "fourier_tail",
+                            lambda *args: (tail(*args)[0], np.ones(len(args[2]))))
         assert main(["certify", system_file(FINAL)]) == 3
-        assert "INCONCLUSIVE" in capsys.readouterr().out
+        assert "verdict: INCONCLUSIVE" in capsys.readouterr().out
 
     def test_deterministic_output(self, system_file, capsys):
         path = system_file(ALTERNATING)
-        main(["certify", path, "--seed", "3"])
+        main(["certify", path])
         first = capsys.readouterr().out
-        main(["certify", path, "--seed", "3"])
+        main(["certify", path])
         assert capsys.readouterr().out == first
 
     def test_depth_past_float_range(self, system_file, capsys):
@@ -308,10 +312,11 @@ class TestErrorPaths:
         pytest.param(FINITE, ["qsum", "--level", "2", "--depth", "4"],
                      "level 4 requested from a finite system of 2 levels",
                      id="qsum-depth-past-end"),
+        # certify draws no samples and scans no levels: the flags are gone
         pytest.param(FINAL, ["certify", "--samples", "0"],
-                     "samples must be at least 1", id="certify-samples-0"),
+                     "unrecognized arguments: --samples 0", id="certify-samples-0"),
         pytest.param(FINAL, ["certify", "--samples", "-3"],
-                     "samples must be at least 1", id="certify-samples-minus-3"),
+                     "unrecognized arguments: --samples -3", id="certify-samples-minus-3"),
         pytest.param(FINAL, ["qsum", "--xmax", "inf"],
                      "argument --xmax: must be a finite number", id="qsum-xmax-inf"),
         pytest.param(FINAL, ["qsum", "--xmin", "nan"],
@@ -331,7 +336,7 @@ class TestErrorPaths:
         pytest.param(PURE_T3, ["certify", "--depth", "0"],
                      "depth must be at least 1", id="certify-depth-0"),
         pytest.param(FINAL, ["certify", "--scan-levels", "3"],
-                     "scan levels must be at least 8", id="certify-scan-levels-3"),
+                     "unrecognized arguments: --scan-levels 3", id="certify-scan-levels-3"),
         pytest.param(FINAL, ["qsum", "--depth", "-3"],
                      "--depth must be nonnegative", id="qsum-depth-minus-3"),
         # q = 2 * 3 * 4**68 points: refused before any is built
@@ -348,6 +353,17 @@ class TestErrorPaths:
         pytest.param(FINITE, ["density", "--level", "5"],
                      "level 5 requested from a finite system of 2 levels",
                      id="density-past-end"),
+        # sizes past the caps are refused before any array is allocated
+        pytest.param(FINAL, ["density", "--bins", "100000000000"],
+                     f"--bins 100000000000, more than the {2**20} that density builds",
+                     id="density-bins-1e11"),
+        pytest.param(FINAL, ["qsum", "--level", "2", "--grid", "100000000000"],
+                     f"--grid must be between 1 and {2**20}",
+                     id="qsum-grid-1e11"),
+        pytest.param(FINAL, ["certify", "--seed", "0"],
+                     "unrecognized arguments: --seed 0", id="certify-seed"),
+        pytest.param(None, ["examples", "--seed", "0"],
+                     "unrecognized arguments: --seed 0", id="examples-seed"),
         pytest.param(None, ["examples", "--name", "nope"],
                      "unknown example 'nope'; known: mixed_classes, nonuniform_density",
                      id="examples-unknown-name"),

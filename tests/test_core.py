@@ -236,10 +236,22 @@ class TestFourier:
         for x in rng.uniform(-20, 20, 50):
             for n in (1, 2, 5):
                 lhs = fourier_level(final_system, n, x)
+                P = final_system.P(n)  # x reduced mod P_n exactly, as the product does
                 rhs = fourier_level(final_system, n - 1, x) * mask_eval(
-                    final_system.digit_set(n), x / float(final_system.P(n))
+                    final_system.digit_set(n), math.fmod(x, P) / P
                 )
                 assert abs(lhs - rhs) < 1e-15
+
+    def test_large_xi_reduced_exactly(self, mixed_system, rng):
+        # xi is reduced mod P_i before the division: the product stays exact
+        # to rounding far from the origin (unreduced, it was off by 2e-5)
+        for x in rng.uniform(1e11, 1e12, 30):
+            oracle = complex(1.0)
+            for i in range(1, 5):
+                P = mixed_system.P(i)
+                oracle *= mask_eval(mixed_system.digit_set(i),
+                                    float(Fraction(x) % P / P))
+            assert abs(fourier_level(mixed_system, 4, x) - oracle) < 1e-12
 
     def test_reflection_symmetry(self, mixed_system, rng):
         for x in rng.uniform(-20, 20, 50):

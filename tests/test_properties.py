@@ -8,10 +8,11 @@ loop (the factor path on spectra, perturbed ones included), transforms
 against the scalar per-level mask loop they were first written as, the
 Q-sum against a per-point mask loop and, on spectra, against 1 at any
 float xi, the closed-form next-level bound against the sampled angle mesh
-it replaced, the exact tiling defects against the midpoint-probe loop they
-replaced, int64 atoms and their support covers against the Python-int sum
-they replaced, and integer histogram bins against the Fraction floor (half
-the draws past int64).
+it replaced, the covered certificate epsilon against |tail| at every
+spectrum point of three checkpoints of its class, the exact tiling defects
+against the midpoint-probe loop they replaced, int64 atoms and their
+support covers against the Python-int sum they replaced, and integer
+histogram bins against the Fraction floor (half the draws past int64).
 Normalized systems are checked against the raw signed levels they come
 from.
 """
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moranspec import (
     AtomCollisionError,
@@ -35,7 +36,9 @@ from moranspec import (
     MoranSystem,
     OrthogonalityReport,
     SpectrumLevel,
+    Verdict,
     atoms,
+    certify,
     check_orthogonal,
     classify_level,
     construct_L,
@@ -343,16 +346,17 @@ def test_is_hadamard_matches_fraction_pair_loop(seed):
 def scalar_mask_loop(system, lo: int, hi: int, x: float, lam: int | None = None) -> complex:
     """The per-level scalar product the array transforms replaced, kept as the oracle.
 
-    Without lam, x/P_i is taken as the transforms take it.  With lam, lam and
-    x are both reduced mod P_i exactly (x by the float remainder, which is
-    exact), as q_sum_finite reduces its nodes and xi: unreduced, x/P_i
-    rounds at |x|/P_i * 2**-53, and that alone moves a sum by up to 4e-12 at
+    Without lam, x is reduced mod P_i exactly by math.fmod, as the transforms
+    reduce it.  With lam, lam and x are both reduced mod P_i exactly (x by the
+    float remainder, which is exact for x >= 0), as q_sum_finite reduces its
+    nodes and xi.  Unreduced, x/P_i rounds at |x|/P_i * 2**-53, and that
+    alone moves a product by up to 1.4e-12 and a sum by up to 4e-12 at
     |x| = 1e3.
     """
     val = complex(1.0)
     for i in range(lo + 1, hi + 1):
         Pi = system.P(i)
-        y = x / float(Pi) if lam is None else (lam % Pi) / Pi + (x % Pi) / Pi
+        y = math.fmod(x, Pi) / Pi if lam is None else (lam % Pi) / Pi + (x % Pi) / Pi
         val *= complex(mask_eval(system.digit_set(i), y))
     return val
 
@@ -498,6 +502,49 @@ def test_next_level_bound_matches_mesh_oracle(seed, boundary, n_min):
     assert old <= new
     assert new ** 2 <= mesh_min + 1e-12
     assert (new == 0.0) == (3 * nxt.digits.a * (P + 1) >= nxt.p * P)
+
+
+def covering_system(rng):
+    """Admissible, a cycle level of 3 or 4 digits, and a sign prefix.
+
+    The prefix ends with -1 at the T3 level where it stops, at most level 11,
+    so the first checkpoint class often starts right after it: the class
+    range then reaches past the range at n_k.
+    """
+    def wide(rng):
+        return random_t2_level(rng) if rng.integers(2) else (4 * int(rng.integers(2, 9)),
+                                                             (0, 1, 2, 3))
+
+    cycle = [wide(rng)] + [(random_t3_level, wide)[int(rng.integers(2))](rng)
+                           for _ in range(int(rng.integers(3)))]
+    system = make_system(preamble=[random_t3_level(rng)] * int(rng.integers(2)),
+                         cycle=[cycle[i] for i in rng.permutation(len(cycle))])
+    reached = sum(system.digit_set(i).cls is LevelClass.T3
+                  for i in range(1, int(rng.integers(8, 13))))
+    sigma = tuple(int(v) for v in rng.choice((1, -1), size=reached))
+    return system, sigma[:-1] + (-1,) if sigma else ()
+
+
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+@example(58)  # halving L takes epsilon 1.1% past the least |tail|
+@example(297)  # the range at n_k alone misses a dip that level n_k + T reaches
+@example(731)
+def test_covered_epsilon_bounds_tail_on_class(seed):
+    # the covered epsilon must sit below |tail| at every lambda of the class's
+    # first three checkpoints (while they have at most 20000), on a xi grid
+    # over [-1, 1]; B stays below 1e-8 there
+    system, sigma = covering_system(np.random.default_rng(seed))
+    cert = certify(system, sigma)
+    assert cert.verdict is Verdict.PASS
+    n_k, T = cert.checkpoint, len(system.cycle)
+    xi = np.linspace(-1.0, 1.0, 9)
+    for n in (n_k, n_k + T, n_k + 2 * T):
+        if system.phi_product(n) > 20000:
+            break
+        lam = np.array(level_spectrum(system, n, sigma).points, dtype=np.float64)
+        val, err = fourier_tail(system, n, np.add.outer(xi, lam).ravel(), 12)
+        assert np.min(np.abs(val) * (1 + err)) >= cert.epsilon
 
 
 def signed_levels(rng, count: int):
