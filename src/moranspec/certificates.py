@@ -36,16 +36,16 @@ _ROUNDING_MARGIN = 1e-12
 def lambda_norm_check(
     system: MoranSystem, k: int, sigma: SigmaPrefix | None = None
 ) -> Fraction:
-    """Exact max over level-k spectrum points of |lambda| / P_k.
+    """Exact max over level-k spectrum points of |lambda| / P_k; at most 1 if admissible."""
+    lo, hi = _lambda_extremes(system, k, sigma)
+    return max(hi, -lo)
 
-    The factor decomposition makes the extremes additive, so no point
-    enumeration is needed.  The value never exceeds 1 for admissible
-    systems.
-    """
-    factors, _ = level_factors(system, k, sigma)
-    hi = sum(max(f) for f in factors)
-    lo = sum(min(f) for f in factors)
-    return Fraction(max(hi, -lo), system.P(k))
+
+def _lambda_extremes(system: MoranSystem, n: int, sigma) -> tuple[Fraction, Fraction]:
+    """Exact (min, max) of lambda / P_n over Lambda_n: the extremes add over the factors."""
+    factors, _ = level_factors(system, n, sigma)
+    P = system.P(n)
+    return Fraction(sum(min(f) for f in factors), P), Fraction(sum(max(f) for f in factors), P)
 
 
 def f_eval(x, y):
@@ -225,14 +225,11 @@ def _class_range(system: MoranSystem, n_k: int, sig) -> tuple[Fraction, Fraction
     they move monotonically from a_0 to K C/(C - 1) = (a_1 C - a_0)/(C - 1),
     and |xi|/P_n adds at most 1/P_{n_k}.
     """
-    P0, P1 = system.P(n_k), system.P(n_k + len(system.cycle))
-    factors, _ = level_factors(system, n_k + len(system.cycle), sig)
-
-    def end(pick):
-        a0 = Fraction(sum(pick(f) for f in factors[:n_k]), P0)
-        return pick(a0, (Fraction(sum(pick(f) for f in factors), P0) - a0) / (P1 // P0 - 1))
-
-    return end(min) - Fraction(1, P0), end(max) + Fraction(1, P0)
+    P0, n1 = system.P(n_k), n_k + len(system.cycle)
+    C = system.P(n1) // P0
+    (lo0, hi0), (lo1, hi1) = (_lambda_extremes(system, n, sig) for n in (n_k, n1))
+    return (min(lo0, (lo1 * C - lo0) / (C - 1)) - Fraction(1, P0),
+            max(hi0, (hi1 * C - hi0) / (C - 1)) + Fraction(1, P0))
 
 
 def _cover_class(tail: MoranSystem, lo: Fraction, hi: Fraction, depth: int):
@@ -240,7 +237,7 @@ def _cover_class(tail: MoranSystem, lo: Fraction, hi: Fraction, depth: int):
 
     ``tail`` holds the levels after n_k, so no float of P_{n_k} is formed.
     On a cell (ends rounded outward) with midpoint c and half-width w,
-    |g| >= (|g_D(c)| - L w)(1 - B) - r: g_D is ``fourier_tail`` at ``depth``,
+    |g| >= (|g_D(c)| - L w) max(1 - B, 0) - r: g_D is ``fourier_tail`` at ``depth``,
     B its bound at the cell's far end, L = 2 pi sum_i mean(D_i)/P_i >= |g_D'|
     and r = _ROUNDING_MARGIN.  A cell is accepted when that is >= |g_D(c)|/2,
     else bisected.  Returns (epsilon, cells, evaluations, reason), epsilon 0
@@ -260,7 +257,8 @@ def _cover_class(tail: MoranSystem, lo: Fraction, hi: Fraction, depth: int):
         g, err = np.abs(val[:len(a)]), err[len(a):]
         if g.min() < BOUND_FLOOR:
             return 0.0, cells, evals, f"tail value {g.min():.3g} at y = {mid[g.argmin()]:.17g}"
-        bound = (g - lip * (b - a) / 2) * (1.0 - err) - _ROUNDING_MARGIN
+        # B may reach 2, and two negative factors must not make a positive bound
+        bound = (g - lip * (b - a) / 2) * np.maximum(1.0 - err, 0.0) - _ROUNDING_MARGIN
         ok = bound >= g / 2
         eps, cells = min(eps, bound[ok].min(initial=math.inf)), cells + np.count_nonzero(ok)
         a, b = np.concatenate((a[~ok], mid[~ok])), np.concatenate((mid[~ok], b[~ok]))

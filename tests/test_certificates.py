@@ -202,6 +202,15 @@ class TestCertify:
         assert cert.checkpoint is None and cert.epsilon is None
         assert cert.diagnostics.count("no covering within 4096 evaluations") == 2
 
+    def test_bound_past_one_accepts_no_cell(self, alternating_system, monkeypatch):
+        # fourier_tail's B reaches 2 by design; next to a mask zero, where
+        # |g(c)| < L w, (|g(c)| - L w)(1 - B) would be positive and pass
+        tail = certificates.fourier_tail
+        monkeypatch.setattr(certificates, "fourier_tail", lambda *args: (
+            1e-3 * tail(*args)[0], np.full(len(args[2]), 2.0)))
+        cert = certify(alternating_system)
+        assert cert.verdict is Verdict.INCONCLUSIVE and cert.epsilon is None
+
     def test_checkpoint_scan_stops_at_first_pass(self, mixed_system, monkeypatch):
         # the classes are tried in turn from n_0 = 7; the first PASS ends it
         calls = []
