@@ -21,6 +21,8 @@ from . import corpus
 from .certificates import certify
 from .core import LevelClass, MoranError, MoranSystem, parse_system
 from .density import (
+    VERDICT_SPARSE,
+    VERDICT_UNIFORM,
     density_histogram,
     density_verdict,
     support_cover,
@@ -69,15 +71,32 @@ def finite_float(text: str) -> float:
     return value
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """CSV rows, floats as %.15g, else str; a block's rows share its first's types."""
-    rows = iter(rows)
+def write_csv(path: str, header: list[str], columns) -> None:
+    """CSV of equal-length columns, written in blocks of 2**13 rows.
+
+    A float64 array column is written as %.15g, and any other column by str.
+    Where at most half of a block's floats are distinct, each distinct bit
+    pattern is formatted once (so -0.0 and nan stay as they are); else the
+    block's one % format formats them in place, with no string per cell.
+    """
+    rows = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        while block := list(itertools.islice(rows, 2**13)):
-            line = ",".join("%.15g" if isinstance(v, float) else "%s" for v in block[0])
-            values = tuple(itertools.chain.from_iterable(block))
-            fh.write((line + "\n") * len(block) % values)
+        for k in range(0, rows, 2**13):
+            specs, cells = zip(*(_csv_cells(col[k:k + 2**13]) for col in columns))
+            line = ",".join(specs) + "\n"
+            fh.write(line * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
+
+
+def _csv_cells(col) -> tuple[str, list]:
+    """A block column's % conversion and the values it takes."""
+    if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+        return "%s", col
+    _, first, inverse = np.unique(col.view(np.int64), return_index=True, return_inverse=True)
+    if 2 * len(first) > len(col):
+        return "%.15g", col.tolist()
+    text = (("%.15g," * len(first))[:-1] % tuple(col[first].tolist())).split(",")
+    return "%s", list(map(text.__getitem__, inverse.tolist()))
 
 
 def load_system(path: str) -> MoranSystem:
@@ -181,7 +200,7 @@ def cmd_spectrum(args) -> int:
           f"sigma prefix {pts.sigma}")
     print(" ".join(str(p) for p in pts.points))
     if args.output:
-        write_csv(args.output, ["index", "lambda"], enumerate(pts.points))
+        write_csv(args.output, ["index", "lambda"], [range(q), pts.points])
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -220,7 +239,7 @@ def cmd_qsum(args) -> int:
         verdict = "complete" if dev < args.tol else "NOT complete"
         print(f"  {verdict} at tolerance {args.tol:g}")
     if args.output:
-        write_csv(args.output, ["xi", "Q"], zip(xs.tolist(), qs.tolist()))
+        write_csv(args.output, ["xi", "Q"], [xs, qs])
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -258,12 +277,14 @@ def cmd_density(args) -> int:
           f"{len(hist.density)} bins")
     print(f"total mass: {hist.total_mass:.12f}")
     print(f"empty bin fraction: {hist.empty_fraction:.3f}")
-    uniform = uniformity_check(hist, args.tol)
+    verdict = density_verdict(hist, args.tol)
+    # the verdict decides uniformity, unless sparse support decided it first
+    uniform = verdict == VERDICT_UNIFORM or (
+        verdict == VERDICT_SPARSE and uniformity_check(hist, args.tol))
     print(f"uniform within {args.tol:g}: {'yes' if uniform else 'no'}")
-    print(f"verdict: {density_verdict(hist, args.tol)}")
+    print(f"verdict: {verdict}")
     if args.output:
-        write_csv(args.output, ["bin_center", "density"],
-                  zip(hist.centers.tolist(), hist.density.tolist()))
+        write_csv(args.output, ["bin_center", "density"], [hist.centers, hist.density])
         print(f"wrote {args.output}")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -60,7 +61,13 @@ class IntervalUnion:
 
     @property
     def total_length(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+        den, ends = self._over_common_denominator()
+        return Fraction(sum(ends[1::2]) - sum(ends[::2]), den)
+
+    def _over_common_denominator(self) -> tuple[int, list[int]]:
+        """The lcm of the endpoint denominators, and the endpoints' numerators over it."""
+        den = math.lcm(*(x.denominator for x in self._flat))
+        return den, [x.numerator * (den // x.denominator) for x in self._flat]
 
     def contains(self, x) -> bool:
         x = Fraction(x)
@@ -86,10 +93,6 @@ class IntervalUnion:
         if i < len(flat):
             cands.append(flat[i] - x)
         return min(cands)
-
-    def translate(self, t) -> "IntervalUnion":
-        t = Fraction(t)
-        return IntervalUnion(tuple((lo + t, hi + t) for lo, hi in self.intervals))
 
     def gaps(self) -> list[tuple[Fraction, Fraction]]:
         return [
@@ -168,7 +171,7 @@ class Histogram:
     def total_mass(self) -> float:
         return float(self.counts.sum()) / self.atom_count
 
-    @property
+    @functools.cached_property
     def empty_fraction(self) -> float:
         """Fraction of hull bins carrying no atoms (large for singular mass)."""
         return float(np.mean(self.counts == 0))
@@ -264,8 +267,7 @@ def tiling_defects(T: IntervalUnion) -> tuple[Fraction, Fraction]:
     one denominator each interval is reduced mod 1 and cut at the integer it
     straddles, and one sweep measures the union (Lagarias-Wang 1996).
     """
-    den = math.lcm(*(x.denominator for x in T._flat))
-    ends = [x.numerator * (den // x.denominator) for x in T._flat]
+    den, ends = T._over_common_denominator()
     pieces = []
     for lo, hi in zip(ends[::2], ends[1::2]):
         end = lo % den + min(hi - lo, den)  # length 1 already covers the period
@@ -273,4 +275,5 @@ def tiling_defects(T: IntervalUnion) -> tuple[Fraction, Fraction]:
     covered = reach = 0
     for a, b in sorted(pieces):
         covered, reach = covered + max(b - max(a, reach), 0), max(reach, b)
-    return Fraction(den - covered, den), T.total_length - Fraction(covered, den)
+    length = sum(ends[1::2]) - sum(ends[::2])
+    return Fraction(den - covered, den), Fraction(length - covered, den)

@@ -220,15 +220,15 @@ def _level_terms(system: MoranSystem, m: int, nodes: np.ndarray, xi: np.ndarray)
     c_delta, the cos and sin of 2 pi delta xi / P_m per grid point and of
     2 pi (delta r mod P_m) / P_m per node r, the latter scaled by
     2 c_delta / N^2.  Nodes are reduced exactly, and xi mod P_m once for
-    every delta (a float remainder is exact), so all of a level's terms see
-    one xi.
+    every delta (fmod is exact, and leaves |xi| < P_m as it is), so all of a
+    level's terms see one xi.
     """
     digits = system.digit_set(m).digits
     N, Pm = len(digits), system.P(m)
     counts = Counter(b - a for a, b in combinations(digits, 2))
     if nodes.dtype == object or max(counts) * Pm >= 2**63:
         nodes = nodes.astype(object)  # exact Python ints past the int64 range
-    r, u = nodes % Pm, np.remainder(xi, Pm) / Pm
+    r, u = nodes % Pm, np.fmod(xi, Pm) / Pm
     terms = []
     for delta, c in counts.items():
         at_x = 2 * math.pi * (delta * u)

@@ -74,6 +74,18 @@ def random_t3_level(rng) -> tuple[int, tuple[int, ...]]:
             return p, (0, d)
 
 
+# -- CSV oracle ----------------------------------------------------------------
+
+
+def row_formatter_csv(header, rows) -> str:
+    """The per-value row formatter write_csv replaced, kept as the oracle."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.15g}" if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -7,6 +7,8 @@ from moranspec import (certificates, cli, corpus, density_histogram, level_spect
                        q_sum_finite)
 from moranspec.cli import main, parse_sigma
 
+from conftest import row_formatter_csv
+
 FINAL = "cycle: (2,{0,1}) (3,{0,1,2})\n"
 ALTERNATING = "cycle: (9,{0,1,2}) (4,{0,2})\n"
 PURE_T3 = "preamble: (4,{0,2})\ncycle: (4,{0,1})\n"
@@ -199,13 +201,9 @@ class TestDensityTilingCommands:
                 in capsys.readouterr().out)
 
 
-def row_formatter_csv(header, rows) -> str:
-    """The per-value row formatter write_csv replaced, kept as the oracle."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.15g}" if isinstance(v, float) else str(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
+def csv_columns(rows) -> list:
+    """The columns of rows for write_csv: float columns as float64 arrays."""
+    return [np.array(c) if isinstance(c[0], float) else c for c in zip(*rows)]
 
 
 class TestWriteCsv:
@@ -223,7 +221,7 @@ class TestWriteCsv:
     ])
     def test_matches_row_formatter(self, tmp_path, rows):
         path = tmp_path / "rows.csv"
-        cli.write_csv(str(path), ["a", "b"], iter(rows))
+        cli.write_csv(str(path), ["a", "b"], csv_columns(rows))
         assert path.read_text() == row_formatter_csv(["a", "b"], rows)
 
     @pytest.mark.parametrize("name", corpus.example_names())

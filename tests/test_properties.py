@@ -14,7 +14,8 @@ against the midpoint-probe loop they replaced, int64 atoms and their
 support covers against the Python-int sum they replaced, and integer
 histogram bins against the Fraction floor (half the draws past int64).
 Normalized systems are checked against the raw signed levels they come
-from.
+from, integer interval lengths against the Fraction sum they replaced, and
+the column CSV writer against the per-value row formatter it replaced.
 """
 
 import math
@@ -56,7 +57,8 @@ from moranspec import (
     tiling_defects,
     zero_set_contains,
 )
-from conftest import random_t1_level, random_t2_level, random_t3_level
+from moranspec.cli import write_csv
+from conftest import random_t1_level, random_t2_level, random_t3_level, row_formatter_csv
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 #: Oracle atom sets stay at or below this size.
@@ -346,17 +348,16 @@ def test_is_hadamard_matches_fraction_pair_loop(seed):
 def scalar_mask_loop(system, lo: int, hi: int, x: float, lam: int | None = None) -> complex:
     """The per-level scalar product the array transforms replaced, kept as the oracle.
 
-    Without lam, x is reduced mod P_i exactly by math.fmod, as the transforms
-    reduce it.  With lam, lam and x are both reduced mod P_i exactly (x by the
-    float remainder, which is exact for x >= 0), as q_sum_finite reduces its
-    nodes and xi.  Unreduced, x/P_i rounds at |x|/P_i * 2**-53, and that
-    alone moves a product by up to 1.4e-12 and a sum by up to 4e-12 at
-    |x| = 1e3.
+    x is reduced mod P_i exactly by math.fmod, as the transforms and
+    q_sum_finite reduce it; with lam, lam is reduced mod P_i exactly too, as
+    q_sum_finite reduces its nodes.  Unreduced, x/P_i rounds at
+    |x|/P_i * 2**-53, and that alone moves a product by up to 1.4e-12 and a
+    sum by up to 4e-12 at |x| = 1e3.
     """
     val = complex(1.0)
     for i in range(lo + 1, hi + 1):
         Pi = system.P(i)
-        y = math.fmod(x, Pi) / Pi if lam is None else (lam % Pi) / Pi + (x % Pi) / Pi
+        y = math.fmod(x, Pi) / Pi if lam is None else (lam % Pi) / Pi + math.fmod(x, Pi) / Pi
         val *= complex(mask_eval(system.digit_set(i), y))
     return val
 
@@ -378,7 +379,7 @@ def per_point_q_sum(system, n: int, lams, xs) -> np.ndarray:
         m += 1
         Pm = system.P(m)
         red = np.asarray((lam % Pm) / Pm, dtype=np.float64)
-        out *= mask_eval(system.digit_set(m), red + np.remainder(x, Pm) / Pm)
+        out *= mask_eval(system.digit_set(m), red + np.fmod(x, Pm) / Pm)
     return np.sum(np.abs(out) ** 2, axis=-1)
 
 
@@ -632,3 +633,42 @@ def test_tiling_defects_match_sampled_oracle(seed, g):
     assert 0 <= gap <= 1 and 0 <= overlap and gap * g == int(gap * g)
     assert 1 - gap + overlap == T.total_length
     assert ((gap, overlap) == (0, 0)) == sampled_tiling_check(T, window, 2 * g)
+
+
+FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(FRACTIONS, FRACTIONS.map(abs)), max_size=8))
+def test_total_length_matches_fraction_sum(pairs):
+    T = IntervalUnion.from_intervals((lo, lo + width) for lo, width in pairs)
+    oracle = sum((hi - lo for lo, hi in T.intervals), Fraction(0))
+    assert T.total_length == oracle
+    gap, overlap = tiling_defects(T)
+    assert 1 - gap + overlap == oracle
+
+
+#: Values repeat within a column: signed zeros, both nan signs, infinities,
+#: subnormals and ordinary floats; ints reach past int64 and uint64.
+FLOAT_POOL = (-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+              -2.2250738585072e-308, 0.1, 1 / 3, -2.5e-7, 1e300, 123456.789)
+INT_POOL = (0, -5, 7, 2**63 - 1, 2**63, -(2**63) - 1, 2**64 + 1, -(2**70))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.sampled_from((0, 1, 2**13 - 1, 2**13, 2**13 + 1, 2**14 + 3)),
+       st.lists(st.booleans(), min_size=1, max_size=3))
+def test_write_csv_matches_row_formatter(tmp_path_factory, seed, rows, float_columns):
+    rng = np.random.default_rng(seed)
+    floats = FLOAT_POOL + tuple(rng.normal(size=4) * 10.0 ** rng.integers(-12, 12, size=4))
+    columns = [[floats[i] if is_float else INT_POOL[i % len(INT_POOL)]
+                for i in rng.integers(0, len(floats), size=rows).tolist()]
+               for is_float in float_columns]
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(str(path), header, [np.array(c, dtype=np.float64) if is_float else c
+                                  for c, is_float in zip(columns, float_columns)])
+    # as lists of lines, so that a failure names its first differing line
+    # instead of diffing thousands of lines at every shrinking step
+    expected = row_formatter_csv(header, zip(*columns))
+    assert path.read_text().split("\n") == expected.split("\n")

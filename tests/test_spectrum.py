@@ -14,6 +14,7 @@ from moranspec import (
     make_system,
     q_sum_finite,
 )
+from moranspec.spectrum import _level_terms
 
 
 class TestDigitStar:
@@ -202,6 +203,17 @@ class TestQSumFinite:
         for xi in (0.3, -2.7):
             assert abs(q_sum_finite(final_system, 4, [lam, 1], xi)
                        - q_sum_finite(final_system, 4, [5, 1], xi)) < 1e-15
+
+    @pytest.mark.parametrize("m, xi", [(1, -0.3), (71, -2.0)])
+    def test_level_terms_keep_negative_xi(self, dyadic_system, m, xi):
+        # |xi| < P_m reduces to xi itself: a float remainder gave 2 - 0.3,
+        # rounded, at P_1 = 2, and P_71 = 2**71 itself for -2
+        Pm = dyadic_system.P(m)
+        _, [(cos_x, sin_x, _, _)] = _level_terms(dyadic_system, m, np.array([0]),
+                                                 np.array([xi]))
+        u = xi / Pm
+        assert u * Pm == xi
+        assert cos_x[0] == np.cos(2 * np.pi * u) and sin_x[0] == np.sin(2 * np.pi * u)
 
 
 class TestQPartial:
