@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import re
 import sys
 
 import numpy as np
@@ -35,7 +36,7 @@ from .spectrum import SpectrumLevel, check_orthogonal, level_spectrum, q_sum_fin
 EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_FILE = 66
-MAX_BUILT_POINTS = 2**20  # spectrum and qsum build every point; qsum grid, density bins
+MAX_BUILT_POINTS = 2**20  # spectrum points (qsum: a time bound); qsum grid, density bins
 MAX_BUILT_ATOMS = 2**24  # density and tiling build every atom (the corpus: thousands)
 
 
@@ -44,6 +45,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e7" as an option; it is a number, as "-5" and "-.5" are
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 

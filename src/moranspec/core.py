@@ -428,15 +428,21 @@ class DiscreteMeasure:
         return np.array([k / self.denominator for k in self.numerators.tolist()])
 
 
+def _partial_sum_dtype(factors: Iterable[Sequence[int]]):
+    """np.int64 when sum max|f_i| < 2**63 proves every partial sum
+    f_1 + ... + f_k fits, else object (exact Python ints)."""
+    big = sum(max(map(abs, factor), default=0) for factor in factors) >= 2**63
+    return object if big else np.int64
+
+
 def minkowski_sum(factors: Iterable[Sequence[int]]) -> np.ndarray:
     """Sorted sums f_1 + ... + f_n, one f_i from each integer factor.
 
-    int64 when sum max|f_i| < 2**63 proves every partial sum fits, else Python
-    ints.  Every choice is one entry, so equal neighbours mean a collision.
+    int64 where ``_partial_sum_dtype`` allows, else Python ints.  Every choice
+    is one entry, so equal neighbours mean a collision.
     """
     factors = [[int(f) for f in factor] for factor in factors]
-    big = sum(max(map(abs, factor), default=0) for factor in factors) >= 2**63
-    sums = np.zeros(1, dtype=object if big else np.int64)
+    sums = np.zeros(1, dtype=_partial_sum_dtype(factors))
     for factor in factors:
         # each row f + sums is a sorted run, and the stable sort merges runs
         sums = np.add.outer(np.array(factor, dtype=sums.dtype), sums).ravel()

@@ -96,6 +96,16 @@ class TestSpectrumCommands:
         assert "  complete at tolerance 1e-09" in out
         assert float(re.search(r"max\|Q-1\| (\S+)", out).group(1)) < 1e-13
 
+    def test_qsum_negative_numbers_with_exponent(self, capsys):
+        # argparse alone reads "-2e7" as an option: "expected one argument"
+        path = str(corpus._data_root() / "mixed_classes.moran")
+        assert main(["qsum", path, "--level", "4", "--xmin", "-2e7", "--xmax", "-1e7"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Q over [-20000000.0, -10000000.0] at 200 points")
+        assert "  complete at tolerance 1e-09" in out
+        args = cli.build_parser().parse_args(["qsum", path, "--tol", "-1E-9", "--xmax", "-.5e+1"])
+        assert (args.tol, args.xmax) == (-1e-9, -5.0)
+
     def test_qsum_with_depth(self, system_file, capsys):
         assert main(["qsum", system_file(ALTERNATING), "--level", "3",
                      "--grid", "11", "--xmin", "-1", "--xmax", "1",
@@ -222,7 +232,7 @@ class TestWriteCsv:
     def test_matches_row_formatter(self, tmp_path, rows):
         path = tmp_path / "rows.csv"
         cli.write_csv(str(path), ["a", "b"], csv_columns(rows))
-        assert path.read_text() == row_formatter_csv(["a", "b"], rows)
+        assert path.read_text().split("\n") == row_formatter_csv(["a", "b"], rows).split("\n")
 
     @pytest.mark.parametrize("name", corpus.example_names())
     def test_density_file(self, tmp_path, capsys, name):
@@ -230,22 +240,22 @@ class TestWriteCsv:
         path = str(corpus._data_root() / f"{name}.moran")
         assert main(["density", path, "--level", "12", "-o", str(out_csv)]) == 0
         hist = density_histogram(corpus.load_example(name)[0], 12, 4096)
-        assert out_csv.read_text() == row_formatter_csv(
+        assert out_csv.read_text().split("\n") == row_formatter_csv(
             ["bin_center", "density"],
-            zip(hist.centers.tolist(), hist.density.tolist()))
+            zip(hist.centers.tolist(), hist.density.tolist())).split("\n")
 
     def test_spectrum_and_qsum_files(self, system_file, tmp_path, capsys):
         system, path, out_csv = parse_system(MIXED), system_file(MIXED), tmp_path / "s.csv"
         assert main(["spectrum", path, "--level", "5", "-o", str(out_csv)]) == 0
         pts = level_spectrum(system, 5).points
-        assert out_csv.read_text() == row_formatter_csv(["index", "lambda"],
-                                                         enumerate(pts))
+        assert out_csv.read_text().split("\n") == row_formatter_csv(
+            ["index", "lambda"], enumerate(pts)).split("\n")
         assert main(["qsum", path, "--level", "3", "--grid", "9", "-o",
                      str(out_csv)]) == 0
         xs = np.linspace(-5.0, 5.0, 9)
         qs = q_sum_finite(system, 3, level_spectrum(system, 3), xs)
-        assert out_csv.read_text() == row_formatter_csv(["xi", "Q"],
-                                                         zip(xs.tolist(), qs.tolist()))
+        assert out_csv.read_text().split("\n") == row_formatter_csv(
+            ["xi", "Q"], zip(xs.tolist(), qs.tolist())).split("\n")
 
 
 class TestExamplesCommand:
@@ -323,6 +333,9 @@ class TestErrorPaths:
                      "argument --tol: must be a finite number", id="qsum-tol-nan"),
         pytest.param(FINAL, ["density", "--tol", "nan"],
                      "argument --tol: must be a finite number", id="density-tol-nan"),
+        # a sign prefix is no number: a leading '-' still needs --sigma=-+
+        pytest.param(FINAL, ["spectrum", "--sigma", "-+"],
+                     "argument --sigma: expected one argument", id="spectrum-sigma-leading-minus"),
         pytest.param(FINAL, ["ortho", "--seed", "3"],
                      "unrecognized arguments: --seed 3", id="ortho-seed"),
         pytest.param(FINAL, ["tiling", "--seed", "9"],
