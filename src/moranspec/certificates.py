@@ -23,6 +23,7 @@ from .core import (
     LevelClass,
     MoranStructureError,
     MoranSystem,
+    _factor_extremes,
     fourier_tail,
 )
 from .spectrum import SigmaPrefix, check_orthogonal, level_factors, level_spectrum
@@ -43,9 +44,8 @@ def lambda_norm_check(
 
 def _lambda_extremes(system: MoranSystem, n: int, sigma) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of lambda / P_n over Lambda_n: the extremes add over the factors."""
-    factors, _ = level_factors(system, n, sigma)
-    P = system.P(n)
-    return Fraction(sum(min(f) for f in factors), P), Fraction(sum(max(f) for f in factors), P)
+    lo, hi = _factor_extremes(level_factors(system, n, sigma)[0])
+    return Fraction(lo, system.P(n)), Fraction(hi, system.P(n))
 
 
 def f_eval(x, y):

@@ -37,7 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_FILE = 66
 MAX_BUILT_POINTS = 2**20  # spectrum points (qsum: a time bound); qsum grid, density bins
-MAX_BUILT_ATOMS = 2**24  # density and tiling build every atom (the corpus: thousands)
+MAX_BUILT_ATOMS = 2**24  # tiling builds and sorts every atom (the corpus: thousands)
+MAX_BINNED_ATOMS = 2**28  # density bins its atoms block by block: a time bound
 
 
 class UsageError(Exception):
@@ -274,7 +275,7 @@ def cmd_certify(args) -> int:
 
 def cmd_density(args) -> int:
     system = load_system(args.system)
-    refused_count(system, args, MAX_BUILT_ATOMS, "has {} atoms")
+    refused_count(system, args, MAX_BINNED_ATOMS, "has {} atoms")
     if args.bins > MAX_BUILT_POINTS:
         raise UsageError(f"--bins {args.bins}, more than the {MAX_BUILT_POINTS} that density builds")
     hist = density_histogram(system, args.level, args.bins)

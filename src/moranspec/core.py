@@ -38,10 +38,6 @@ class MoranStructureError(MoranError):
     """Structurally ill-posed system (bad scale, digits, or collisions)."""
 
 
-class AtomCollisionError(MoranStructureError):
-    """Two digit words produced the same atom position."""
-
-
 class LevelRangeError(MoranStructureError, ValueError):
     """A level past the end of a finite system was requested."""
 
@@ -403,7 +399,7 @@ def parse_system(text: str) -> MoranSystem:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Uniform measure on level-n atoms: sorted distinct integer numerators over P_n."""
+    """Uniform measure on level-n digit words: sorted integer numerators over P_n, repeats kept."""
 
     numerators: np.ndarray  # as minkowski_sum builds them; compared by value
     denominator: int
@@ -435,6 +431,22 @@ def _partial_sum_dtype(factors: Iterable[Sequence[int]]):
     return object if big else np.int64
 
 
+def _factor_extremes(factors: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(sum min F, sum max F): the extremes of the factors' Minkowski sum."""
+    return sum(min(F, default=0) for F in factors), sum(max(F, default=0) for F in factors)
+
+
+def _outer_sums(factors: Iterable[Sequence[int]], dtype) -> list[np.ndarray]:
+    """Unsorted partial sums F_1 + ... + F_m, m = 0, 1, ..., in a ``dtype`` that holds them.
+
+    Child-major: F_m[k] plus entry i of the q level-(m-1) sums sits at k q + i.
+    """
+    sums = [np.zeros(1, dtype=dtype)]
+    for F in factors:
+        sums.append(np.add.outer(np.array(F, dtype=dtype), sums[-1]).ravel())
+    return sums
+
+
 def minkowski_sum(factors: Iterable[Sequence[int]]) -> np.ndarray:
     """Sorted sums f_1 + ... + f_n, one f_i from each integer factor.
 
@@ -450,24 +462,22 @@ def minkowski_sum(factors: Iterable[Sequence[int]]) -> np.ndarray:
     return sums
 
 
+def _atom_factors(system: MoranSystem, n: int) -> list[list[int]]:
+    """Level factors {d P_n/P_i : d in D_i}, i = 1..n, of the level-n atom numerators."""
+    if n < 1:
+        raise ValueError("level must be at least 1")
+    Pn = system.P(n)
+    return [[d * (Pn // system.P(i)) for d in system.digit_set(i).digits]
+            for i in range(1, n + 1)]
+
+
 def atoms(system: MoranSystem, n: int) -> DiscreteMeasure:
     """Atoms of the level-n truncation: all sums d_1/P_1 + ... + d_n/P_n.
 
-    Each atom is the integer d_1 P_n/P_1 + ... + d_n P_n/P_n over P_n.
-    Raises AtomCollisionError when two digit words collide; the level-n
-    truncation then has fewer than Phi(1)...Phi(n) atoms and the system is
-    ill-posed for spectrum building.
+    Each atom is the integer d_1 P_n/P_1 + ... + d_n P_n/P_n over P_n; digit
+    words that collide keep one each, so the measure counts them with multiplicity.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    Pn = system.P(n)
-    nums = minkowski_sum(
-        [d * (Pn // system.P(i)) for d in system.digit_set(i).digits]
-        for i in range(1, n + 1)
-    )
-    if (nums[1:] == nums[:-1]).any():
-        raise AtomCollisionError(f"atom collision at level {n}")
-    return DiscreteMeasure(nums, Pn)
+    return DiscreteMeasure(minkowski_sum(_atom_factors(system, n)), system.P(n))
 
 
 def mask_eval(digits: DigitSet | Iterable[int], xi):

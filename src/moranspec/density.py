@@ -20,7 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import MoranError, MoranSystem, atoms
+from .core import (MoranError, MoranSystem, _atom_factors, _factor_extremes, _outer_sums,
+                   _partial_sum_dtype, atoms)
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,6 @@ def support_cover(system: MoranSystem, level: int) -> IntervalUnion:
     contains the support and shrinks to it as the level grows.  Neighbouring
     atoms k/P < k'/P share an interval iff k' - k <= floor(R P).
     """
-    if level < 1:
-        raise ValueError("level must be at least 1")
     meas = atoms(system, level)
     r = system.tail_max_sum(level)
     nums, P = meas.numerators, meas.denominator
@@ -186,29 +185,34 @@ class Histogram:
 def density_histogram(system: MoranSystem, level: int, bins: int) -> Histogram:
     """Histogram density estimate of the level-truncated measure.
 
-    Atoms k/P_n have equal weight, and on the hull [k_0/P, k_max/P + r/s]
-    atom k falls in bin floor((k - k_0) s' bins / span), the top edge in the
-    last, decided in integers: s' = s/gcd(s, P), span = (hi - lo) P s'.  The
-    estimate converges weakly to the density when the measure is absolutely
+    Digit words k/P_n have equal weight, colliding ones counted apart, and on
+    the hull [k_0/P, k_max/P + r/s] word k falls in bin floor((k - k_0) s' bins
+    / span), the top edge in the last, decided in integers: s' = s/gcd(s, P),
+    span = (hi - lo) P s'.  The bin numerators are the partial sums of the level
+    factors scaled to (f - min F) s' bins, binned block by block without sorting.
+    The estimate converges weakly to the density when the measure is absolutely
     continuous.  The level should put a couple dozen atoms in each interior bin.
     """
-    if level < 1:
-        raise ValueError("level must be at least 1")
     if bins < 1:
         raise ValueError("bins must be positive")
-    meas = atoms(system, level)
-    nums, P = meas.numerators, meas.denominator
-    k0, top, R = int(nums[0]), int(nums[-1]), system.tail_max_sum(level)
+    factors, P, R = _atom_factors(system, level), system.P(level), system.tail_max_sum(level)
+    k0, top = _factor_extremes(factors)
     lo, hi = Fraction(k0, P), Fraction(top, P) + R
     if hi <= lo:
         raise MoranError("degenerate support: zero bin width")
     s1 = math.lcm(P, R.denominator) // P
     span = int((hi - lo) * P * s1)  # an integer: P s1 is a common denominator
-    if max(top - k0, 1) * s1 * bins >= 2**63 or span >= 2**63:
-        nums = nums.astype(object)  # exact Python ints past the int64 range
-    idx = np.minimum((nums - k0) * s1 * bins // span, bins - 1)
-    counts = np.bincount(idx.astype(np.intp, copy=False), minlength=bins)
-    q = len(nums)
+    scaled = [[(f - low) * s1 * bins for f in F] for F, low in zip(factors, map(min, factors))]
+    dtype = object if span >= 2**63 else _partial_sum_dtype(scaled)  # Python ints past int64
+    split = len(scaled)  # the trailing factors' block: max(2**16, bins) sums amortize a bincount
+    while split and math.prod(map(len, scaled[split:])) < max(2**16, bins):
+        split -= 1
+    block, offsets = (_outer_sums(part, dtype)[-1] for part in (scaled[split:], scaled[:split]))
+    counts = np.zeros(bins, dtype=np.intp)
+    for shift in offsets.tolist():  # each sum of the leading factors shifts the block
+        idx = np.minimum((block + shift) // span, bins - 1)
+        counts += np.bincount(idx.astype(np.intp, copy=False), minlength=bins)
+    q = len(block) * len(offsets)
     width = (float(hi) - float(lo)) / bins
     return Histogram(np.linspace(float(lo), float(hi), bins + 1), counts,
                      counts / (q * width), q, (lo, hi))

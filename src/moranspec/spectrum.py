@@ -32,7 +32,9 @@ from .core import (
     LevelClass,
     MoranStructureError,
     MoranSystem,
+    _factor_extremes,
     _last_level,
+    _outer_sums,
     _partial_sum_dtype,
     minkowski_sum,
     zero_set_contains,
@@ -286,15 +288,13 @@ def q_sum_finite(
         factors = [[int(f) for f in F] for F in points.factors]
     else:  # a perturbed or colliding spectrum, or a plain point list
         factors = [[int(f) for f in _points(points)]]
-    top = max(sum(max(F, default=0) for F in factors), -sum(min(F, default=0) for F in factors))
-    last, _ = _last_level(system, 0, n, max(float(np.max(np.abs(x), initial=0.0)), top))
+    low, high = _factor_extremes(factors)
+    last, _ = _last_level(system, 0, n, max(float(np.max(np.abs(x), initial=0.0)), high, -low))
     depth = len(factors)
     # With no mask level below the tree, the deepest level is summed over its
     # factor on the node side, and its nodes (the leaves) are never built.
     fold = 0 < depth and last <= depth
-    nodes = [np.zeros(1, dtype=_partial_sum_dtype(factors))]
-    for F in factors[:depth - fold]:  # child k of node i sits at k q + i, q the parents' count
-        nodes.append(np.add.outer(np.array(F, dtype=nodes[-1].dtype), nodes[-1]).ravel())
+    nodes = _outer_sums(factors[:depth - fold], _partial_sum_dtype(factors))
     levels = {m: _level_terms(system, m, nodes[min(m, len(nodes) - 1)], flat,
                               factors[-1] if fold and m == depth else (0,))
               for m in range(1, last + 1) if system.phi(m) > 1}  # one digit: |mask| = 1

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ MIXED = "preamble: (4,{0,2}) (12,{0,1,2})\ncycle: (8,{0,1,2,3})\n"
 LARGE_POINTS = "cycle: (36,{0,31}) (57,{0,1,20})\n"
 # P_400 = 8**400 is far past the largest float
 T1_CYCLE = "cycle: (8,{0,1,2,3})\n"
+# 1/2 + 0/4 = 0/2 + 2/4: digit words collide
+COLLIDING = "cycle: (2,{0,1,2})\n"
 
 
 @pytest.fixture
@@ -53,6 +59,15 @@ class TestValidate:
         assert main(["validate", system_file(NONUNIFORM)]) == 0
         out = capsys.readouterr().out
         assert "invalid" in out and "admissible: no" in out
+
+    def test_run_as_module(self):
+        src = Path(cli.__file__).resolve().parent.parent
+        path = corpus._data_root() / "unit_interval_tile.moran"
+        proc = subprocess.run([sys.executable, "-m", "moranspec", "validate", str(path)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert "admissible: yes" in proc.stdout
 
 
 class TestSpectrumCommands:
@@ -210,6 +225,15 @@ class TestDensityTilingCommands:
         assert ("tiling by integer translates: no (gap 0, overlap 9/4)"
                 in capsys.readouterr().out)
 
+    def test_colliding_words_count_with_multiplicity(self, system_file, capsys):
+        path = system_file(COLLIDING)
+        assert main(["density", path, "--level", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "level 8: 6561 atoms on [0, 2], 4096 bins" in out
+        assert "total mass: 1.000000000000" in out
+        assert main(["tiling", path, "--level", "8"]) == 0
+        assert "1 interval(s), hull [0, 2], length 2" in capsys.readouterr().out
+
 
 def csv_columns(rows) -> list:
     """The columns of rows for write_csv: float columns as float64 arrays."""
@@ -288,9 +312,12 @@ class TestErrorPaths:
         assert main(["validate", system_file("cycle: (1,{0,1})")]) == 66
 
     def test_atom_limit_is_inclusive(self, system_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BINNED_ATOMS", 6)
         monkeypatch.setattr(cli, "MAX_BUILT_ATOMS", 6)
         assert main(["density", system_file(FINAL), "--level", "2"]) == 0
         assert "level 2: 6 atoms" in capsys.readouterr().out
+        assert main(["density", system_file(FINAL), "--level", "3"]) == 64
+        assert "has 12 atoms, more than the 6 that density builds" in capsys.readouterr().err
         assert main(["tiling", system_file(FINAL), "--level", "2"]) == 0
         capsys.readouterr()
         assert main(["tiling", system_file(FINAL), "--level", "3"]) == 64
@@ -357,7 +384,7 @@ class TestErrorPaths:
                      f"level 70 spectrum has {6 * 4**68} points", id="qsum-level-70"),
         # the same count of atoms: refused before any is built
         pytest.param(MIXED, ["density", "--level", "70"],
-                     f"level 70 has {6 * 4**68} atoms, more than the {2**24}",
+                     f"level 70 has {6 * 4**68} atoms, more than the {2**28}",
                      id="density-level-70"),
         pytest.param(MIXED, ["tiling", "--level", "70"],
                      f"level 70 has {6 * 4**68} atoms", id="tiling-level-70"),

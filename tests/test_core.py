@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from moranspec import (
-    AtomCollisionError,
     DiscreteMeasure,
     LevelClass,
     MoranStructureError,
@@ -174,10 +173,13 @@ class TestAtoms:
                 assert len(atoms(s, n).atoms) == s.phi_product(n)
 
     def test_collision_detected(self):
-        # 1/2 from level one equals 2/4 from level two
+        # 1/2 from level one equals 2/4 from level two: colliding words repeat
+        # their numerator 2 d_1 + d_2, so the atom carries their mass
         s = make_system(cycle=[(2, (0, 1, 2, 3))])
-        with pytest.raises(AtomCollisionError):
-            atoms(s, 2)
+        meas = atoms(s, 2)
+        assert meas.numerators.tolist() == sorted(2 * a + b for a in range(4) for b in range(4))
+        assert meas.numerators.tolist().count(4) == 2
+        assert meas.weight == Fraction(1, 16)
 
     def test_measures_compare_and_hash_by_value(self, mixed_system):
         a, b = atoms(mixed_system, 3), atoms(mixed_system, 3)

@@ -12,13 +12,15 @@ it replaced, the covered certificate epsilon against |tail| at every
 spectrum point of three checkpoints of its class, the exact tiling defects
 against the midpoint-probe loop they replaced, int64 atoms and their
 support covers against the Python-int sum they replaced, and integer
-histogram bins against the Fraction floor (half the draws past int64).
+histogram bins against the Fraction floor (half the draws past int64), on
+colliding words too, counted with multiplicity.
 Normalized systems are checked against the raw signed levels they come
 from, integer interval lengths against the Fraction sum they replaced, and
 the column CSV writer against the per-value row formatter it replaced.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,7 +31,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from moranspec import (
-    AtomCollisionError,
     IntervalUnion,
     Level,
     LevelClass,
@@ -52,6 +53,7 @@ from moranspec import (
     level_spectrum,
     make_system,
     mask_eval,
+    parse_system,
     q_sum_finite,
     support_cover,
     tiling_defects,
@@ -126,11 +128,7 @@ def test_integer_atoms_match_fraction_oracle(seed, n):
     system = random_system(seed)
     while n > 1 and system.phi_product(n) > MAX_ATOMS:
         n -= 1
-    oracle = fraction_atoms(system, n)
-    if len(set(oracle)) != len(oracle):
-        with pytest.raises(AtomCollisionError):
-            atoms(system, n)
-        return
+    oracle = fraction_atoms(system, n)  # colliding words repeat their atom
     meas = atoms(system, n)
     assert meas.denominator == system.P(n)
     assert meas.atoms == tuple(sorted(oracle))
@@ -144,7 +142,7 @@ def python_int_atoms(system, n: int) -> list[int]:
     for i in range(1, n + 1):
         sums = [s + d * (Pn // system.P(i)) for s in sums
                 for d in system.digit_set(i).digits]
-    return sorted(set(sums))
+    return sorted(sums)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,13 +177,16 @@ def cover_oracle(system, n: int, nums) -> IntervalUnion:
                                         for k in nums)
 
 
-def bin_oracle(meas, tail: Fraction, bins: int) -> list[int]:
-    """Fraction bin floor((x - lo) bins / (hi - lo)) of each atom, top edge in the last."""
-    xs = meas.atoms
-    lo, hi = xs[0], xs[-1] + tail
+def bin_oracle(words, tail: Fraction, bins: int) -> list[int]:
+    """Fraction bin floor((x - lo) bins / (hi - lo)) of each word x, top edge in the last.
+
+    ``words`` is a multiset of atoms: each distinct atom counts its repeats.
+    """
+    mult = Counter(words)
+    lo, hi = min(mult), max(mult) + tail
     counts = [0] * bins
-    for x in xs:
-        counts[min((x - lo) * bins // (hi - lo), bins - 1)] += 1
+    for x, c in mult.items():
+        counts[min((x - lo) * bins // (hi - lo), bins - 1)] += c
     return counts
 
 
@@ -223,9 +224,38 @@ def test_integer_bins_match_fraction_oracle(seed, wide, bins):
     hist = density_histogram(system, n, bins)
     tail = system.tail_max_sum(n)
     assert hist.hull == (meas.atoms[0], meas.atoms[-1] + tail)
-    assert hist.counts.tolist() == bin_oracle(meas, tail, bins)
+    assert hist.counts.tolist() == bin_oracle(meas.atoms, tail, bins)
     # the second wide family has int64 atoms and a cover reach past 2**63
     assert support_cover(system, n) == cover_oracle(system, n, meas.numerators.tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=512))
+def test_histogram_counts_colliding_words(seed, n, bins):
+    system = random_system(seed, (arbitrary_level,))  # digits up to 2p: words collide
+    while n > 1 and system.phi_product(n) > MAX_ATOMS:
+        n -= 1
+    words = fraction_atoms(system, n)
+    assert atoms(system, n).atoms == tuple(sorted(words))
+    hist = density_histogram(system, n, bins)
+    tail = system.tail_max_sum(n)
+    assert hist.atom_count == len(words)
+    assert hist.hull == (min(words), max(words) + tail)
+    assert hist.counts.tolist() == bin_oracle(words, tail, bins)
+
+
+@pytest.mark.parametrize("text, n", [
+    # 279,936 atoms: a block of 3 * 6**6 word sums, shifted by two level-1 offsets
+    ("cycle: (2,{0,1}) (3,{0,1,2})", 14),
+    # 2**17 atoms past int64: Python-int blocks, shifted by two level-1 offsets
+    (f"preamble: ({2**50},{{0,{2**49}}}) cycle: (2,{{0,1}})", 17),
+])
+def test_histogram_blocks_match_sorted_atoms(text, n):
+    system = parse_system(text)
+    meas = atoms(system, n)
+    tail = system.tail_max_sum(n)
+    hist = density_histogram(system, n, 4096)
+    assert hist.counts.tolist() == bin_oracle(meas.atoms, tail, 4096)
 
 
 @settings(max_examples=300, deadline=None)
