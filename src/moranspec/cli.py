@@ -187,10 +187,10 @@ def cmd_validate(args) -> int:
 
 
 def refused_count(system: MoranSystem, args, cap: int, what: str) -> int:
-    """Exact count q = Phi(1)...Phi(level) the command builds; refuses q > cap."""
+    """Exact count q = Phi(1)...Phi(level) of the level's atoms or points; refuses q > cap."""
     if (q := system.phi_product(args.level)) > cap:
         raise UsageError(f"level {args.level} {what.format(q)}, more than "
-                         f"the {cap} that {args.command} builds")
+                         f"the {args.command} cap of {cap}")
     return q
 
 
@@ -277,7 +277,7 @@ def cmd_density(args) -> int:
     system = load_system(args.system)
     refused_count(system, args, MAX_BINNED_ATOMS, "has {} atoms")
     if args.bins > MAX_BUILT_POINTS:
-        raise UsageError(f"--bins {args.bins}, more than the {MAX_BUILT_POINTS} that density builds")
+        raise UsageError(f"--bins {args.bins}, more than the --bins cap of {MAX_BUILT_POINTS}")
     hist = density_histogram(system, args.level, args.bins)
     lo, hi = hist.hull
     print(f"level {args.level}: {hist.atom_count} atoms on [{lo}, {hi}], "
@@ -301,7 +301,7 @@ def cmd_tiling(args) -> int:
     refused_count(system, args, MAX_BUILT_ATOMS, "has {} atoms")
     cover = support_cover(system, args.level)
     lo, hi = cover.hull
-    print(f"support cover at level {args.level}: {len(cover.intervals)} "
+    print(f"support cover at level {args.level}: {len(cover.ends) // 2} "
           f"interval(s), hull [{lo}, {hi}], length {float(cover.total_length):.6g}")
     gap, overlap = tiling_defects(cover)
     print(f"tiling by integer translates: {'no' if gap or overlap else 'yes'} "

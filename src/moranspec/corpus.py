@@ -105,7 +105,7 @@ def run_check(system: MoranSystem, name: str, params: dict) -> CheckResult:
         target = IntervalUnion.from_intervals([params["target"]])
         return CheckResult(name, f"{kind}@{params['level']}",
                            str(params["target"]),
-                           "match" if cover == target else f"{len(cover.intervals)} intervals",
+                           "match" if cover == target else f"{len(cover.ends) // 2} intervals",
                            cover == target)
     if kind == "cover_hausdorff":
         lvl = params["level"]

@@ -2,10 +2,10 @@
 
 When every level satisfies Phi(n) = p_n the Moran measure is absolutely
 continuous; its support can then be approximated from outside by finite
-unions of closed rational intervals, its density estimated by histograms of
-the level atoms (integer numerators over P_n), and the tiling of the line by
-integer translates of the support decided exactly by one sweep mod 1.
-Interval endpoints stay exact rationals; only the density values are
+unions of closed intervals, its density estimated by histograms of the level
+atoms (integer numerators over P_n), and the tiling of the line by integer
+translates of the support decided exactly by one sweep mod 1.  Interval
+endpoints are integers over one denominator; only the density values are
 floating point.
 """
 
@@ -24,76 +24,78 @@ from .core import (MoranError, MoranSystem, _atom_factors, _factor_extremes, _ou
                    _partial_sum_dtype, atoms)
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Sorted union of disjoint closed intervals with rational endpoints."""
+def _ends_dtype(first: int, last: int, den: int):
+    """np.int64 when max(last, 0) - min(first, 0) + den < 2**63 bounds every value formed
+    from sorted endpoints first..last over den (lengths, residues, cut pieces), else object."""
+    return np.int64 if max(last, 0) - min(first, 0) + den < 2**63 else object
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+
+@dataclass(frozen=True, eq=False)
+class IntervalUnion:
+    """Sorted union of disjoint closed intervals with rational endpoints.
+
+    ``ends`` holds the endpoints lo_1, hi_1, lo_2, hi_2, ... as integers over
+    ``den``, in int64 where ``_ends_dtype`` allows, else Python ints;
+    ``IntervalUnion(())`` is the empty union.
+    """
+
+    ends: np.ndarray
+    den: int = 1
 
     @classmethod
     def from_intervals(cls, pairs: Iterable[tuple]) -> "IntervalUnion":
         """Normalize arbitrary closed intervals: sort and merge touching ones."""
-        items = sorted((Fraction(a), Fraction(b)) for a, b in pairs)
-        merged: list[list[Fraction]] = []
-        for lo, hi in items:
+        items = [(Fraction(a), Fraction(b)) for a, b in pairs]
+        den = math.lcm(*(x.denominator for pair in items for x in pair))
+        merged: list[int] = []
+        for lo, hi in sorted((int(a * den), int(b * den)) for a, b in items):
             if hi < lo:
-                raise ValueError(f"empty interval [{lo}, {hi}]")
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
+                raise ValueError(f"empty interval [{Fraction(lo, den)}, {Fraction(hi, den)}]")
+            if merged and lo <= merged[-1]:
+                merged[-1] = max(merged[-1], hi)
             else:
-                merged.append([lo, hi])
-        return cls(tuple((lo, hi) for lo, hi in merged))
+                merged += [lo, hi]
+        dtype = _ends_dtype(merged[0], merged[-1], den) if merged else np.int64
+        return cls(np.array(merged, dtype=dtype), den)
 
-    def __post_init__(self):
-        flat = []
-        for lo, hi in self.intervals:
-            flat.extend((lo, hi))
-        object.__setattr__(self, "_flat", tuple(flat))
+    def __eq__(self, other):
+        return type(other) is type(self) and self.intervals == other.intervals
+
+    def __hash__(self):
+        return hash(self.intervals)
+
+    @functools.cached_property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        ends = [Fraction(e, self.den) for e in np.asarray(self.ends).tolist()]
+        return tuple(zip(ends[::2], ends[1::2]))
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return len(self.ends) == 0
 
     @property
     def hull(self) -> tuple[Fraction, Fraction]:
         if self.is_empty:
             raise ValueError("empty union has no hull")
-        return self.intervals[0][0], self.intervals[-1][1]
+        return Fraction(int(self.ends[0]), self.den), Fraction(int(self.ends[-1]), self.den)
 
     @property
     def total_length(self) -> Fraction:
-        den, ends = self._over_common_denominator()
-        return Fraction(sum(ends[1::2]) - sum(ends[::2]), den)
-
-    def _over_common_denominator(self) -> tuple[int, list[int]]:
-        """The lcm of the endpoint denominators, and the endpoints' numerators over it."""
-        den = math.lcm(*(x.denominator for x in self._flat))
-        return den, [x.numerator * (den // x.denominator) for x in self._flat]
+        return Fraction(int(np.diff(np.asarray(self.ends).reshape(-1, 2)).sum()), self.den)
 
     def contains(self, x) -> bool:
-        x = Fraction(x)
-        flat = self._flat
-        i = bisect_left(flat, x)
-        if i == len(flat):
-            return False
-        # odd index: strictly inside an interval; even: on a left endpoint
-        return i % 2 == 1 or flat[i] == x
+        return not self.is_empty and self.distance_to(x) == 0
 
     def distance_to(self, x) -> Fraction:
         """Distance from a point to the union (0 when contained)."""
         if self.is_empty:
             raise ValueError("empty union")
-        x = Fraction(x)
-        if self.contains(x):
+        x = Fraction(x) * self.den
+        i = bisect_left(self.ends, x, key=int)
+        if i % 2:  # strictly inside an interval
             return Fraction(0)
-        flat = self._flat
-        i = bisect_left(flat, x)
-        cands = []
-        if i > 0:
-            cands.append(x - flat[i - 1])
-        if i < len(flat):
-            cands.append(flat[i] - x)
-        return min(cands)
+        # else between the ends i - 1 and i, if they exist
+        return min(abs(int(e) - x) for e in self.ends[max(i - 1, 0):i + 1]) / self.den
 
     def gaps(self) -> list[tuple[Fraction, Fraction]]:
         return [
@@ -102,25 +104,14 @@ class IntervalUnion:
         ]
 
     def is_subset_of(self, other: "IntervalUnion") -> bool:
-        for lo, hi in self.intervals:
-            flat = other._flat
-            i = bisect_left(flat, lo)
-            if i % 2 == 1:
-                k = (i - 1) // 2
-            elif i < len(flat) and flat[i] == lo:
-                k = i // 2
-            else:
-                return False
-            if hi > other.intervals[k][1]:
-                return False
-        return True
+        return IntervalUnion.from_intervals(self.intervals + other.intervals) == other
 
     def hausdorff_distance(self, other: "IntervalUnion") -> Fraction:
         """Exact Hausdorff distance between two nonempty unions."""
 
         def directed(a: "IntervalUnion", b: "IntervalUnion") -> Fraction:
             # d(., b) peaks at endpoints of a and at gap midpoints of b
-            cands = list(a._flat)
+            cands = [x for pair in a.intervals for x in pair]
             cands += [
                 (lo + hi) / 2 for lo, hi in b.gaps() if a.contains((lo + hi) / 2)
             ]
@@ -131,21 +122,29 @@ class IntervalUnion:
         return max(directed(self, other), directed(other, self))
 
 
+def _over_tail_denominator(system: MoranSystem, level: int) -> tuple[int, int, int]:
+    """(P_n, den, r): den = lcm(P_n, denominator of R_n), the tail radius R_n = r/den."""
+    P, R = system.P(level), system.tail_max_sum(level)
+    den = math.lcm(P, R.denominator)
+    return P, den, R.numerator * (den // R.denominator)
+
+
 def support_cover(system: MoranSystem, level: int) -> IntervalUnion:
     """Outer cover of the support: one interval [x, x + R] per level atom.
 
     R is the exact tail radius sum_{i > level} max(D_i)/P_i, so the cover
     contains the support and shrinks to it as the level grows.  Neighbouring
-    atoms k/P < k'/P share an interval iff k' - k <= floor(R P).
+    atoms k/P < k'/P share an interval iff k' - k <= floor(R P); the cut is
+    made on the numerators over P, and only the kept ends are scaled to den.
     """
-    meas = atoms(system, level)
-    r = system.tail_max_sum(level)
-    nums, P = meas.numerators, meas.denominator
-    reach = r.numerator * P // r.denominator
-    cut = np.diff(nums) > reach  # an interval ends before each cut, the next starts after
-    starts, ends = nums[np.r_[True, cut]].tolist(), nums[np.r_[cut, True]].tolist()
-    return IntervalUnion(tuple((Fraction(a, P), Fraction(b, P) + r)
-                               for a, b in zip(starts, ends)))
+    nums = atoms(system, level).numerators
+    P, den, r = _over_tail_denominator(system, level)
+    s = den // P
+    cut = np.diff(nums) > r // s  # an interval ends before each cut, the next starts after
+    starts, stops = nums[np.r_[True, cut]], nums[np.r_[cut, True]]
+    dtype = _ends_dtype(int(starts[0]) * s, int(stops[-1]) * s + r, den)
+    ends = np.column_stack((starts.astype(dtype) * s, stops.astype(dtype) * s + r)).ravel()
+    return IntervalUnion(ends, den)
 
 
 @dataclass(frozen=True)
@@ -195,13 +194,14 @@ def density_histogram(system: MoranSystem, level: int, bins: int) -> Histogram:
     """
     if bins < 1:
         raise ValueError("bins must be positive")
-    factors, P, R = _atom_factors(system, level), system.P(level), system.tail_max_sum(level)
+    factors = _atom_factors(system, level)
+    P, den, r = _over_tail_denominator(system, level)
     k0, top = _factor_extremes(factors)
-    lo, hi = Fraction(k0, P), Fraction(top, P) + R
-    if hi <= lo:
+    s1 = den // P
+    span = (top - k0) * s1 + r  # hi - lo = span / den
+    if not span:
         raise MoranError("degenerate support: zero bin width")
-    s1 = math.lcm(P, R.denominator) // P
-    span = int((hi - lo) * P * s1)  # an integer: P s1 is a common denominator
+    lo, hi = Fraction(k0, P), Fraction(top * s1 + r, den)
     scaled = [[(f - low) * s1 * bins for f in F] for F, low in zip(factors, map(min, factors))]
     dtype = object if span >= 2**63 else _partial_sum_dtype(scaled)  # Python ints past int64
     split = len(scaled)  # the trailing factors' block: max(2**16, bins) sums amortize a bincount
@@ -271,13 +271,12 @@ def tiling_defects(T: IntervalUnion) -> tuple[Fraction, Fraction]:
     one denominator each interval is reduced mod 1 and cut at the integer it
     straddles, and one sweep measures the union (Lagarias-Wang 1996).
     """
-    den, ends = T._over_common_denominator()
-    pieces = []
-    for lo, hi in zip(ends[::2], ends[1::2]):
-        end = lo % den + min(hi - lo, den)  # length 1 already covers the period
-        pieces += [(lo % den, min(end, den)), (0, max(end - den, 0))]
-    covered = reach = 0
-    for a, b in sorted(pieces):
-        covered, reach = covered + max(b - max(a, reach), 0), max(reach, b)
-    length = sum(ends[1::2]) - sum(ends[::2])
-    return Fraction(den - covered, den), Fraction(length - covered, den)
+    den, (lo, hi) = T.den, np.asarray(T.ends).reshape(-1, 2).T
+    start = lo % den
+    end = start + np.minimum(hi - lo, den)  # length 1 already covers the period
+    wrap = int((end - den).max(initial=0))  # the pieces past 1 restart at 0: [0, wrap]
+    order = np.argsort(start, kind="stable")
+    a, b = start[order], np.minimum(end, den)[order]
+    reach = np.maximum.accumulate(np.concatenate(([wrap], b)))[:-1]  # before each piece
+    covered = Fraction(wrap + int(np.maximum(b - np.maximum(a, reach), 0).sum()), den)
+    return 1 - covered, T.total_length - covered

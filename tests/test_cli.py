@@ -225,6 +225,13 @@ class TestDensityTilingCommands:
         assert ("tiling by integer translates: no (gap 0, overlap 9/4)"
                 in capsys.readouterr().out)
 
+    def test_tiling_many_intervals(self, capsys):
+        path = str(corpus._data_root() / "pure_two_digit.moran")
+        assert main(["tiling", path, "--level", "12"]) == 0
+        out = capsys.readouterr().out
+        assert "4096 interval(s), hull [0, 7/12], length 8.13802e-05" in out
+        assert "tiling by integer translates: no (gap 12287/12288, overlap 0)" in out
+
     def test_colliding_words_count_with_multiplicity(self, system_file, capsys):
         path = system_file(COLLIDING)
         assert main(["density", path, "--level", "8"]) == 0
@@ -317,18 +324,18 @@ class TestErrorPaths:
         assert main(["density", system_file(FINAL), "--level", "2"]) == 0
         assert "level 2: 6 atoms" in capsys.readouterr().out
         assert main(["density", system_file(FINAL), "--level", "3"]) == 64
-        assert "has 12 atoms, more than the 6 that density builds" in capsys.readouterr().err
+        assert "has 12 atoms, more than the density cap of 6" in capsys.readouterr().err
         assert main(["tiling", system_file(FINAL), "--level", "2"]) == 0
         capsys.readouterr()
         assert main(["tiling", system_file(FINAL), "--level", "3"]) == 64
-        assert "has 12 atoms, more than the 6 that tiling builds" in capsys.readouterr().err
+        assert "has 12 atoms, more than the tiling cap of 6" in capsys.readouterr().err
 
     def test_spectrum_size_limit_is_inclusive(self, system_file, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_BUILT_POINTS", 6)
         assert main(["spectrum", system_file(FINAL), "--level", "2"]) == 0
         assert "level 2 spectrum: 6 points" in capsys.readouterr().out
         assert main(["qsum", system_file(FINAL), "--level", "3"]) == 64
-        assert "has 12 points, more than the 6 that qsum builds" in capsys.readouterr().err
+        assert "has 12 points, more than the qsum cap of 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, argv, message", [
         pytest.param(FINITE, ["certify"], "infinite system", id="certify-finite"),
@@ -384,7 +391,7 @@ class TestErrorPaths:
                      f"level 70 spectrum has {6 * 4**68} points", id="qsum-level-70"),
         # the same count of atoms: refused before any is built
         pytest.param(MIXED, ["density", "--level", "70"],
-                     f"level 70 has {6 * 4**68} atoms, more than the {2**28}",
+                     f"level 70 has {6 * 4**68} atoms, more than the density cap of {2**28}",
                      id="density-level-70"),
         pytest.param(MIXED, ["tiling", "--level", "70"],
                      f"level 70 has {6 * 4**68} atoms", id="tiling-level-70"),
@@ -393,7 +400,7 @@ class TestErrorPaths:
                      id="density-past-end"),
         # sizes past the caps are refused before any array is allocated
         pytest.param(FINAL, ["density", "--bins", "100000000000"],
-                     f"--bins 100000000000, more than the {2**20} that density builds",
+                     f"--bins 100000000000, more than the --bins cap of {2**20}",
                      id="density-bins-1e11"),
         pytest.param(FINAL, ["qsum", "--level", "2", "--grid", "100000000000"],
                      f"--grid must be between 1 and {2**20}",

@@ -15,8 +15,10 @@ support covers against the Python-int sum they replaced, and integer
 histogram bins against the Fraction floor (half the draws past int64), on
 colliding words too, counted with multiplicity.
 Normalized systems are checked against the raw signed levels they come
-from, integer interval lengths against the Fraction sum they replaced, and
-the column CSV writer against the per-value row formatter it replaced.
+from, integer interval lengths against the Fraction sum they replaced,
+interval-union queries against the Fraction intervals, covers on both sides
+of the int64 edge against Fraction oracles, and the column CSV writer
+against the per-value row formatter it replaced.
 """
 
 import math
@@ -175,6 +177,46 @@ def cover_oracle(system, n: int, nums) -> IntervalUnion:
     P, r = system.P(n), system.tail_max_sum(n)
     return IntervalUnion.from_intervals((Fraction(k, P), Fraction(k, P) + r)
                                         for k in nums)
+
+
+def tiling_oracle(T: IntervalUnion) -> tuple[Fraction, Fraction]:
+    """(gap, overlap) from the count of translates over the midpoint of each cell
+    of [0, 1) cut at the endpoints mod 1."""
+    cuts = sorted({Fraction(0), Fraction(1), *(x % 1 for pair in T.intervals for x in pair)})
+    gap = overlap = Fraction(0)
+    for a, b in zip(cuts, cuts[1:]):
+        x = (a + b) / 2  # x + k lies in [lo, hi] for ceil(lo - x) <= k <= floor(hi - x)
+        count = sum(math.floor(hi - x) - math.ceil(lo - x) + 1 for lo, hi in T.intervals)
+        gap += (b - a) * (count == 0)
+        overlap += (b - a) * max(count - 1, 0)
+    return gap, overlap
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_cover_at_int64_edge(excess):
+    # (p, {0, d}) then (4, {0, e}) cycling: at level 1 the tail radius is e/(3p),
+    # so den = 3p and the cover is [0, e] and [3d, 3d + e] over den; d puts the
+    # largest endpoint plus den at 2**63 - 1 + excess
+    p, e = 2**61 + 1, 1 + excess
+    d, rest = divmod(2**63 - 1 + excess - e - 3 * p, 3)
+    assert rest == 0
+    system = make_system(preamble=[(p, (0, d))], cycle=[(4, (0, e))])
+    cover = support_cover(system, 1)
+    assert cover.den == 3 * p and int(cover.ends[-1]) + cover.den == 2**63 - 1 + excess
+    assert cover.ends.dtype == (object if excess else np.int64)
+    assert cover == cover_oracle(system, 1, atoms(system, 1).numerators.tolist())
+    assert len(cover.intervals) == 2
+    assert cover.total_length == sum((hi - lo for lo, hi in cover.intervals), Fraction(0))
+    assert tiling_defects(cover) == tiling_oracle(cover)
+    for lo, hi in cover.intervals:  # one unit over den outside each end
+        step = Fraction(1, cover.den)
+        assert cover.contains(lo) and cover.contains(hi) and cover.distance_to(hi) == 0
+        assert not cover.contains(lo - step) and not cover.contains(hi + step)
+        assert cover.distance_to(lo - step) == cover.distance_to(hi + step) == step
+    # moved so that the last interval starts one unit below 1: with e = 2 it straddles 1
+    shift = Fraction(cover.den - 1 - int(cover.ends[-2]), cover.den)
+    moved = IntervalUnion.from_intervals((lo + shift, hi + shift) for lo, hi in cover.intervals)
+    assert moved.ends.dtype == object and tiling_defects(moved) == tiling_oracle(moved)
 
 
 def bin_oracle(words, tail: Fraction, bins: int) -> list[int]:
@@ -676,6 +718,21 @@ def test_total_length_matches_fraction_sum(pairs):
     assert T.total_length == oracle
     gap, overlap = tiling_defects(T)
     assert 1 - gap + overlap == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(FRACTIONS, FRACTIONS.map(abs)), max_size=6),
+       st.lists(st.tuples(FRACTIONS, FRACTIONS.map(abs)), max_size=6), FRACTIONS)
+def test_union_queries_match_fraction_intervals(pairs, other_pairs, x):
+    raw = [(Fraction(lo), lo + w) for lo, w in pairs]
+    T, U = IntervalUnion.from_intervals(raw), IntervalUnion.from_intervals(
+        (lo, lo + w) for lo, w in other_pairs)
+    assert T.contains(x) == any(lo <= x <= hi for lo, hi in raw)
+    if raw:
+        assert T.distance_to(x) == min(max(lo - x, x - hi, 0) for lo, hi in raw)
+    inside = all(any(a <= lo and hi <= b for a, b in U.intervals) for lo, hi in raw)
+    assert T.is_subset_of(U) == inside
+    assert T.is_subset_of(IntervalUnion.from_intervals(raw + list(U.intervals)))
 
 
 #: Values repeat within a column: signed zeros, both nan signs, infinities,
