@@ -22,6 +22,7 @@ from . import corpus
 from .certificates import certify
 from .core import LevelClass, MoranError, MoranSystem, parse_system
 from .density import (
+    EDGE_EXCLUDE,
     VERDICT_SPARSE,
     VERDICT_UNIFORM,
     density_histogram,
@@ -37,7 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_FILE = 66
 MAX_BUILT_POINTS = 2**20  # spectrum points (qsum: a time bound); qsum grid, density bins
-MAX_BUILT_ATOMS = 2**24  # tiling builds and sorts every atom (the corpus: thousands)
 MAX_BINNED_ATOMS = 2**28  # density bins its atoms block by block: a time bound
 
 
@@ -75,6 +75,13 @@ def finite_float(text: str) -> float:
     """argparse type for a float that is neither infinite nor nan."""
     if not np.isfinite(value := float(text)):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def tolerance(text: str) -> float:
+    """argparse type for a finite float that is not negative."""
+    if (value := finite_float(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value
 
 
@@ -148,7 +155,7 @@ def build_parser() -> _Parser:
     p.add_argument("--xmax", type=finite_float, default=5.0)
     p.add_argument("--depth", type=int, default=0,
                    help="evaluate against this tail depth instead of the level")
-    p.add_argument("--tol", type=finite_float, default=1e-9,
+    p.add_argument("--tol", type=tolerance, default=1e-9,
                    help="completeness tolerance on |Q - 1| (default 1e-9)")
 
     add("hadamard", "companion sets and unitarity residuals per level")
@@ -161,7 +168,7 @@ def build_parser() -> _Parser:
             output=True)
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--bins", type=int, default=4096)
-    p.add_argument("--tol", type=finite_float, default=0.1,
+    p.add_argument("--tol", type=tolerance, default=0.1,
                    help="relative tolerance for the uniformity check")
 
     p = add("tiling", "check integer-translate tiling of the support cover")
@@ -278,6 +285,9 @@ def cmd_density(args) -> int:
     refused_count(system, args, MAX_BINNED_ATOMS, "has {} atoms")
     if args.bins > MAX_BUILT_POINTS:
         raise UsageError(f"--bins {args.bins}, more than the --bins cap of {MAX_BUILT_POINTS}")
+    if 0 < args.bins <= 2 * EDGE_EXCLUDE:  # bins <= 0: density_histogram refuses them
+        raise UsageError(f"--bins {args.bins} leaves no interior bin: the uniformity "
+                         f"verdict drops {EDGE_EXCLUDE} at each end")
     hist = density_histogram(system, args.level, args.bins)
     lo, hi = hist.hull
     print(f"level {args.level}: {hist.atom_count} atoms on [{lo}, {hi}], "
@@ -297,9 +307,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_tiling(args) -> int:
-    system = load_system(args.system)
-    refused_count(system, args, MAX_BUILT_ATOMS, "has {} atoms")
-    cover = support_cover(system, args.level)
+    cover = support_cover(load_system(args.system), args.level)
     lo, hi = cover.hull
     print(f"support cover at level {args.level}: {len(cover.ends) // 2} "
           f"interval(s), hull [{lo}, {hi}], length {float(cover.total_length):.6g}")

@@ -2,11 +2,12 @@
 
 When every level satisfies Phi(n) = p_n the Moran measure is absolutely
 continuous; its support can then be approximated from outside by finite
-unions of closed intervals, its density estimated by histograms of the level
-atoms (integer numerators over P_n), and the tiling of the line by integer
-translates of the support decided exactly by one sweep mod 1.  Interval
-endpoints are integers over one denominator; only the density values are
-floating point.
+unions of closed intervals, built level by level from the tile equation
+with no atom formed, its density estimated by histograms of the level
+atoms (integer numerators over P_n, binned from the level factors), and the
+tiling of the line by integer translates of the support decided exactly by
+one sweep mod 1.  Interval endpoints are integers over one denominator; only
+the density values are floating point.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (MoranError, MoranSystem, _atom_factors, _factor_extremes, _outer_sums,
-                   _partial_sum_dtype, atoms)
+                   _partial_sum_dtype)
 
 
 def _ends_dtype(first: int, last: int, den: int):
@@ -97,12 +98,6 @@ class IntervalUnion:
         # else between the ends i - 1 and i, if they exist
         return min(abs(int(e) - x) for e in self.ends[max(i - 1, 0):i + 1]) / self.den
 
-    def gaps(self) -> list[tuple[Fraction, Fraction]]:
-        return [
-            (self.intervals[k][1], self.intervals[k + 1][0])
-            for k in range(len(self.intervals) - 1)
-        ]
-
     def is_subset_of(self, other: "IntervalUnion") -> bool:
         return IntervalUnion.from_intervals(self.intervals + other.intervals) == other
 
@@ -112,9 +107,9 @@ class IntervalUnion:
         def directed(a: "IntervalUnion", b: "IntervalUnion") -> Fraction:
             # d(., b) peaks at endpoints of a and at gap midpoints of b
             cands = [x for pair in a.intervals for x in pair]
-            cands += [
-                (lo + hi) / 2 for lo, hi in b.gaps() if a.contains((lo + hi) / 2)
-            ]
+            ends = np.asarray(b.ends).tolist()  # gap k runs from ends[2k + 1] to ends[2k + 2]
+            mids = (Fraction(hi + lo, 2 * b.den) for hi, lo in zip(ends[1::2], ends[2::2]))
+            cands += [x for x in mids if a.contains(x)]
             return max(b.distance_to(x) for x in cands)
 
         if self.is_empty or other.is_empty:
@@ -129,22 +124,55 @@ def _over_tail_denominator(system: MoranSystem, level: int) -> tuple[int, int, i
     return P, den, R.numerator * (den // R.denominator)
 
 
+#: Intervals the support cover may hold in flight: a step of the recursion
+#: can hold more than the merged cover, so the cap is checked per step.
+MAX_COVER_INTERVALS = 2**24
+#: A cover that may overlap or be out of order is merged at this many rows.
+_MERGE_ROWS = 2**10
+
+
+def _merged(rows: np.ndarray) -> np.ndarray:
+    """(m, 2) closed intervals, sorted by start, touching ones merged."""
+    order = np.argsort(rows[:, 0], kind="stable")  # a step's copies are sorted runs
+    lo, reach = rows[order, 0], np.maximum.accumulate(rows[order, 1])
+    cut = lo[1:] > reach[:-1]  # an interval ends before each cut, the next starts after
+    return np.column_stack((lo[np.concatenate(([True], cut))],
+                            reach[np.concatenate((cut, [True]))]))
+
+
 def support_cover(system: MoranSystem, level: int) -> IntervalUnion:
-    """Outer cover of the support: one interval [x, x + R] per level atom.
+    """Outer cover of the support: the level-n words plus [0, R], merged.
 
     R is the exact tail radius sum_{i > level} max(D_i)/P_i, so the cover
-    contains the support and shrinks to it as the level grows.  Neighbouring
-    atoms k/P < k'/P share an interval iff k' - k <= floor(R P); the cut is
-    made on the numerators over P, and only the kept ends are scaled to den.
+    contains the support and shrinks to it as the level grows.  Over den,
+    with R = r/den, the cover follows the tile equation (Lagarias-Wang
+    1996) from the bottom up, J_n = [0, r] and J_{i-1} = U_{d in D_i}
+    (d den/P_i + J_i), to J_0; the union distributes over the digit words,
+    so no atom is formed.  Each step adds the sorted shifts to every
+    interval at once.  Shifts spaced wider than J_i's hull give disjoint
+    copies already in order; closer ones mark the rows for a merge (sort by
+    start, running maximum of the ends), made at ``_MERGE_ROWS`` rows, before
+    a step that would pass ``MAX_COVER_INTERVALS`` and at the end.  A step
+    that passes the cap even from merged rows raises ValueError.
     """
-    nums = atoms(system, level).numerators
+    factors = _atom_factors(system, level)
     P, den, r = _over_tail_denominator(system, level)
-    s = den // P
-    cut = np.diff(nums) > r // s  # an interval ends before each cut, the next starts after
-    starts, stops = nums[np.r_[True, cut]], nums[np.r_[cut, True]]
-    dtype = _ends_dtype(int(starts[0]) * s, int(stops[-1]) * s + r, den)
-    ends = np.column_stack((starts.astype(dtype) * s, stops.astype(dtype) * s + r)).ravel()
-    return IntervalUnion(ends, den)
+    shifts = [sorted(f * (den // P) for f in F) for F in factors]
+    first, last = _factor_extremes(shifts)
+    dtype = _ends_dtype(first, last + r, den)
+    rows, width, dirty = np.array([[0, r]], dtype=dtype), r, False
+    for S in reversed(shifts):
+        if dirty and len(rows) * len(S) > MAX_COVER_INTERVALS:
+            rows, dirty = _merged(rows), False
+        if len(rows) * len(S) > MAX_COVER_INTERVALS:
+            raise ValueError(f"a level {level} support cover step of {len(rows) * len(S)} "
+                             f"intervals, more than the cover cap of {MAX_COVER_INTERVALS}")
+        dirty = dirty or any(b - a <= width for a, b in zip(S, S[1:]))
+        rows = (np.array(S, dtype=dtype)[:, None, None] + rows).reshape(-1, 2)
+        width += S[-1] - S[0]
+        if dirty and len(rows) >= _MERGE_ROWS:
+            rows, dirty = _merged(rows), False
+    return IntervalUnion((_merged(rows) if dirty else rows).ravel(), den)
 
 
 @dataclass(frozen=True)
@@ -229,12 +257,16 @@ def uniformity_check(histogram: Histogram | np.ndarray, tol: float) -> bool:
     Agreement is relative deviation from the mean of those bins.  For an
     absolutely continuous measure a False verdict rules out spectrality,
     since such a spectral measure must be uniform on its support.  Accepts a
-    Histogram or a bare density array.
+    Histogram or a bare density array; raises ValueError when dropping
+    EDGE_EXCLUDE bins at each end leaves none.
     """
     if isinstance(histogram, Histogram):
         dens = histogram.density
     else:
         dens = np.asarray(histogram, dtype=float)
+    if len(dens) <= 2 * EDGE_EXCLUDE:
+        raise ValueError(f"{len(dens)} bins leave no interior bin once "
+                         f"{EDGE_EXCLUDE} are dropped at each end")
     dens = dens[EDGE_EXCLUDE:-EDGE_EXCLUDE]
     dens = dens[dens > 0]
     if dens.size == 0:

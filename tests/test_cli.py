@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moranspec import (certificates, cli, corpus, density_histogram, level_spectrum, parse_system,
-                       q_sum_finite)
+from moranspec import (certificates, cli, corpus, density, density_histogram, level_spectrum,
+                       parse_system, q_sum_finite)
 from moranspec.cli import main, parse_sigma
 
 from conftest import row_formatter_csv
@@ -25,6 +25,8 @@ LARGE_POINTS = "cycle: (36,{0,31}) (57,{0,1,20})\n"
 T1_CYCLE = "cycle: (8,{0,1,2,3})\n"
 # 1/2 + 0/4 = 0/2 + 2/4: digit words collide
 COLLIDING = "cycle: (2,{0,1,2})\n"
+# copies one unit apart under a one-unit hull: the cover has (3**n + 1)/2 intervals
+CANTOR = "cycle: (4,{0,1,3})\n"
 
 
 @pytest.fixture
@@ -118,8 +120,8 @@ class TestSpectrumCommands:
         out = capsys.readouterr().out
         assert out.startswith("Q over [-20000000.0, -10000000.0] at 200 points")
         assert "  complete at tolerance 1e-09" in out
-        args = cli.build_parser().parse_args(["qsum", path, "--tol", "-1E-9", "--xmax", "-.5e+1"])
-        assert (args.tol, args.xmax) == (-1e-9, -5.0)
+        args = cli.build_parser().parse_args(["qsum", path, "--xmin", "-1E-9", "--xmax", "-.5e+1"])
+        assert (args.xmin, args.xmax) == (-1e-9, -5.0)
 
     def test_qsum_with_depth(self, system_file, capsys):
         assert main(["qsum", system_file(ALTERNATING), "--level", "3",
@@ -241,6 +243,27 @@ class TestDensityTilingCommands:
         assert main(["tiling", path, "--level", "8"]) == 0
         assert "1 interval(s), hull [0, 2], length 2" in capsys.readouterr().out
 
+    def test_tiling_one_interval_over_more_atoms_than_the_cap(self, system_file, capsys,
+                                                              monkeypatch):
+        # 6**10 words, never more than 6 intervals in flight once merged
+        monkeypatch.setattr(density, "MAX_COVER_INTERVALS", 6)
+        assert main(["tiling", system_file(FINAL), "--level", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "support cover at level 20: 1 interval(s), hull [0, 1], length 1" in out
+        assert "tiling by integer translates: yes (gap 0, overlap 0)" in out
+
+    def test_tiling_cover_cap_counts_merged_intervals(self, system_file, capsys, monkeypatch):
+        # at level 5 the last step starts from 81 rows, 41 once merged: 3 * 41 = 123
+        path = system_file(CANTOR)
+        monkeypatch.setattr(density, "MAX_COVER_INTERVALS", 123)
+        assert main(["tiling", path, "--level", "5"]) == 0
+        assert "support cover at level 5: 122 interval(s)" in capsys.readouterr().out
+        monkeypatch.setattr(density, "MAX_COVER_INTERVALS", 122)
+        assert main(["tiling", path, "--level", "5"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "a level 5 support cover step of 123 intervals, more than the cover cap of 122" in err
+
 
 def csv_columns(rows) -> list:
     """The columns of rows for write_csv: float columns as float64 arrays."""
@@ -320,15 +343,17 @@ class TestErrorPaths:
 
     def test_atom_limit_is_inclusive(self, system_file, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_BINNED_ATOMS", 6)
-        monkeypatch.setattr(cli, "MAX_BUILT_ATOMS", 6)
+        monkeypatch.setattr(density, "MAX_COVER_INTERVALS", 8)
         assert main(["density", system_file(FINAL), "--level", "2"]) == 0
         assert "level 2: 6 atoms" in capsys.readouterr().out
         assert main(["density", system_file(FINAL), "--level", "3"]) == 64
         assert "has 12 atoms, more than the density cap of 6" in capsys.readouterr().err
-        assert main(["tiling", system_file(FINAL), "--level", "2"]) == 0
-        capsys.readouterr()
-        assert main(["tiling", system_file(FINAL), "--level", "3"]) == 64
-        assert "has 12 atoms, more than the tiling cap of 6" in capsys.readouterr().err
+        # pure two-digit steps never merge: level n holds 2**n intervals
+        assert main(["tiling", system_file(PURE_T3), "--level", "3"]) == 0
+        assert "level 3: 8 interval(s)" in capsys.readouterr().out
+        assert main(["tiling", system_file(PURE_T3), "--level", "4"]) == 64
+        assert ("a level 4 support cover step of 16 intervals, more than the cover cap of 8"
+                in capsys.readouterr().err)
 
     def test_spectrum_size_limit_is_inclusive(self, system_file, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_BUILT_POINTS", 6)
@@ -367,6 +392,16 @@ class TestErrorPaths:
                      "argument --tol: must be a finite number", id="qsum-tol-nan"),
         pytest.param(FINAL, ["density", "--tol", "nan"],
                      "argument --tol: must be a finite number", id="density-tol-nan"),
+        pytest.param(FINAL, ["qsum", "--level", "4", "--tol", "-1e-9"],
+                     "argument --tol: must be nonnegative, got '-1e-9'", id="qsum-tol-negative"),
+        pytest.param(FINAL, ["density", "--tol", "-0.1"],
+                     "argument --tol: must be nonnegative, got '-0.1'",
+                     id="density-tol-negative"),
+        # EDGE_EXCLUDE = 2 bins dropped at each end leave no bin to judge uniformity by
+        pytest.param(FINAL, ["density", "--level", "8", "--bins", "4"],
+                     "--bins 4 leaves no interior bin", id="density-bins-4"),
+        pytest.param(FINAL, ["density", "--bins", "1"],
+                     "--bins 1 leaves no interior bin", id="density-bins-1"),
         # a sign prefix is no number: a leading '-' still needs --sigma=-+
         pytest.param(FINAL, ["spectrum", "--sigma", "-+"],
                      "argument --sigma: expected one argument", id="spectrum-sigma-leading-minus"),
@@ -393,8 +428,10 @@ class TestErrorPaths:
         pytest.param(MIXED, ["density", "--level", "70"],
                      f"level 70 has {6 * 4**68} atoms, more than the density cap of {2**28}",
                      id="density-level-70"),
+        # the 4-digit cycle steps never merge: 4**13 intervals at the 13th
         pytest.param(MIXED, ["tiling", "--level", "70"],
-                     f"level 70 has {6 * 4**68} atoms", id="tiling-level-70"),
+                     f"step of {4**13} intervals, more than the cover cap of {2**24}",
+                     id="tiling-level-70"),
         pytest.param(FINITE, ["density", "--level", "5"],
                      "level 5 requested from a finite system of 2 levels",
                      id="density-past-end"),

@@ -168,6 +168,12 @@ class TestUniformity:
     def test_constant_array(self):
         assert uniformity_check(np.full(64, 3.7), 1e-9)
 
+    def test_no_interior_bin_raises(self, final_system):
+        # EDGE_EXCLUDE = 2 bins dropped at each end: 4 bins leave none to judge by
+        with pytest.raises(ValueError, match="4 bins leave no interior bin"):
+            uniformity_check(density_histogram(final_system, 8, 4), 0.1)
+        assert uniformity_check(np.ones(5), 0)
+
     def test_sparse_verdict(self):
         s = make_system(cycle=[(4, (0, 2))])
         hist = density_histogram(s, 10, 1024)

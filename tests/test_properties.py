@@ -11,7 +11,8 @@ float xi, the closed-form next-level bound against the sampled angle mesh
 it replaced, the covered certificate epsilon against |tail| at every
 spectrum point of three checkpoints of its class, the exact tiling defects
 against the midpoint-probe loop they replaced, int64 atoms and their
-support covers against the Python-int sum they replaced, and integer
+support covers against the Python-int sum they replaced, the cover's level
+recursion across its merge point against the cover of the atoms, and integer
 histogram bins against the Fraction floor (half the draws past int64), on
 colliding words too, counted with multiplicity.
 Normalized systems are checked against the raw signed levels they come
@@ -25,6 +26,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ from moranspec import (
     check_orthogonal,
     classify_level,
     construct_L,
+    density,
     density_histogram,
     epsilon_next_level,
     f_eval,
@@ -177,6 +180,37 @@ def cover_oracle(system, n: int, nums) -> IntervalUnion:
     P, r = system.P(n), system.tail_max_sum(n)
     return IntervalUnion.from_intervals((Fraction(k, P), Fraction(k, P) + r)
                                         for k in nums)
+
+
+def dense_level(rng) -> tuple[int, tuple[int, ...]]:
+    """Digits 0, 1 and p, maybe one more up to 2p: a level under it spans at
+    least one unit, so its copies one unit apart must merge, and its digit p
+    collides with digit 1 one level up."""
+    p = int(rng.integers(2, 7))
+    return p, (0, 1, p) + ((int(rng.integers(p + 1, 2 * p + 1)),) if rng.integers(2) else ())
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.booleans())
+def test_cover_recursion_across_merge_point(seed, dense_top):
+    # Levels top down: [dense], (p, {0, p - 1}), then dense levels down to the
+    # first level n whose dense run holds 2**10 words.  The run's steps overlap
+    # and merge once, at its top level; everything under (p, {0, p - 1}) spans at
+    # most 4 < p - 1 units, so that step needs no merge; the dense top must merge.
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(6, 41))
+    preamble = [dense_level(rng)] * dense_top + [(p, (0, p - 1))]
+    system = make_system(preamble=preamble,
+                         cycle=[dense_level(rng) for _ in range(int(rng.integers(1, 3)))])
+    n = len(preamble)
+    while system.phi_product(n) < 2**10 * system.phi_product(len(preamble)):
+        n += 1
+    nums = atoms(system, n).numerators.tolist()
+    assert len(set(nums)) < len(nums)  # words collide; the oracle needs each atom once
+    with mock.patch.object(density, "_merged", wraps=density._merged) as merged:
+        assert support_cover(system, n) == cover_oracle(system, n, set(nums))
+    rows = [len(call.args[0]) for call in merged.call_args_list]
+    assert len(rows) == 1 + dense_top and rows[0] >= density._MERGE_ROWS
 
 
 def tiling_oracle(T: IntervalUnion) -> tuple[Fraction, Fraction]:
