@@ -146,7 +146,8 @@ def build_parser() -> _Parser:
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--sigma", default="")
 
-    p = add("qsum", "quadratic sum Q(xi) of the level-n spectrum on a grid",
+    p = add("qsum", "quadratic sum Q(xi) of the level-n spectrum on a grid; at depth = "
+            "level, decided exactly from the orthogonality of the level factors",
             output=True)
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--sigma", default="")
@@ -156,7 +157,8 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=0,
                    help="evaluate against this tail depth instead of the level")
     p.add_argument("--tol", type=tolerance, default=1e-9,
-                   help="completeness tolerance on |Q - 1| (default 1e-9)")
+                   help="completeness tolerance on |Q - 1| of a float evaluation "
+                        "(default 1e-9); an exact decision passes at any tolerance")
 
     add("hadamard", "companion sets and unitarity residuals per level")
 
@@ -235,7 +237,7 @@ def cmd_ortho(args) -> int:
 
 
 def cmd_qsum(args) -> int:
-    system, pts, _ = built_spectrum(args)
+    system, pts, q = built_spectrum(args)
     if args.depth < 0:
         raise UsageError("--depth must be nonnegative (0 means the level)")
     depth = args.depth or args.level
@@ -244,13 +246,18 @@ def cmd_qsum(args) -> int:
     if not 1 <= args.grid <= MAX_BUILT_POINTS:
         raise UsageError(f"--grid must be between 1 and {MAX_BUILT_POINTS}")
     xs = np.linspace(args.xmin, args.xmax, args.grid)
-    qs = q_sum_finite(system, depth, pts, xs)
+    # q orthogonal exponentials on a measure of at most q atoms are a basis: Q = 1
+    exact = depth == args.level and check_orthogonal(system, pts, max_level=args.level).passed
+    qs = np.ones(args.grid) if exact else q_sum_finite(system, depth, pts, xs)
     print(f"Q over [{args.xmin}, {args.xmax}] at {args.grid} points, "
           f"level {args.level}, depth {depth}:")
     dev = float(np.max(np.abs(qs - 1.0)))
     print(f"  min {qs.min():.12f}  max {qs.max():.12f}  max|Q-1| {dev:.3g}")
+    if exact:
+        print(f"  decided exactly: the {q} points are orthogonal for the level-{depth} "
+              f"measure, so Q = 1 at every xi")
     if depth == args.level:
-        verdict = "complete" if dev < args.tol else "NOT complete"
+        verdict = "complete" if exact or dev < args.tol else "NOT complete"
         print(f"  {verdict} at tolerance {args.tol:g}")
     if args.output:
         write_csv(args.output, ["xi", "Q"], [xs, qs])

@@ -216,34 +216,29 @@ def check_orthogonal(
 _BLOCK_ENTRIES = 2**13
 
 
-def _level_terms(system: MoranSystem, m: int, nodes: np.ndarray, xi: np.ndarray,
-                 children: Sequence[int] = (0,)):
-    """Level m's |mask|^2 = 1/N + sum_delta (2 c_delta / N^2) cos 2 pi delta (r + xi) / P_m,
-    summed over the children r = nu + f, f in ``children``, of each node nu.
+def _level_terms(system: MoranSystem, m: int, nodes: np.ndarray, xi: np.ndarray):
+    """Level m's |mask|^2 = 1/N + sum_delta (2 c_delta / N^2) cos 2 pi delta (r + xi) / P_m.
 
-    Returns |children|/N and, per distinct digit difference delta > 0 of
-    multiplicity c_delta, the cos and sin of 2 pi delta xi / P_m per grid
-    point and, per node nu, the sum over f of the cos and sin of
-    2 pi (delta (nu + f) mod P_m) / P_m, scaled by 2 c_delta / N^2.  The
-    default single child 0 is the plain level.  Residues are exact, and xi
-    is reduced mod P_m once for every delta (fmod is exact, and leaves
-    |xi| < P_m as it is), so all of a level's terms see one xi.
+    Returns 1/N and, per distinct digit difference delta > 0 of multiplicity
+    c_delta, the cos and sin of 2 pi delta xi / P_m per grid point and of
+    2 pi (delta r mod P_m) / P_m per node r, the latter scaled by
+    2 c_delta / N^2.  Nodes are reduced exactly, and xi mod P_m once for
+    every delta (fmod is exact, and leaves |xi| < P_m as it is), so all of a
+    level's terms see one xi.
     """
     digits = system.digit_set(m).digits
     N, Pm = len(digits), system.P(m)
     counts = Counter(b - a for a, b in combinations(digits, 2))
-    # residue sums reach 2 P_m, their multiples max(delta) P_m
-    if nodes.dtype == object or max(2, max(counts)) * Pm >= 2**63:
+    if nodes.dtype == object or max(counts) * Pm >= 2**63:
         nodes = nodes.astype(object)  # exact Python ints past the int64 range
-    low = np.array([f % Pm for f in children], dtype=nodes.dtype)
-    r, u = np.add.outer(low, nodes % Pm) % Pm, np.fmod(xi, Pm) / Pm
+    r, u = nodes % Pm, np.fmod(xi, Pm) / Pm
     terms = []
     for delta, c in counts.items():
         at_x = 2 * math.pi * (delta * u)
         at_r = 2 * math.pi * np.asarray(delta * r % Pm / Pm, dtype=np.float64)
-        terms.append((np.cos(at_x), np.sin(at_x), 2 * c / N**2 * np.cos(at_r).sum(axis=0),
-                      2 * c / N**2 * np.sin(at_r).sum(axis=0)))
-    return len(children) / N, terms
+        terms.append((np.cos(at_x), np.sin(at_x),
+                      2 * c / N**2 * np.cos(at_r), 2 * c / N**2 * np.sin(at_r)))
+    return 1 / N, terms
 
 
 def _level_weights(level, rows: slice) -> np.ndarray:
@@ -270,14 +265,13 @@ def q_sum_finite(
     F_1 + ... + F_m: a SpectrumLevel whose factors nest (see ``_nested``),
     else one factor holding the points.  Level m's mask depends on a point
     only through its level-m node, so Q = sum_{f_1} W_1 sum_{f_2} W_2 ... is
-    folded bottom-up, levels past the tree multiplying at its leaves.  When
-    no level lies past the tree, the deepest level's sum over its factor is
-    taken per parent node in closed form (see ``_level_terms``), so no
-    (grid x points) array is built.  Each level's sum over a factor is 1 at
-    any xi for a spectrum, and every level sees one xi mod P_m, so Q stays 1
-    to rounding at any float xi.  The product stops where ``_last_level``
-    says for the larger of max|xi| and max|lambda|, the latter read off the
-    factors' extremes.
+    folded bottom-up, levels past the tree multiplying at its leaves.  Each
+    level's sum over a factor is 1 at any xi for a spectrum, and every level
+    sees one xi mod P_m, so Q stays 1 to rounding at any float xi.  The
+    product stops where ``_last_level`` says for the larger of max|xi| and
+    max|lambda|, the latter read off the factors' extremes.  At the points'
+    own level ``check_orthogonal`` decides Q = 1 exactly from the factors
+    (the CLI's route); this float sum serves deeper levels and failing sets.
     """
     system.P(n)  # a level past a finite system's end is named as requested
     x = np.asarray(xi, dtype=np.float64)
@@ -291,24 +285,18 @@ def q_sum_finite(
     low, high = _factor_extremes(factors)
     last, _ = _last_level(system, 0, n, max(float(np.max(np.abs(x), initial=0.0)), high, -low))
     depth = len(factors)
-    # With no mask level below the tree, the deepest level is summed over its
-    # factor on the node side, and its nodes (the leaves) are never built.
-    fold = 0 < depth and last <= depth
-    nodes = _outer_sums(factors[:depth - fold], _partial_sum_dtype(factors))
-    levels = {m: _level_terms(system, m, nodes[min(m, len(nodes) - 1)], flat,
-                              factors[-1] if fold and m == depth else (0,))
+    nodes = _outer_sums(factors, _partial_sum_dtype(factors))
+    levels = {m: _level_terms(system, m, nodes[min(m, depth)], flat)
               for m in range(1, last + 1) if system.phi(m) > 1}  # one digit: |mask| = 1
-    # a folded level with |mask| = 1 sums |F| ones per parent
-    fill = float(len(factors[-1])) if fold and depth not in levels else 1.0
     q = np.empty(flat.shape)
     step = max(1, _BLOCK_ENTRIES // max(len(nodes[-1]), 1))
     for k in range(0, len(flat), step):
         rows, b = slice(k, k + step), min(step, len(flat) - k)
-        acc = np.full((b, len(nodes[-1])), fill)
+        acc = np.ones((b, len(nodes[-1])))
         for m in range(max(depth, last), 0, -1):
             if m in levels:
                 acc *= _level_weights(levels[m], rows)
-            if m < len(nodes):  # sum each level-(m-1) node's children
+            if m <= depth:  # sum each level-(m-1) node's children
                 acc = acc.reshape(b, len(factors[m - 1]), len(nodes[m - 1])).sum(axis=1)
         q[rows] = acc[:, 0]
     return float(q[0]) if x.ndim == 0 else q.reshape(x.shape)

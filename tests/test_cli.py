@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from moranspec import (certificates, cli, corpus, density, density_histogram, level_spectrum,
-                       parse_system, q_sum_finite)
+                       parse_system, q_sum_finite, spectrum)
 from moranspec.cli import main, parse_sigma
+from moranspec.spectrum import OrthogonalityReport
 
 from conftest import row_formatter_csv
 
@@ -104,6 +105,40 @@ class TestSpectrumCommands:
         out = capsys.readouterr().out
         assert "  complete at tolerance 1e-09" in out
         assert float(re.search(r"max\|Q-1\| (\S+)", out).group(1)) < 1e-12
+        # decided exactly, so complete at any tolerance
+        assert main(["qsum", system_file(LARGE_POINTS), "--level", "6", sigma, "--tol", "0"]) == 0
+        assert "\n  complete at tolerance 0\n" in capsys.readouterr().out
+
+    def test_qsum_decided_exactly_builds_no_point(self, capsys, monkeypatch):
+        calls = []
+        for module, name in ((cli, "q_sum_finite"), (spectrum, "minkowski_sum")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        # each corpus system at its last admissible level up to 6, and 2**20 points
+        for name, level, q in [("mixed_classes", 6, 1536), ("pure_two_digit", 6, 64),
+                               ("unit_interval_tile", 6, 216), ("skewed_two_digit", 1, 2),
+                               ("nonuniform_density", 0, 1), ("pure_two_digit", 20, 2**20)]:
+            path = str(corpus._data_root() / f"{name}.moran")
+            assert main(["qsum", path, "--level", str(level)]) == 0
+            out = capsys.readouterr().out
+            assert f"  decided exactly: the {q} points are orthogonal" in out
+            assert "  min 1.000000000000  max 1.000000000000  max|Q-1| 0\n" in out
+            assert "\n  complete at tolerance 1e-09\n" in out
+        assert calls == []
+
+    def test_qsum_failing_orthogonality_takes_float_route(self, system_file, capsys, monkeypatch):
+        calls = []
+
+        def failing(system, pts, max_level=None):
+            calls.append(max_level)
+            return OrthogonalityReport(len(pts), 0, ((0, 1),), ())
+
+        monkeypatch.setattr(cli, "check_orthogonal", failing)
+        assert main(["qsum", system_file(FINAL), "--level", "4", "--grid", "7", "--tol", "0"]) == 0
+        out = capsys.readouterr().out
+        assert calls == [4] and "decided exactly" not in out
+        dev = float(re.search(r"max\|Q-1\| (\S+)", out).group(1))
+        assert 0 < dev < 1e-12  # the float sum, not an exact 1
+        assert "\n  NOT complete at tolerance 0\n" in out
 
     def test_qsum_complete_far_from_origin(self, capsys):
         # per-point float arguments once read max|Q-1| 2.9e-9 here: NOT complete
@@ -304,10 +339,16 @@ class TestWriteCsv:
         pts = level_spectrum(system, 5).points
         assert out_csv.read_text().split("\n") == row_formatter_csv(
             ["index", "lambda"], enumerate(pts)).split("\n")
+        xs = np.linspace(-5.0, 5.0, 9)
+        # at depth = level, Q is decided exactly: every value is 1
         assert main(["qsum", path, "--level", "3", "--grid", "9", "-o",
                      str(out_csv)]) == 0
-        xs = np.linspace(-5.0, 5.0, 9)
-        qs = q_sum_finite(system, 3, level_spectrum(system, 3), xs)
+        assert out_csv.read_text().split("\n") == row_formatter_csv(
+            ["xi", "Q"], zip(xs.tolist(), [1.0] * 9)).split("\n")
+        # past the level, the float sum is written
+        assert main(["qsum", path, "--level", "3", "--depth", "4", "--grid", "9", "-o",
+                     str(out_csv)]) == 0
+        qs = q_sum_finite(system, 4, level_spectrum(system, 3), xs)
         assert out_csv.read_text().split("\n") == row_formatter_csv(
             ["xi", "Q"], zip(xs.tolist(), qs.tolist())).split("\n")
 
@@ -340,6 +381,14 @@ class TestErrorPaths:
 
     def test_structural_error_file(self, system_file, capsys):
         assert main(["validate", system_file("cycle: (1,{0,1})")]) == 66
+
+    @pytest.mark.parametrize("command", ["spectrum", "ortho", "qsum"])
+    def test_inadmissible_level(self, system_file, capsys, command):
+        path = system_file("cycle: (9,{0,1,2}) (5,{0,1})\n")
+        assert main([command, path, "--level", "2"]) == 66
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("system file error: level 2 not admissible: p/gcd(d,p) = 5")
 
     def test_atom_limit_is_inclusive(self, system_file, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_BINNED_ATOMS", 6)

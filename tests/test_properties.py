@@ -547,6 +547,7 @@ def test_q_sum_of_spectra_is_one_at_large_xi(seed, n, sigma, xs):
     while n > 1 and system.phi_product(n) > 3000:
         n -= 1
     pts = level_spectrum(system, n, sigma)
+    assert check_orthogonal(system, pts, max_level=n).passed  # so Q is 1 exactly
     assert np.max(np.abs(q_sum_finite(system, n, pts, np.array(xs)) - 1.0)) <= 1e-13
 
 

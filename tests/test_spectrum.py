@@ -215,28 +215,9 @@ class TestQSumFinite:
         assert u * Pm == xi
         assert cos_x[0] == np.cos(2 * np.pi * u) and sin_x[0] == np.sin(2 * np.pi * u)
 
-    @pytest.mark.parametrize("name, m, children", [
-        ("alternating_system", 1, (0, 3, -3)),
-        ("alternating_system", 2, (0, 18, -9, 2**70 + 3)),
-        ("dyadic_system", 71, (0, 2**71 - 1, -(3 * 2**80) - 5)),
-    ])
-    def test_level_terms_sum_children(self, request, name, m, children):
-        # the children's sum is taken on the node side, from exact residues
-        system = request.getfixturevalue(name)
-        nodes, xi = np.array([0, 5, -7, 2**62]), np.array([0.3, -2.0])
-        base, terms = _level_terms(system, m, nodes, xi, children)
-        plain = [_level_terms(system, m, np.array([nu + f for nu in nodes.tolist()],
-                                                  dtype=object), xi) for f in children]
-        assert base == len(children) * plain[0][0]
-        for k, (cos_x, sin_x, cos_r, sin_r) in enumerate(terms):
-            assert np.array_equal(cos_x, plain[0][1][k][0])
-            assert np.array_equal(sin_x, plain[0][1][k][1])
-            assert np.max(np.abs(cos_r - sum(p[1][k][2] for p in plain))) < 1e-15
-            assert np.max(np.abs(sin_r - sum(p[1][k][3] for p in plain))) < 1e-15
-
     def test_fold_assumes_no_hadamard_companion(self, alternating_system):
         # (0, 18) nests over P_1 = 9 but is no companion of (4,{0,2}) over it:
-        # the deepest level is still summed over its factor, not taken as 1
+        # the fold sums every level over its factor and takes no sum as 1
         pts = SpectrumLevel(2, (1,), ((0, 3, -3), (0, 18)))
         xs = np.linspace(-3, 3, 61)
         folded = q_sum_finite(alternating_system, 2, pts, xs)
