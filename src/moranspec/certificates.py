@@ -227,7 +227,9 @@ def _class_range(system: MoranSystem, n_k: int, sig) -> tuple[Fraction, Fraction
     """
     P0, n1 = system.P(n_k), n_k + len(system.cycle)
     C = system.P(n1) // P0
-    (lo0, hi0), (lo1, hi1) = (_lambda_extremes(system, n, sig) for n in (n_k, n1))
+    factors = level_factors(system, n1, sig)[0]  # level n_k's are its first n_k
+    (lo0, hi0), (lo1, hi1) = ([Fraction(e, system.P(n)) for e in _factor_extremes(factors[:n])]
+                              for n in (n_k, n1))
     return (min(lo0, (lo1 * C - lo0) / (C - 1)) - Fraction(1, P0),
             max(hi0, (hi1 * C - hi0) / (C - 1)) + Fraction(1, P0))
 
@@ -253,8 +255,8 @@ def _cover_class(tail: MoranSystem, lo: Fraction, hi: Fraction, depth: int):
             return 0.0, cells, evals, f"no covering within {_MAX_EVALUATIONS} evaluations"
         evals += len(a)
         mid = (a + b) / 2
-        val, err = fourier_tail(tail, 0, np.concatenate((mid, np.maximum(-a, b))), depth)
-        g, err = np.abs(val[:len(a)]), err[len(a):]
+        val, err = fourier_tail(tail, 0, mid, depth, np.maximum(-a, b))
+        g = np.abs(val)
         if g.min() < BOUND_FLOOR:
             return 0.0, cells, evals, f"tail value {g.min():.3g} at y = {mid[g.argmin()]:.17g}"
         # B may reach 2, and two negative factors must not make a positive bound

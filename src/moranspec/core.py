@@ -510,20 +510,27 @@ def _last_level(system: MoranSystem, lo: int, hi: int, scale) -> tuple[int, floa
     return m, stop
 
 
-def _mask_product(system: MoranSystem, lo: int, hi: int, xi):
+def _mask_product(system: MoranSystem, lo: int, hi: int, xi, reach=None):
     """Product of mask(D_i, xi/P_i) over lo < i <= hi, and a scale S.
 
-    The product stops where ``_last_level`` says; the float-sized S <= P_m
-    bounds every omitted factor as P_m does, past hi too.
+    The product stops where ``_last_level`` says for max|reach| (default
+    xi); the float-sized S <= P_m bounds every omitted factor as P_m does,
+    past hi too.  Each digit set's mask is evaluated once, over its levels.
     """
     system.P(hi)  # a level past a finite system's end is named as requested
     x = np.asarray(xi, dtype=np.float64)
-    last, stop = _last_level(system, lo, hi, float(np.max(np.abs(x), initial=0.0)))
-    out = np.ones(x.shape, dtype=np.complex128)
-    for m in range(lo + 1, last + 1):
-        Pm = system.P(m)  # fmod is exact, and leaves |xi| < P_m as it is
-        out *= mask_eval(system.digit_set(m), np.fmod(x, Pm) / Pm)
-    return out, min(system.P(last), stop) or 1
+    top = float(np.max(np.abs(x if reach is None else reach), initial=0.0))
+    last, stop = _last_level(system, lo, hi, top)
+    levels = range(lo + 1, last + 1)
+    P = np.array([float(system.P(m)) for m in levels]).reshape((-1,) + (1,) * x.ndim)
+    y = np.fmod(x, P) / P  # fmod is exact, and leaves |xi| < P_m as it is
+    sets = [system.digit_set(m).digits for m in levels]
+    masks = np.empty(y.shape, dtype=np.complex128)
+    for digits in set(sets):
+        rows = np.array([d == digits for d in sets])
+        masks[rows] = mask_eval(digits, y[rows])
+    # a running product in level order, as one factor at a time would take it
+    return masks.prod(axis=0), min(system.P(last), stop) or 1
 
 
 def fourier_level(system: MoranSystem, n: int, xi):
@@ -539,7 +546,7 @@ def fourier_level(system: MoranSystem, n: int, xi):
 
 
 def fourier_tail(
-    system: MoranSystem, n: int, xi, depth: int
+    system: MoranSystem, n: int, xi, depth: int, reach=None
 ) -> tuple[complex, float]:
     """Truncated tail transform prod_{i=n+1}^{n+depth} mask(D_i, xi/P_i).
 
@@ -551,14 +558,21 @@ def fourier_tail(
     <= 4 pi c |xi| / P_{n+depth} with c = sup max(D_i)/p_i; where the
     product stops early, its scale replaces P_{n+depth}.  An ndarray xi gives
     arrays of values and bounds, one per entry.
+
+    ``reach``, of xi's shape, takes B at |reach| instead, so that it holds
+    for every |xi'| <= |reach|, and the product stops where max|reach| stops
+    it; a reach below |xi| anywhere raises ValueError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     x = np.asarray(xi, dtype=np.float64)
-    val, scale = _mask_product(system, n, n + depth, x)
+    r = np.abs(x if reach is None else np.asarray(reach, dtype=np.float64))
+    if reach is not None and not np.all(np.abs(x) <= r):
+        raise ValueError("reach must bound |xi| at every entry")
+    val, scale = _mask_product(system, n, n + depth, x, r)
     c = float(system.max_digit_ratio)
     # the omitted factor has modulus <= 1, so B = 2 = expm1(log 3) always holds
-    bound = np.expm1(np.minimum(4.0 * math.pi * c * np.abs(x) / scale, math.log(3.0)))
+    bound = np.expm1(np.minimum(4.0 * math.pi * c * r / scale, math.log(3.0)))
     return (complex(val), float(bound)) if x.ndim == 0 else (val, bound)
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from moranspec import make_system
+from moranspec import make_system, mask_eval
+from moranspec.core import _last_level
 
 
 @pytest.fixture
@@ -72,6 +73,25 @@ def random_t3_level(rng) -> tuple[int, tuple[int, ...]]:
         d = int(rng.integers(1, p))
         if (p // math.gcd(d, p)) % 2 == 0:
             return p, (0, d)
+
+
+# -- mask product oracle -------------------------------------------------------
+
+
+def sequential_mask_product(system, lo: int, hi: int, xi):
+    """The one-level-at-a-time mask product the grouped one replaced, kept as the oracle.
+
+    Same stop rule and scale as ``core._mask_product``; each level's mask is
+    evaluated on its own and multiplied into a running product.
+    """
+    system.P(hi)
+    x = np.asarray(xi, dtype=np.float64)
+    last, stop = _last_level(system, lo, hi, float(np.max(np.abs(x), initial=0.0)))
+    out = np.ones(x.shape, dtype=np.complex128)
+    for m in range(lo + 1, last + 1):
+        Pm = system.P(m)
+        out *= mask_eval(system.digit_set(m), np.fmod(x, Pm) / Pm)
+    return out, min(system.P(last), stop) or 1
 
 
 # -- CSV oracle ----------------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from moranspec import certificates
+from moranspec import certificates, corpus
 from moranspec import (
     Verdict,
     certify,
@@ -210,6 +211,24 @@ class TestCertify:
             1e-3 * tail(*args)[0], np.full(len(args[2]), 2.0)))
         cert = certify(alternating_system)
         assert cert.verdict is Verdict.INCONCLUSIVE and cert.epsilon is None
+
+    def test_covering_transforms_midpoints_only(self, monkeypatch):
+        # each round passes one point per cell, its midpoint; the far ends
+        # carry only B, through reach
+        points = []
+        tail = certificates.fourier_tail
+        monkeypatch.setattr(certificates, "fourier_tail",
+                            lambda *args: points.append(len(args[2])) or tail(*args))
+        system, _ = corpus.load_example("unit_interval_tile")
+        cert = certify(system)
+        assert cert.verdict is Verdict.PASS
+        assert points == [64] and "64 cells, 64 evaluations" in cert.diagnostics
+        # class 10 bisects towards a mask zero over several rounds
+        points.clear()
+        s = make_system(cycle=[(2, (0, 1)), (2, (0, 1)), (4, (0, 3)), (9, (0, 1, 2))])
+        cert = certify(s, sigma=(1,) * 8)
+        evals = [int(e) for e in re.findall(r"(\d+) evaluations", cert.diagnostics)]
+        assert evals == [166, 64] and len(points) > 2 and sum(points) == sum(evals)
 
     def test_checkpoint_scan_stops_at_first_pass(self, mixed_system, monkeypatch):
         # the classes are tried in turn from n_0 = 7; the first PASS ends it

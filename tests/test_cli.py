@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -28,6 +29,8 @@ T1_CYCLE = "cycle: (8,{0,1,2,3})\n"
 COLLIDING = "cycle: (2,{0,1,2})\n"
 # copies one unit apart under a one-unit hull: the cover has (3**n + 1)/2 intervals
 CANTOR = "cycle: (4,{0,1,3})\n"
+#: certify's stdout and exit code on each corpus system under three sign prefixes
+CERTIFY_GOLDEN = json.loads((Path(__file__).parent / "data" / "certify_stdout.json").read_text())
 
 
 @pytest.fixture
@@ -224,6 +227,13 @@ class TestCertifyCommand:
                             lambda *args: (tail(*args)[0], np.ones(len(args[2]))))
         assert main(["certify", system_file(FINAL)]) == 3
         assert "verdict: INCONCLUSIVE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", CERTIFY_GOLDEN,
+                             ids=lambda c: c["system"] + c["sigma"])
+    def test_corpus_stdout_unchanged(self, capsys, case):
+        path = str(corpus._data_root() / f"{case['system']}.moran")
+        assert main(["certify", path, f"--sigma={case['sigma']}"]) == case["exit"]
+        assert capsys.readouterr().out == case["stdout"]
 
     def test_deterministic_output(self, system_file, capsys):
         path = system_file(ALTERNATING)

@@ -6,10 +6,11 @@ in so that collisions and INVALID classes are exercised too.  Exact layers
 are checked against small Fraction oracles and the per-pair orthogonality
 loop (the factor path on spectra, perturbed ones included), transforms
 against the scalar per-level mask loop they were first written as, the
-Q-sum against a per-point mask loop and, on spectra, against 1 at any
-float xi, the closed-form next-level bound against the sampled angle mesh
-it replaced, the covered certificate epsilon against |tail| at every
-spectrum point of three checkpoints of its class, the exact tiling defects
+mask product grouped by digit set against the running product it replaced,
+bit for bit, the Q-sum against a per-point mask loop and, on spectra,
+against 1 at any float xi, the closed-form next-level bound against the
+sampled angle mesh it replaced, the covered certificate epsilon against
+|tail| at every spectrum point of three checkpoints of its class, the exact tiling defects
 against the midpoint-probe loop they replaced, int64 atoms and their
 support covers against the Python-int sum they replaced, the cover's level
 recursion across its merge point against the cover of the atoms, and integer
@@ -65,7 +66,9 @@ from moranspec import (
     zero_set_contains,
 )
 from moranspec.cli import write_csv
-from conftest import random_t1_level, random_t2_level, random_t3_level, row_formatter_csv
+from moranspec.core import _mask_product
+from conftest import (random_t1_level, random_t2_level, random_t3_level, row_formatter_csv,
+                      sequential_mask_product)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 #: Oracle atom sets stay at or below this size.
@@ -563,6 +566,27 @@ def test_tail_array_call_matches_scalar_calls(seed, n, depth, xs):
         # a wider array may cut the product later; the bounds then both sit
         # below 2**-54
         assert e == pytest.approx(err, rel=1e-12, abs=2.0**-53)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(0, 8), st.sampled_from((1, 5, 40, 400)),
+       st.lists(st.floats(min_value=-1e280, max_value=1e280, allow_nan=False),
+                min_size=1, max_size=6))
+def test_grouped_mask_product_is_sequential_product(seed, lo, depth, xs):
+    # a preamble and a rotated cycle repeat digit sets; xs up to 1e280 run
+    # the product to P_m near 1e300, and depth 400 names levels whose P
+    # overflows a float
+    rng = np.random.default_rng(seed)
+    system = make_system(
+        preamble=[ADMISSIBLE[int(rng.integers(3))](rng) for _ in range(int(rng.integers(1, 3)))],
+        cycle=[ADMISSIBLE[int(rng.integers(3))](rng) for _ in range(int(rng.integers(1, 4)))])
+    for x in (np.array(xs), xs[0], np.resize(np.array(xs), (2, 3))):
+        val, scale = _mask_product(system, lo, lo + depth, x)
+        oracle, oracle_scale = sequential_mask_product(system, lo, lo + depth, x)
+        assert np.array_equal(val, oracle) and scale == oracle_scale
+        assert np.shape(val) == np.shape(x)
+        level = fourier_level(system, depth, x)
+        assert np.array_equal(level, sequential_mask_product(system, 0, depth, x)[0])
 
 
 def mesh_next_level_bound(system, n_k: int) -> tuple[float, float]:
