@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .core import (
     LevelClass,
     MoranStructureError,
     MoranSystem,
     _factor_extremes,
     fourier_tail,
+    np,
 )
 from .spectrum import SigmaPrefix, check_orthogonal, level_factors, level_spectrum
 

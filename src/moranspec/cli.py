@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import re
 import sys
 
-import numpy as np
-
 from . import corpus
 from .certificates import certify
-from .core import LevelClass, MoranError, MoranSystem, parse_system
+from .core import LevelClass, MoranError, MoranSystem, np, parse_system
 from .density import (
     EDGE_EXCLUDE,
     VERDICT_SPARSE,
@@ -73,7 +72,7 @@ def parse_sigma(text: str) -> tuple[int, ...]:
 
 def finite_float(text: str) -> float:
     """argparse type for a float that is neither infinite nor nan."""
-    if not np.isfinite(value := float(text)):
+    if not math.isfinite(value := float(text)):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
@@ -83,6 +82,15 @@ def tolerance(text: str) -> float:
     if (value := finite_float(text)) < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value
+
+
+def count_text(n: int) -> str:
+    """n in decimal, or its digit count where CPython's int-to-str digit limit refuses n."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = int(n.bit_length() * math.log10(2))  # the digit count, or one less
+        return f"<{digits + (10 ** digits <= n)} digits>"
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
@@ -198,7 +206,7 @@ def cmd_validate(args) -> int:
 def refused_count(system: MoranSystem, args, cap: int, what: str) -> int:
     """Exact count q = Phi(1)...Phi(level) of the level's atoms or points; refuses q > cap."""
     if (q := system.phi_product(args.level)) > cap:
-        raise UsageError(f"level {args.level} {what.format(q)}, more than "
+        raise UsageError(f"level {args.level} {what.format(count_text(q))}, more than "
                          f"the {args.command} cap of {cap}")
     return q
 
@@ -225,7 +233,7 @@ def cmd_ortho(args) -> int:
     system = load_system(args.system)
     pts = level_spectrum(system, args.level, parse_sigma(args.sigma))
     report = check_orthogonal(system, pts, max_level=args.level)
-    print(f"points: {report.point_count}  pairs: {report.pairs_checked}  "
+    print(f"points: {count_text(report.point_count)}  pairs: {count_text(report.pairs_checked)}  "
           f"failures: {len(report.failures)}")
     print(f"witness levels used: {list(report.witness_levels)}")
     if report.failures:

@@ -11,19 +11,34 @@ system representation, the admissible digit-set classes, the finite-level
 atom measures (integer numerators over P_n, built by one integer Minkowski
 sum), mask polynomials, truncated Fourier transforms, and the exact zero set
 of the full transform, decided in integer arithmetic.
+
+numpy loads at its first use, so validation, orthogonality and the exact
+certificate branches never pay its import.  ``np`` here is numpy itself if it
+is already imported, else a lazy module registered in ``sys.modules``, where
+numpy's relative imports need it; its first attribute access runs numpy's
+``__init__``, after which LazyLoader resets its class to ``ModuleType``.
+Every module of this package takes ``np`` from here: ``import numpy`` reads
+``__spec__`` of the module in ``sys.modules``, which would load it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
+if (np := sys.modules.get("numpy")) is None:
+    if (_spec := importlib.util.find_spec("numpy")) is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 
 class MoranError(Exception):

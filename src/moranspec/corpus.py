@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-import numpy as np
-
 from .certificates import certify
-from .core import MoranSystem, parse_system
+from .core import MoranSystem, np, parse_system
 from .density import (
     IntervalUnion,
     density_histogram,

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .core import (MoranError, MoranSystem, _atom_factors, _factor_extremes, _outer_sums,
-                   _partial_sum_dtype)
+                   _partial_sum_dtype, np)
 
 
 def _ends_dtype(first: int, last: int, den: int):

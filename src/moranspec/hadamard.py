@@ -15,9 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .core import DigitSet, Level, LevelClass, MoranSystem, classify_level
+from .core import DigitSet, Level, LevelClass, MoranSystem, classify_level, np
 from .spectrum import check_orthogonal
 
 

@@ -26,8 +26,6 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import (
     LevelClass,
     MoranStructureError,
@@ -37,6 +35,7 @@ from .core import (
     _outer_sums,
     _partial_sum_dtype,
     minkowski_sum,
+    np,
     zero_set_contains,
 )
 
@@ -152,6 +151,15 @@ class OrthogonalityReport:
         return not self.failures
 
 
+def _moduli(system: MoranSystem, factors):
+    """(level j, P_{j-1}, P_j, F_j) for each factor, with P_j as a running product."""
+    P = 1
+    for j, F in enumerate(factors, start=1):
+        lvl = system.level(j)
+        prev, P = P, P * lvl.p
+        yield lvl, prev, P, F
+
+
 def _nested(system: MoranSystem, factors) -> bool:
     """Every F_j lies in P_{j-1} Z with distinct residues mod P_j.
 
@@ -159,9 +167,8 @@ def _nested(system: MoranSystem, factors) -> bool:
     nonzero residue mod P_j, so none collide, and every point is congruent
     mod P_m to the sum of its first m factor elements.
     """
-    return all(all(f % system.P(j - 1) == 0 for f in F)
-               and len({f % system.P(j) for f in F}) == len(F)
-               for j, F in enumerate(factors, start=1))
+    return all(all(f % prev == 0 for f in F) and len({f % P for f in F}) == len(F)
+               for _, prev, P, F in _moduli(system, factors))
 
 
 def _factors_orthogonal(system: MoranSystem, factors) -> bool:
@@ -173,9 +180,8 @@ def _factors_orthogonal(system: MoranSystem, factors) -> bool:
     difference, and no level below it can, since P_{j-1} divides it.
     """
     return _nested(system, factors) and all(
-        check_orthogonal(MoranSystem((system.level(j),), ()),
-                         [f // system.P(j - 1) for f in F]).passed
-        for j, F in enumerate(factors, start=1))
+        check_orthogonal(MoranSystem((lvl,), ()), [f // prev for f in F]).passed
+        for lvl, prev, _, F in _moduli(system, factors))
 
 
 def check_orthogonal(

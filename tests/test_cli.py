@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moranspec import (certificates, cli, corpus, density, density_histogram, level_spectrum,
-                       parse_system, q_sum_finite, spectrum)
+from moranspec import (certificates, cli, core, corpus, density, density_histogram,
+                       level_spectrum, parse_system, q_sum_finite, spectrum)
 from moranspec.cli import main, parse_sigma
 from moranspec.spectrum import OrthogonalityReport
 
@@ -76,6 +76,87 @@ class TestValidate:
         assert "admissible: yes" in proc.stdout
 
 
+#: Runs cli.main on each argv of a JSON list; prints one JSON line per call with its
+#: exit code, its stdout and the numpy submodules loaded so far.
+FRESH_MAIN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from moranspec import cli
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    print(json.dumps({"exit": code, "stdout": out.getvalue(),
+                      "numpy": sorted(m for m in sys.modules if m.startswith("numpy."))}))
+"""
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of ``code`` run by a fresh isolated interpreter (``-I``), which has no numpy yet."""
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(src), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLazyNumpy:
+    """numpy loads at first use; the tests here import it first, so these start fresh."""
+
+    def test_exact_commands_load_no_numpy(self):
+        data = corpus._data_root()
+        mixed = str(data / "mixed_classes.moran")
+        cases = [(["validate", mixed], 0), (["ortho", mixed, "--level", "6"], 0),
+                 (["certify", str(data / "nonuniform_density.moran")], 2),  # inadmissible
+                 (["certify", str(data / "pure_two_digit.moran")], 0),  # two-digit tail
+                 (["--help"], 0), (["validate", "/does/not/exist.moran"], 66),
+                 (["ortho", mixed, "--level", "-3"], 64), (["qsum", mixed, "--xmin", "nan"], 64)]
+        out = run_fresh(FRESH_MAIN, json.dumps([argv for argv, _ in cases]))
+        for (argv, code), line in zip(cases, out.splitlines(), strict=True):
+            result = json.loads(line)
+            assert (result["exit"], result["numpy"]) == (code, []), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["hadamard", "mixed_classes"],
+        ["certify", "unit_interval_tile"],
+        ["qsum", "pure_two_digit", "--level", "4", "--depth", "6", "--grid", "50", "-o"],
+        ["density", "nonuniform_density", "--level", "10", "--bins", "256", "-o"],
+    ], ids=lambda argv: argv[0])
+    def test_output_identical_to_numpy_imported_first(self, tmp_path, capsys, argv):
+        csv = tmp_path / "out.csv"
+        argv = [argv[0], str(corpus._data_root() / f"{argv[1]}.moran"), *argv[2:]]
+        argv += [str(csv)] if argv[-1] == "-o" else []
+        fresh = json.loads(run_fresh(FRESH_MAIN, json.dumps([argv])))
+        fresh_csv = csv.read_bytes() if csv.exists() else None
+        assert fresh["numpy"]  # numpy did load, lazily
+        assert main(argv) == fresh["exit"] == 0
+        assert capsys.readouterr().out == fresh["stdout"]
+        assert (csv.read_bytes() if csv.exists() else None) == fresh_csv
+
+    def test_numpy_imported_after_moranspec_is_the_handle(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import moranspec\n"
+                "assert not [m for m in sys.modules if m.startswith('numpy.')]\n"
+                "import numpy\n"
+                "assert moranspec.core.np is numpy and type(numpy) is type(sys)\n"
+                "print(numpy.arange(5).sum(), abs(moranspec.mask_eval((0, 1), 0.0)))")
+        assert run_fresh(code) == "10 1.0\n"
+
+    def test_missing_numpy_is_named(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.modules['numpy'] = None\n"
+                "try:\n    import moranspec\nexcept ModuleNotFoundError as exc:\n"
+                "    print(exc.name)")
+        assert run_fresh(code) == "numpy\n"
+
+    def test_numpy_imported_first_is_the_handle(self):
+        code = ("import sys, numpy; sys.path.insert(0, sys.argv[1]); import moranspec\n"
+                "print(moranspec.core.np is numpy)")
+        assert run_fresh(code) == "True\n"
+        assert core.np is np  # conftest and this module import numpy first
+
+
 class TestSpectrumCommands:
     def test_spectrum_points(self, system_file, capsys):
         assert main(["spectrum", system_file(FINAL), "--level", "2"]) == 0
@@ -90,6 +171,26 @@ class TestSpectrumCommands:
     def test_ortho(self, system_file, capsys):
         assert main(["ortho", system_file(FINAL), "--level", "4"]) == 0
         assert "exact pass" in capsys.readouterr().out
+
+    def test_ortho_count_past_int_str_limit(self, capsys):
+        # q(q-1)/2 pairs at level 4000 has more digits than str() converts by default (4300)
+        path = str(corpus._data_root() / "mixed_classes.moran")
+        assert main(["ortho", path, "--level", "4000"]) == 0
+        out = capsys.readouterr().out
+        points, pairs = re.match(r"points: (\d+)  pairs: <(\d+) digits>  failures: 0\n",
+                                 out).groups()
+        q = int(points)
+        assert 10 ** (int(pairs) - 1) <= q * (q - 1) // 2 < 10 ** int(pairs)
+        assert out.endswith("orthogonality: exact pass\n")
+
+    @pytest.mark.parametrize("n, text", [(0, "0"), (10**4300 - 1, str(10**4300 - 1)),
+                                         (10**4300, "<4301 digits>"),
+                                         (2**20000, "<6021 digits>"),
+                                         (10**9000 - 1, "<9000 digits>"),
+                                         (10**9000, "<9001 digits>")],
+                             ids=["0", "10^4300-1", "10^4300", "2^20000", "10^9000-1", "10^9000"])
+    def test_count_text(self, n, text):
+        assert cli.count_text(n) == text
 
     def test_qsum_csv(self, system_file, tmp_path, capsys):
         out_csv = tmp_path / "q.csv"
