@@ -253,6 +253,8 @@ def cmd_qsum(args) -> int:
         raise UsageError("--depth must be at least the spectrum level")
     if not 1 <= args.grid <= MAX_BUILT_POINTS:
         raise UsageError(f"--grid must be between 1 and {MAX_BUILT_POINTS}")
+    if not math.isfinite(args.xmax - args.xmin):  # linspace would step by inf
+        raise UsageError(f"--xmin {args.xmin} to --xmax {args.xmax} spans past the float range")
     xs = np.linspace(args.xmin, args.xmax, args.grid)
     # q orthogonal exponentials on a measure of at most q atoms are a basis: Q = 1
     exact = depth == args.level and check_orthogonal(system, pts, max_level=args.level).passed

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import count
+from typing import Iterable, Iterator, Sequence
 
 if (np := sys.modules.get("numpy")) is None:
     if (_spec := importlib.util.find_spec("numpy")) is None:
@@ -120,6 +121,20 @@ class DigitSet:
         if self.N != 3:
             raise ValueError("three-digit set required")
         return self.digits[2]
+
+    def mask_zero(self, u: int, v: int) -> bool:
+        """Whether mask(D, u/v) = 0, decided in integers (v nonzero).
+
+        For an admissible set that holds iff s u/v is an integer that k does
+        not divide, with (s, k) = (2d, 2) for T3, (3, 3) for T2 and (N, N)
+        for T1.  An INVALID set is never zero here: its level contributes no
+        zero-set family, whatever its mask does.
+        """
+        if self.cls is LevelClass.INVALID:
+            return False
+        s, k = (2 * self.d, 2) if self.cls is LevelClass.T3 else (self.N, self.N)
+        q, r = divmod(s * u, v)
+        return r == 0 and q % k != 0
 
     def __str__(self) -> str:
         return "{%s}" % ",".join(str(d) for d in self.digits)
@@ -291,6 +306,19 @@ class MoranSystem:
             )
         k, r = divmod(n - npre, len(self.cycle))
         return self._pre_P[npre] * self._cycle_P[-1] ** k * self._cycle_P[r]
+
+    def walk(self, n: int | None = None) -> Iterator[tuple[Level, int, int]]:
+        """(level i, P_{i-1}, P_i) for i = 1, ..., n, P_i as a running product.
+
+        n = None walks a finite system to its end and a cycle without end; a
+        level past a finite end raises LevelRangeError once it is reached.
+        """
+        n = self.finite_length if n is None else n
+        P = 1
+        for i in count(1) if n is None else range(1, n + 1):
+            lvl = self.level(i)
+            prev, P = P, P * lvl.p
+            yield lvl, prev, P
 
     def phi_product(self, n: int) -> int:
         """Product Phi(1) ... Phi(n) = number of atoms at level n."""
@@ -482,8 +510,7 @@ def _atom_factors(system: MoranSystem, n: int) -> list[list[int]]:
     if n < 1:
         raise ValueError("level must be at least 1")
     Pn = system.P(n)
-    return [[d * (Pn // system.P(i)) for d in system.digit_set(i).digits]
-            for i in range(1, n + 1)]
+    return [[d * (Pn // P) for d in lvl.digits.digits] for lvl, _, P in system.walk(n)]
 
 
 def atoms(system: MoranSystem, n: int) -> DiscreteMeasure:
@@ -611,31 +638,25 @@ def zero_set_contains(
     T3 level i:  P_i (2Z+1) / (2 d_i),
     T2 level j:  P_j (3Z+{1,2}) / 3,
     T1 level m:  P_m (Z \\ N_m Z) / N_m;
-    that is, s xi / P_i is an integer not divisible by k for (s, k) =
-    (2 d_i, 2), (3, 3) or (N_m, N_m), decided with one integer divmod.
-    Returns a witness for the first matching level, or None.  Levels with an
-    INVALID class contribute no family.  The set is symmetric: xi and -xi
-    get the same answer.  With ``max_level`` set, only levels up to it are
-    searched (membership relative to the level-truncated measure);
-    otherwise the scan stops once every remaining family's least positive
-    element exceeds |xi|, which happens because P_i grows.
+    level i's family is the zeros of mask(D_i, xi/P_i), which
+    ``DigitSet.mask_zero`` decides, level by level.  Returns a witness for
+    the first matching level, or None.  Levels with an INVALID class
+    contribute no family.  The set is symmetric: xi and -xi get the same
+    answer.  With ``max_level`` set, only levels up to it are searched
+    (membership relative to the level-truncated measure); otherwise the scan
+    stops once every remaining family's least positive element exceeds |xi|,
+    which happens because P_i grows.
     """
     x = xi if isinstance(xi, (int, Fraction)) else Fraction(xi)
     num, den = x.numerator, x.denominator
-    if num == 0:
-        return None
     last = system.finite_length
     if max_level is not None:
         last = max_level if last is None else min(last, max_level)
-    i = 1
-    # Least positive family elements at levels >= i all exceed P_{i-1}/2,
-    # so once that passes |xi| nothing further can match.
-    while (last is None or i <= last) and system.P(i - 1) * den <= 2 * abs(num):
-        ds = system.digit_set(i)
-        if ds.cls is not LevelClass.INVALID:
-            s, k = (2 * ds.d, 2) if ds.cls is LevelClass.T3 else (ds.N, ds.N)
-            q, r = divmod(s * num, den * system.P(i))
-            if r == 0 and q % k != 0:
-                return ZeroWitness(i, ds.cls)
-        i += 1
+    for i, (lvl, prev, P) in enumerate(system.walk(last), start=1):
+        # Least positive family elements at levels >= i all exceed P_{i-1}/2,
+        # so once that passes |xi| nothing further can match (nor can xi = 0).
+        if prev * den > 2 * abs(num):
+            break
+        if lvl.digits.mask_zero(num, den * P):
+            return ZeroWitness(i, lvl.digits.cls)
     return None

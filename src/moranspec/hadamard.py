@@ -4,19 +4,19 @@ A triple is Hadamard when the N x N matrix (1/sqrt(N)) [exp(-2 pi i d l / p)]
 over d in D, l in L is unitary; equivalently L is a spectrum of the uniform
 measure on D/p.  ``construct_L`` builds a canonical companion set for each
 admissible class, ``unitarity_residual`` measures the numeric deviation from
-unitarity, and ``is_hadamard`` decides the property exactly: it is the
-one-level case of ``check_orthogonal``, which decides each distinct
-|difference| of L once through the zero set.
+unitarity, and ``is_hadamard`` decides the property exactly, asking
+``DigitSet.mask_zero`` whether each difference of L, over p, is a zero of
+the mask of D.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
-from .core import DigitSet, Level, LevelClass, MoranSystem, classify_level, np
-from .spectrum import check_orthogonal
+from .core import DigitSet, LevelClass, classify_level, np
 
 
 def _as_digit_set(p: int, digits: DigitSet | Iterable[int]) -> DigitSet:
@@ -62,10 +62,9 @@ def unitarity_residual(
 def is_hadamard(p: int, digits: DigitSet | Iterable[int], L: Iterable[int]) -> bool:
     """Exact Hadamard-triple test via the mask zero set.
 
-    True iff every difference of distinct elements of L, scaled by 1/p, lies
-    in the zero set of the mask of D: L is orthogonal for the one-level
-    system (p, D), decided by ``check_orthogonal`` once per distinct
-    |difference|; agrees with ``unitarity_residual`` being tiny.
+    True iff every difference of distinct elements of L, scaled by 1/p, is a
+    zero of the mask of D, which ``DigitSet.mask_zero`` decides for each pair
+    of L in integers; agrees with ``unitarity_residual`` being tiny.
     """
     ds = _as_digit_set(p, digits)
     Ls = tuple(L)
@@ -73,7 +72,7 @@ def is_hadamard(p: int, digits: DigitSet | Iterable[int], L: Iterable[int]) -> b
         raise ValueError(f"cardinality mismatch: #D = {ds.N}, #L = {len(Ls)}")
     if ds.cls is LevelClass.INVALID:
         raise ValueError(f"not admissible: {ds.violations}")
-    return check_orthogonal(MoranSystem((Level(p, ds),), ()), Ls).passed
+    return all(ds.mask_zero(a - b, p) for a, b in combinations(Ls, 2))
 
 
 @dataclass(frozen=True)

@@ -95,9 +95,8 @@ def level_factors(
     system.P(n)  # a level past a finite system's end is named as requested
     factors: list[tuple[int, ...]] = []
     used: list[int] = []
-    for i in range(1, n + 1):
-        ds = system.digit_set(i)
-        Pi = system.P(i)
+    for i, (lvl, _, Pi) in enumerate(system.walk(n), start=1):
+        ds = lvl.digits
         cls = ds.cls
         if cls is LevelClass.T3:
             l, _ = ds.d_two_adic
@@ -151,15 +150,6 @@ class OrthogonalityReport:
         return not self.failures
 
 
-def _moduli(system: MoranSystem, factors):
-    """(level j, P_{j-1}, P_j, F_j) for each factor, with P_j as a running product."""
-    P = 1
-    for j, F in enumerate(factors, start=1):
-        lvl = system.level(j)
-        prev, P = P, P * lvl.p
-        yield lvl, prev, P, F
-
-
 def _nested(system: MoranSystem, factors) -> bool:
     """Every F_j lies in P_{j-1} Z with distinct residues mod P_j.
 
@@ -168,20 +158,23 @@ def _nested(system: MoranSystem, factors) -> bool:
     mod P_m to the sum of its first m factor elements.
     """
     return all(all(f % prev == 0 for f in F) and len({f % P for f in F}) == len(F)
-               for _, prev, P, F in _moduli(system, factors))
+               for (_, prev, P), F in zip(system.walk(len(factors)), factors))
 
 
 def _factors_orthogonal(system: MoranSystem, factors) -> bool:
     """The factors nest and each F_j, over P_{j-1}, is a Hadamard companion.
 
+    A companion L of level j has every difference l - l' a zero of
+    mask(D_j, (l - l')/p_j), which ``DigitSet.mask_zero`` decides per pair.
     Then two points whose digit words first differ at level j differ by
     (f - f') + P_j m with s (f - f') / P_j an integer not divisible by k
     for level j's family (s, k), and s m divisible by k: level j holds the
     difference, and no level below it can, since P_{j-1} divides it.
     """
     return _nested(system, factors) and all(
-        check_orthogonal(MoranSystem((lvl,), ()), [f // prev for f in F]).passed
-        for lvl, prev, _, F in _moduli(system, factors))
+        lvl.digits.mask_zero(a - b, lvl.p)
+        for (lvl, prev, _), F in zip(system.walk(len(factors)), factors)
+        for a, b in combinations([f // prev for f in F], 2))
 
 
 def check_orthogonal(
@@ -192,8 +185,9 @@ def check_orthogonal(
     """Exact orthogonality: every pairwise difference must hit the zero set.
 
     A SpectrumLevel is decided from its factors in O(sum |F_j|**2) integer
-    work, with no point built (see ``_factors_orthogonal``); its witness
-    levels are those with |F_j| > 1.  A failing factor, a plain point
+    work, with no point built: one ``DigitSet.mask_zero`` test of level j
+    per pair of F_j (see ``_factors_orthogonal``); its witness levels are
+    those with |F_j| > 1.  A failing factor, a plain point
     iterable, or ``max_level`` below the spectrum's level takes the point
     path: the zero set is symmetric, so each distinct |difference| is
     decided once, and the pairs are walked again only to list failures in

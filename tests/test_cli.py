@@ -31,6 +31,10 @@ COLLIDING = "cycle: (2,{0,1,2})\n"
 CANTOR = "cycle: (4,{0,1,3})\n"
 #: certify's stdout and exit code on each corpus system under three sign prefixes
 CERTIFY_GOLDEN = json.loads((Path(__file__).parent / "data" / "certify_stdout.json").read_text())
+#: ortho, qsum and hadamard stdout and exit code on each corpus system; ortho and qsum
+#: at levels 0-8 under the same three sign prefixes
+EXACT_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "ortho_qsum_hadamard_stdout.json").read_text())
 
 
 @pytest.fixture
@@ -306,6 +310,19 @@ class TestHadamardCommand:
     def test_invalid_level_reported(self, system_file, capsys):
         assert main(["hadamard", system_file(NONUNIFORM)]) == 0
         assert "not admissible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["ortho", "qsum", "hadamard"])
+@pytest.mark.parametrize("system", sorted({c["system"] for c in EXACT_GOLDEN}))
+def test_ortho_qsum_hadamard_stdout_unchanged(capsys, command, system):
+    path = str(corpus._data_root() / f"{system}.moran")
+    cases = [c for c in EXACT_GOLDEN if (c["command"], c["system"]) == (command, system)]
+    assert len(cases) == (1 if command == "hadamard" else 27)
+    for case in cases:
+        options = ([] if command == "hadamard"
+                   else ["--level", str(case["level"]), f"--sigma={case['sigma']}"])
+        assert main([command, path, *options]) == case["exit"], options
+        assert capsys.readouterr().out == case["stdout"], options
 
 
 class TestCertifyCommand:
@@ -602,6 +619,11 @@ class TestErrorPaths:
         pytest.param(FINAL, ["qsum", "--level", "2", "--grid", "100000000000"],
                      f"--grid must be between 1 and {2**20}",
                      id="qsum-grid-1e11"),
+        # each end is finite, but the span is not: linspace would step by inf
+        pytest.param(FINAL, ["qsum", "--level", "1", "--grid", "3",
+                             "--xmin", "-1e308", "--xmax", "1e308"],
+                     "--xmin -1e+308 to --xmax 1e+308 spans past the float range",
+                     id="qsum-span-past-float-range"),
         pytest.param(FINAL, ["certify", "--seed", "0"],
                      "unrecognized arguments: --seed 0", id="certify-seed"),
         pytest.param(None, ["examples", "--seed", "0"],

@@ -20,9 +20,12 @@ Normalized systems are checked against the raw signed levels they come
 from, integer interval lengths against the Fraction sum they replaced,
 interval-union queries against the Fraction intervals, covers on both sides
 of the int64 edge against Fraction oracles, and the column CSV writer
-against the per-value row formatter it replaced.
+against the per-value row formatter it replaced.  The mask-zero test,
+``is_hadamard`` and one-level ``zero_set_contains`` are checked against
+cyclotomic divisibility, an oracle that uses nothing from ``core``.
 """
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -452,6 +455,76 @@ def test_is_hadamard_matches_fraction_pair_loop(seed):
     expected = all(fraction_member(ds, Fraction(a - b), p)
                    for a, b in combinations(L, 2))
     assert is_hadamard(p, digits, L) == expected
+
+
+def poly_divmod(a: list[int], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (low degree first), b monic."""
+    rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = c = rem[k + len(b) - 1]
+        for i, coeff in enumerate(b):
+            rem[k + i] -= c * coeff
+    return quot, rem[:len(b) - 1]
+
+
+@functools.cache
+def cyclotomic(v: int) -> tuple[int, ...]:
+    """Phi_v: z**v - 1 divided exactly by Phi_e for every proper divisor e of v."""
+    poly = [-1] + [0] * (v - 1) + [1]
+    for e in range(1, v):
+        if v % e == 0:
+            poly, rem = poly_divmod(poly, cyclotomic(e))
+            assert not any(rem)
+    return tuple(poly)
+
+
+def cyclotomic_mask_zero(digits, u: int, v: int) -> bool:
+    """The oracle: u/v in lowest terms is a zero of D's mask iff Phi_v divides
+    sum_d z**(d u mod v), the mask's sum at the primitive v-th root e(-1/v)."""
+    g = math.gcd(u, v)
+    u, v = u // g, v // g
+    poly = [0] * v
+    for d in digits:
+        poly[d * u % v] += 1
+    return not any(poly_divmod(poly, cyclotomic(v))[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(-500, 500), st.integers(1, 150))
+def test_mask_zero_matches_cyclotomic_oracle(seed, u0, v0):
+    rng = np.random.default_rng(seed)
+    p, digits = ADMISSIBLE[int(rng.integers(len(ADMISSIBLE)))](rng)
+    ds = classify_level(p, digits)
+    one_level = make_system(preamble=[(p, digits)])
+    # over p the companions' differences; over 2 max(D) the two-digit zeros
+    for v in (p, 2 * ds.max_digit, v0):
+        for u in [*range(v), u0]:
+            zero = cyclotomic_mask_zero(ds.digits, u, v)
+            assert ds.mask_zero(u, v) == ds.mask_zero(-3 * u, 3 * v) == zero, (u, v)
+            assert (zero_set_contains(one_level, Fraction(u * p, v)) is not None) == zero
+    L = construct_L(p, ds)
+    assert is_hadamard(p, digits, L)
+    for k in range(len(L)):  # companions with one entry moved by 1
+        for step in (-1, 1):
+            moved = L[:k] + (L[k] + step,) + L[k + 1:]
+            expected = all(cyclotomic_mask_zero(ds.digits, a - b, p)
+                           for a, b in combinations(moved, 2))
+            assert is_hadamard(p, digits, moved) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(-500, 500), st.integers(1, 40))
+def test_invalid_level_has_no_zero_family(seed, u, v):
+    rng = np.random.default_rng(seed)
+    p, digits = arbitrary_level(rng)
+    ds = classify_level(p, digits)
+    if ds.cls is not LevelClass.INVALID:
+        return
+    # whatever its mask does (the oracle may find zeros), an INVALID level adds none
+    assert not ds.mask_zero(u, v)
+    assert zero_set_contains(make_system(preamble=[(p, digits)]), Fraction(u * p, v)) is None
+    with pytest.raises(ValueError, match="not admissible"):
+        is_hadamard(p, digits, range(ds.N))
 
 
 def scalar_mask_loop(system, lo: int, hi: int, x: float, lam: int | None = None) -> complex:

@@ -1,18 +1,25 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
 from moranspec import (
+    LevelClass,
     MoranStructureError,
+    MoranSystem,
     SpectrumLevel,
     atoms,
     check_orthogonal,
+    construct_L,
+    corpus,
     digit_star,
     exp_matrix_residual,
+    is_hadamard,
     level_spectrum,
     make_system,
     q_sum_finite,
+    zero_set_contains,
 )
 from moranspec.spectrum import _level_terms
 
@@ -124,6 +131,32 @@ class TestOrthogonality:
         for sigma in itertools.product((-1, 1), repeat=3):
             pts = level_spectrum(final_system, 5, sigma)
             assert check_orthogonal(final_system, pts, max_level=5).passed
+
+    @pytest.mark.parametrize("name", corpus.example_names())
+    def test_exact_checks_build_no_system_and_do_not_recurse(self, monkeypatch, name):
+        # the factor path and is_hadamard ask each level's mask-zero test directly
+        system, _ = corpus.load_example(name)
+        n = 6  # the last level up to 6 with no inadmissible level before it
+        while any(system.digit_set(i).cls is LevelClass.INVALID for i in range(1, n + 1)):
+            n -= 1
+        pts = level_spectrum(system, n)
+        built, calls = [], []
+        post_init = MoranSystem.__post_init__
+        monkeypatch.setattr(MoranSystem, "__post_init__",
+                            lambda self: (built.append(self), post_init(self))[1])
+        for func in (check_orthogonal, zero_set_contains):
+            def spy(*args, _func=func, **kwargs):
+                calls.append(_func.__name__)
+                return _func(*args, **kwargs)
+
+            for key, module in list(sys.modules.items()):
+                if key.startswith("moranspec") and getattr(module, func.__name__, None) is func:
+                    monkeypatch.setattr(module, func.__name__, spy)
+        assert check_orthogonal(system, pts).passed
+        for _, lvl in system.distinct_levels():
+            if lvl.digits.cls is not LevelClass.INVALID:
+                assert is_hadamard(lvl.p, lvl.digits, construct_L(lvl.p, lvl.digits))
+        assert (built, calls) == ([], [])
 
 
 class TestQSumFinite:
