@@ -168,7 +168,7 @@ def build_parser() -> _Parser:
                    help="completeness tolerance on |Q - 1| of a float evaluation "
                         "(default 1e-9); an exact decision passes at any tolerance")
 
-    add("hadamard", "companion sets and unitarity residuals per level")
+    add("hadamard", "companion sets and exact Hadamard verdicts per level")
 
     p = add("certify", "assemble the spectrality certificate")
     p.add_argument("--sigma", default="")
@@ -212,10 +212,15 @@ def refused_count(system: MoranSystem, args, cap: int, what: str) -> int:
 
 
 def built_spectrum(args) -> tuple[MoranSystem, SpectrumLevel, int]:
-    """System, level spectrum and exact point count q; refuses q > MAX_BUILT_POINTS."""
+    """System, level spectrum and exact point count q; refuses q > MAX_BUILT_POINTS.
+
+    The levels and the cap are checked before any factor, as long as P_level, is built.
+    """
     system = load_system(args.system)
-    pts = level_spectrum(system, args.level, parse_sigma(args.sigma))
-    return system, pts, refused_count(system, args, MAX_BUILT_POINTS, "spectrum has {} points")
+    sigma = parse_sigma(args.sigma)
+    system.check_admissible(args.level)
+    q = refused_count(system, args, MAX_BUILT_POINTS, "spectrum has {} points")
+    return system, level_spectrum(system, args.level, sigma), q
 
 
 def cmd_spectrum(args) -> int:
@@ -255,14 +260,16 @@ def cmd_qsum(args) -> int:
         raise UsageError(f"--grid must be between 1 and {MAX_BUILT_POINTS}")
     if not math.isfinite(args.xmax - args.xmin):  # linspace would step by inf
         raise UsageError(f"--xmin {args.xmin} to --xmax {args.xmax} spans past the float range")
-    xs = np.linspace(args.xmin, args.xmax, args.grid)
     # q orthogonal exponentials on a measure of at most q atoms are a basis: Q = 1
     exact = depth == args.level and check_orthogonal(system, pts, max_level=args.level).passed
-    qs = np.ones(args.grid) if exact else q_sum_finite(system, depth, pts, xs)
+    if args.output or not exact:  # an exact Q = 1 needs an array only for the CSV
+        xs = np.linspace(args.xmin, args.xmax, args.grid)
+        qs = np.ones(args.grid) if exact else q_sum_finite(system, depth, pts, xs)
+    lo, hi, dev = (1.0, 1.0, 0.0) if exact else (
+        qs.min(), qs.max(), float(np.max(np.abs(qs - 1.0))))
     print(f"Q over [{args.xmin}, {args.xmax}] at {args.grid} points, "
           f"level {args.level}, depth {depth}:")
-    dev = float(np.max(np.abs(qs - 1.0)))
-    print(f"  min {qs.min():.12f}  max {qs.max():.12f}  max|Q-1| {dev:.3g}")
+    print(f"  min {lo:.12f}  max {hi:.12f}  max|Q-1| {dev:.3g}")
     if exact:
         print(f"  decided exactly: the {q} points are orthogonal for the level-{depth} "
               f"measure, so Q = 1 at every xi")
@@ -285,7 +292,7 @@ def cmd_hadamard(args) -> int:
         triple = hadamard_triple(lvl.p, lvl.digits)
         print(f"{where}: p={lvl.p} D={lvl.digits} "
               f"L={{{','.join(str(v) for v in triple.L)}}} "
-              f"residual={triple.residual:.3e}")
+              f"hadamard={'yes' if triple.exact else 'no'}")
     return EXIT_OK
 
 

@@ -181,10 +181,9 @@ def classify_level(p: int, digits: Iterable[int]) -> DigitSet:
             violations.append(f"{{a,b}} mod 3 = {{{a % 3},{b % 3}}}, need {{1,2}}")
         if p % 3 != 0:
             violations.append(f"3 must divide p (p={p})")
-        ratio = Fraction(b, p)
-        if ratio > Fraction(2, 3):
-            violations.append(f"b/p = {ratio} exceeds 2/3")
-        elif ratio == Fraction(2, 3):
+        if 3 * b > 2 * p:  # b/p > 2/3
+            violations.append(f"b/p = {Fraction(b, p)} exceeds 2/3")
+        elif 3 * b == 2 * p:
             warnings.append("boundary-ratio")
         cls = LevelClass.T2
     elif ds == tuple(range(n)):
@@ -321,8 +320,33 @@ class MoranSystem:
             yield lvl, prev, P
 
     def phi_product(self, n: int) -> int:
-        """Product Phi(1) ... Phi(n) = number of atoms at level n."""
-        return math.prod(self.phi(i) for i in range(n, 0, -1))  # past the end: names n
+        """Product Phi(1) ... Phi(n) = number of atoms at level n; 1 for n <= 0.
+
+        Past the preamble it is pre x cycle**k x partial with one pow, as P(n) is.
+        """
+        if n <= len(self.preamble):
+            return math.prod(lvl.phi for lvl in self.preamble[:max(n, 0)])
+        self.level(n)  # a level past a finite system's end is named as requested
+        k, r = divmod(n - len(self.preamble), len(self.cycle))
+        return (math.prod(lvl.phi for lvl in self.preamble + self.cycle[:r])
+                * math.prod(lvl.phi for lvl in self.cycle) ** k)
+
+    def check_admissible(self, n: int) -> None:
+        """Raise unless levels 1..n exist and are all admissible.
+
+        ValueError for n < 0, LevelRangeError past a finite system's end, and
+        MoranStructureError naming the first inadmissible level, which is
+        found among the distinct levels, whatever n is.
+        """
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if n:
+            self.level(n)  # a level past a finite system's end is named as requested
+        # level i <= len(preamble) + len(cycle) is entry i of preamble + cycle
+        for i, lvl in enumerate((self.preamble + self.cycle)[:n], start=1):
+            if lvl.digits.cls is LevelClass.INVALID:
+                raise MoranStructureError(
+                    f"level {i} not admissible: {'; '.join(lvl.digits.violations)}")
 
     # -- whole-system views -------------------------------------------------
 

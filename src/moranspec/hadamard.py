@@ -1,12 +1,12 @@
-"""Hadamard triples (p, D, L): companion sets and unitarity checks.
+"""Hadamard triples (p, D, L): companion sets and the exact Hadamard test.
 
 A triple is Hadamard when the N x N matrix (1/sqrt(N)) [exp(-2 pi i d l / p)]
 over d in D, l in L is unitary; equivalently L is a spectrum of the uniform
 measure on D/p.  ``construct_L`` builds a canonical companion set for each
-admissible class, ``unitarity_residual`` measures the numeric deviation from
-unitarity, and ``is_hadamard`` decides the property exactly, asking
+admissible class, ``is_hadamard`` decides the property exactly, asking
 ``DigitSet.mask_zero`` whether each difference of L, over p, is a zero of
-the mask of D.
+the mask of D, and ``unitarity_residual`` measures the numeric deviation
+from unitarity, the float reference the exact test agrees with.
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ class HadamardTriple:
     p: int
     digits: DigitSet
     L: tuple[int, ...]
-    residual: float
+    exact: bool  # is_hadamard's verdict
 
 
 def hadamard_triple(p: int, digits: DigitSet | Iterable[int]) -> HadamardTriple:
-    """Construct the canonical triple and record its unitarity residual."""
+    """Construct the canonical triple and record its exact Hadamard verdict."""
     ds = _as_digit_set(p, digits)
     L = construct_L(p, ds)
-    return HadamardTriple(p, ds, L, unitarity_residual(p, ds, L))
+    return HadamardTriple(p, ds, L, is_hadamard(p, ds, L))

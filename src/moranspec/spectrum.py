@@ -90,12 +90,10 @@ def level_factors(
     Returns (factors, sigma_used).  Each factor set contains 0 and has
     Phi(i) elements; raises when a level up to n is not admissible.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    system.P(n)  # a level past a finite system's end is named as requested
+    system.check_admissible(n)
     factors: list[tuple[int, ...]] = []
     used: list[int] = []
-    for i, (lvl, _, Pi) in enumerate(system.walk(n), start=1):
+    for lvl, _, Pi in system.walk(n):
         ds = lvl.digits
         cls = ds.cls
         if cls is LevelClass.T3:
@@ -109,13 +107,9 @@ def level_factors(
         elif cls is LevelClass.T2:
             step = Pi // 3
             factors.append((0, step, -step))
-        elif cls is LevelClass.T1:
+        else:  # T1: check_admissible refused INVALID
             base = Pi // ds.N
             factors.append(tuple(base * a for a in digit_star(ds.N)))
-        else:
-            raise MoranStructureError(
-                f"level {i} not admissible: {'; '.join(ds.violations)}"
-            )
     return factors, tuple(used)
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -110,23 +111,30 @@ def run_fresh(code: str, *args: str) -> str:
 class TestLazyNumpy:
     """numpy loads at first use; the tests here import it first, so these start fresh."""
 
-    def test_exact_commands_load_no_numpy(self):
+    def test_exact_commands_load_no_numpy(self, capsys):
         data = corpus._data_root()
         mixed = str(data / "mixed_classes.moran")
+        exact = [["hadamard", mixed], ["hadamard", str(data / "skewed_two_digit.moran")],
+                 ["qsum", str(data / "pure_two_digit.moran"), "--level", "4"]]  # depth = level
         cases = [(["validate", mixed], 0), (["ortho", mixed, "--level", "6"], 0),
                  (["certify", str(data / "nonuniform_density.moran")], 2),  # inadmissible
                  (["certify", str(data / "pure_two_digit.moran")], 0),  # two-digit tail
                  (["--help"], 0), (["validate", "/does/not/exist.moran"], 66),
-                 (["ortho", mixed, "--level", "-3"], 64), (["qsum", mixed, "--xmin", "nan"], 64)]
+                 (["ortho", mixed, "--level", "-3"], 64), (["qsum", mixed, "--xmin", "nan"], 64),
+                 *((argv, 0) for argv in exact)]
         out = run_fresh(FRESH_MAIN, json.dumps([argv for argv, _ in cases]))
         for (argv, code), line in zip(cases, out.splitlines(), strict=True):
             result = json.loads(line)
             assert (result["exit"], result["numpy"]) == (code, []), argv
+            if argv in exact:  # as printed with numpy imported first
+                assert main(argv) == 0
+                assert capsys.readouterr().out == result["stdout"], argv
 
     @pytest.mark.parametrize("argv", [
-        ["hadamard", "mixed_classes"],
         ["certify", "unit_interval_tile"],
         ["qsum", "pure_two_digit", "--level", "4", "--depth", "6", "--grid", "50", "-o"],
+        pytest.param(["qsum", "pure_two_digit", "--level", "4", "--grid", "50", "-o"],
+                     id="qsum-exact"),  # depth = level: the CSV alone loads numpy
         ["density", "nonuniform_density", "--level", "10", "--bins", "256", "-o"],
     ], ids=lambda argv: argv[0])
     def test_output_identical_to_numpy_imported_first(self, tmp_path, capsys, argv):
@@ -517,6 +525,28 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("system file error: level 2 not admissible: p/gcd(d,p) = 5")
+
+    def test_huge_level_refused_before_building(self, system_file):
+        # levels and cap are checked before any factor as long as P_level is built
+        level = ["--level", "1000000"]
+        mixed, finite = system_file(MIXED, "mixed.moran"), system_file(FINITE, "finite.moran")
+        bad = system_file("cycle: (9,{0,1,2}) (5,{0,1})\n", "bad.moran")
+        cases = [(["spectrum", mixed, *level], 64), (["qsum", mixed, *level], 64),
+                 (["density", mixed, *level], 64), (["spectrum", bad, *level], 66),
+                 (["qsum", bad, *level], 66), (["qsum", finite, *level], 64)]
+        # a regression would build factors as long as P_level: the limits stop it early
+        child = ("import resource\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                 "resource.setrlimit(resource.RLIMIT_CPU, (30, 30))\n" + FRESH_MAIN +
+                 # the peak RSS of this process image alone (ru_maxrss counts the forking one)
+                 "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n")
+        start = time.perf_counter()
+        *lines, peak_kib = run_fresh(child, json.dumps([argv for argv, _ in cases])).splitlines()
+        wall = time.perf_counter() - start
+        results = [json.loads(line) for line in lines]
+        assert [(r["exit"], r["numpy"]) for r in results] == [(code, []) for _, code in cases]
+        assert wall < len(cases)  # well under 1 s a refusal, process start included
+        assert int(peak_kib) < 50 * 1024
 
     def test_atom_limit_is_inclusive(self, system_file, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_BINNED_ATOMS", 6)

@@ -367,9 +367,13 @@ class TestZeroSet:
 
 
 class TestSystemAccessors:
-    def test_products(self, final_system):
+    def test_products(self, final_system, mixed_system, nonuniform_system):
         assert [final_system.P(n) for n in range(5)] == [1, 2, 6, 12, 36]
         assert final_system.phi_product(4) == 36
+        # one pow past the preamble, against the level-by-level product
+        for s in (final_system, mixed_system, nonuniform_system):
+            assert [s.phi_product(n) for n in range(-1, 12)] == [1] + [
+                math.prod(s.phi(i) for i in range(1, n + 1)) for n in range(12)]
 
     def test_max_digit_ratio(self, nonuniform_system):
         assert nonuniform_system.max_digit_ratio == Fraction(3, 1)

@@ -1,15 +1,33 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from moranspec import (
+    LevelClass,
     classify_level,
     construct_L,
+    hadamard,
     hadamard_triple,
     is_hadamard,
     mask_eval,
     unitarity_residual,
 )
 from conftest import random_t1_level, random_t2_level, random_t3_level
+
+GENERATED_CLASS = {random_t1_level: LevelClass.T1, random_t2_level: LevelClass.T2,
+                   random_t3_level: LevelClass.T3}
+
+
+def admissible_levels(cls: LevelClass, p_max: int = 40):
+    """Every (p, D) of class cls with p <= p_max: all its digits lie below p."""
+    for p in range(2, p_max + 1):
+        candidates = [(0, d) for d in range(1, p)]
+        candidates += [(0, a, b) for a, b in combinations(range(1, p), 2)]
+        candidates += [tuple(range(n)) for n in range(4, p)]
+        for digits in candidates:
+            if classify_level(p, digits).cls is cls:
+                yield p, digits
 
 
 class TestConstruct:
@@ -65,12 +83,12 @@ class TestRandomTriples:
         for _ in range(50):
             p, digits = gen(rng)
             triple = hadamard_triple(p, digits)
-            assert triple.residual < 1e-12
-            assert is_hadamard(p, digits, triple.L)
+            assert triple.exact
+            assert unitarity_residual(p, digits, triple.L) < 1e-12
 
     @pytest.mark.parametrize("gen", [random_t1_level, random_t2_level,
                                      random_t3_level])
-    def test_exact_and_numeric_agree(self, gen, rng):
+    def test_exact_and_numeric_agree(self, gen, rng, monkeypatch):
         # perturb companion sets; the two decision paths must match at 1e-9
         for _ in range(50):
             p, digits = gen(rng)
@@ -83,6 +101,19 @@ class TestRandomTriples:
             exact = is_hadamard(p, digits, L)
             numeric = unitarity_residual(p, digits, L) < 1e-9
             assert exact == numeric
+        # every admissible level of the class with p <= 40: the recorded exact
+        # verdict holds, and so does agreement with a companion moved by 1
+        for p, digits in admissible_levels(GENERATED_CLASS[gen]):
+            triple = hadamard_triple(p, digits)
+            assert triple.exact, (p, digits)
+            assert unitarity_residual(p, digits, triple.L) < 1e-9, (p, digits)
+            moved = (triple.L[0], triple.L[1] + 1, *triple.L[2:])
+            assert is_hadamard(p, digits, moved) == (
+                unitarity_residual(p, digits, moved) < 1e-9), (p, digits)
+        # a triple recorded with a non-Hadamard L: exact is False
+        monkeypatch.setattr(hadamard, "construct_L", lambda p, ds: (0, 2))
+        assert not hadamard_triple(4, [0, 2]).exact
+        assert unitarity_residual(4, [0, 2], (0, 2)) >= 1 - 1e-12
 
     @pytest.mark.parametrize("gen", [random_t1_level, random_t2_level,
                                      random_t3_level])
