@@ -114,7 +114,7 @@ class TestLazyNumpy:
     def test_exact_commands_load_no_numpy(self, capsys):
         data = corpus._data_root()
         mixed = str(data / "mixed_classes.moran")
-        exact = [["hadamard", mixed], ["hadamard", str(data / "skewed_two_digit.moran")],
+        exact = [["hadamard", str(data / "skewed_two_digit.moran")],
                  ["qsum", str(data / "pure_two_digit.moran"), "--level", "4"]]  # depth = level
         cases = [(["validate", mixed], 0), (["ortho", mixed, "--level", "6"], 0),
                  (["certify", str(data / "nonuniform_density.moran")], 2),  # inadmissible
@@ -131,6 +131,7 @@ class TestLazyNumpy:
                 assert capsys.readouterr().out == result["stdout"], argv
 
     @pytest.mark.parametrize("argv", [
+        ["hadamard", "mixed_classes"],  # decided in integers: loads no numpy
         ["certify", "unit_interval_tile"],
         ["qsum", "pure_two_digit", "--level", "4", "--depth", "6", "--grid", "50", "-o"],
         pytest.param(["qsum", "pure_two_digit", "--level", "4", "--grid", "50", "-o"],
@@ -143,7 +144,7 @@ class TestLazyNumpy:
         argv += [str(csv)] if argv[-1] == "-o" else []
         fresh = json.loads(run_fresh(FRESH_MAIN, json.dumps([argv])))
         fresh_csv = csv.read_bytes() if csv.exists() else None
-        assert fresh["numpy"]  # numpy did load, lazily
+        assert bool(fresh["numpy"]) == (argv[0] != "hadamard")  # else numpy loaded lazily
         assert main(argv) == fresh["exit"] == 0
         assert capsys.readouterr().out == fresh["stdout"]
         assert (csv.read_bytes() if csv.exists() else None) == fresh_csv
