@@ -23,6 +23,7 @@ from .core import (
 from .hadamard import (
     HadamardTriple,
     construct_L,
+    digit_star,
     hadamard_triple,
     is_hadamard,
     unitarity_residual,
@@ -31,9 +32,6 @@ from .spectrum import (
     OrthogonalityReport,
     SpectrumLevel,
     check_orthogonal,
-    digit_star,
-    exp_matrix_residual,
-    level_factors,
     level_spectrum,
     q_sum_finite,
 )

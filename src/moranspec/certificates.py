@@ -25,7 +25,7 @@ from .core import (
     fourier_tail,
     np,
 )
-from .spectrum import SigmaPrefix, check_orthogonal, level_factors, level_spectrum
+from .spectrum import SigmaPrefix, check_orthogonal, level_spectrum
 
 #: Bounds below this are treated as numerically indistinguishable from zero.
 BOUND_FLOOR = 1e-9
@@ -43,7 +43,7 @@ def lambda_norm_check(
 
 def _lambda_extremes(system: MoranSystem, n: int, sigma) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of lambda / P_n over Lambda_n: the extremes add over the factors."""
-    lo, hi = _factor_extremes(level_factors(system, n, sigma)[0])
+    lo, hi = _factor_extremes(level_spectrum(system, n, sigma).factors)
     return Fraction(lo, system.P(n)), Fraction(hi, system.P(n))
 
 
@@ -226,7 +226,7 @@ def _class_range(system: MoranSystem, n_k: int, sig) -> tuple[Fraction, Fraction
     """
     P0, n1 = system.P(n_k), n_k + len(system.cycle)
     C = system.P(n1) // P0
-    factors = level_factors(system, n1, sig)[0]  # level n_k's are its first n_k
+    factors = level_spectrum(system, n1, sig).factors  # level n_k's are its first n_k
     (lo0, hi0), (lo1, hi1) = ([Fraction(e, system.P(n)) for e in _factor_extremes(factors[:n])]
                               for n in (n_k, n1))
     return (min(lo0, (lo1 * C - lo0) / (C - 1)) - Fraction(1, P0),

@@ -2,11 +2,13 @@
 
 A triple is Hadamard when the N x N matrix (1/sqrt(N)) [exp(-2 pi i d l / p)]
 over d in D, l in L is unitary; equivalently L is a spectrum of the uniform
-measure on D/p.  ``construct_L`` builds a canonical companion set for each
-admissible class, ``is_hadamard`` decides the property exactly, asking
-``DigitSet.mask_zero`` whether each difference of L, over p, is a zero of
-the mask of D, and ``unitarity_residual`` measures the numeric deviation
-from unitarity, the float reference the exact test agrees with.
+measure on D/p.  ``construct_L`` builds the companion set of each admissible
+class, the L_j that the level-n spectrum takes at level j (its factor there
+is P_{j-1} L_j), so ``hadamard`` prints the spectrum's L.  ``is_hadamard``
+decides the property exactly, asking ``DigitSet.mask_zero`` whether each
+difference of L, over p, is a zero of the mask of D, and
+``unitarity_residual`` measures the numeric deviation from unitarity, the
+float reference the exact test agrees with.
 """
 
 from __future__ import annotations
@@ -23,26 +25,30 @@ def _as_digit_set(p: int, digits: DigitSet | Iterable[int]) -> DigitSet:
     return digits if isinstance(digits, DigitSet) else classify_level(p, digits)
 
 
-def construct_L(p: int, digits: DigitSet | Iterable[int]) -> tuple[int, ...]:
-    """Canonical companion set making (p, D, L) a Hadamard triple.
+def digit_star(N: int) -> tuple[int, ...]:
+    """Centered integer interval of size N containing 0: {-floor(N/2), ...}."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    lo = -(N // 2)
+    return tuple(range(lo, N + lo))
 
-    T1 (D = {0..N-1}, N | p):  L = (p/N) {0, 1, ..., N-1}.
-    T2 (D = {0,a,b}, 3 | p):   L = (p/3) {0, 1, -1}.
-    T3 (D = {0,d}):            with g = gcd(d,p) and p = 2mg, L = {0, m}.
-                               d/g is coprime to 2m, hence odd, so
-                               m (d/g)^{-1} = m mod 2m.
+
+def construct_L(p: int, digits: DigitSet | Iterable[int], sign: int = 1) -> tuple[int, ...]:
+    """Companion set making (p, D, L) a Hadamard triple: the spectrum's L of a level.
+
+    T1 (D = {0..N-1}, N | p):  L = (p/N) digit_star(N).
+    T2 (D = {0,a,b}, 3 | p):   L = (0, p/3, -p/3).
+    T3 (D = {0,d}):            L = (0, sign p/2**(1+l)), d = 2**l times an odd
+                               number; p/gcd(d,p) even puts 2**(1+l) in p, and
+                               2d/2**(1+l) is odd.
     """
     ds = _as_digit_set(p, digits)
-    cls = ds.cls
-    if cls is LevelClass.T1:
-        step = p // ds.N
-        return tuple(step * k for k in range(ds.N))
-    if cls is LevelClass.T2:
-        step = p // 3
-        return (0, step, -step)
-    if cls is LevelClass.T3:
-        # p/gcd(d,p) even is the T3 condition, so m = p/(2g) >= 1
-        return (0, p // (2 * math.gcd(ds.d, p)))
+    if ds.cls is LevelClass.T1:
+        return tuple(p // ds.N * a for a in digit_star(ds.N))
+    if ds.cls is LevelClass.T2:
+        return (0, p // 3, -(p // 3))
+    if ds.cls is LevelClass.T3:
+        return (0, sign * (p >> (1 + ds.d_two_adic[0])))
     raise ValueError(f"not admissible: {ds.violations}")
 
 

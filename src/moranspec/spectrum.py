@@ -1,19 +1,20 @@
 """Candidate spectra for Moran systems and their orthogonality/completeness.
 
 The level-n candidate spectrum is a Minkowski sum of per-level integer
-factor sets:
+factor sets F_j = P_{j-1} L_j, where L_j is level j's Hadamard companion
+from ``construct_L``:
 
-    T3 level i:  P_i {0, sigma_i / 2**(1+l_i)}   (d_i = 2**l_i * odd),
-    T2 level j:  P_j {0, 1/3, -1/3},
-    T1 level m:  P_m {a/N_m : a in the centered digit interval}.
+    T3 level i:  L_i = {0, sigma_i p_i / 2**(1+l_i)}   (d_i = 2**l_i * odd),
+    T2 level j:  L_j = {0, p_j/3, -p_j/3},
+    T1 level m:  L_m = (p_m/N_m) {the centered digit interval of size N_m}.
 
-Every factor is a set of integers (the class divisibility conditions make
-the scaled fractions integral), the sets nest as n grows, and the level-n
-set has exactly Phi(1)...Phi(n) points, matching the atom count of the
-level-n truncation.  The level-j factor lies in P_{j-1} Z, so orthogonality
-is decided exactly per factor, against level j's zero-set family alone (a
-Hadamard triple per level); completeness at finite level is the statement
-that the quadratic sum
+A ``SpectrumLevel`` holds the companions, one small tuple per level shared
+by equal (level, sign) pairs, and forms the factors, as long as P_j, only
+when asked.  The level-n set has exactly Phi(1)...Phi(n) points, matching
+the atom count of the level-n truncation, and the sets nest as n grows.
+Orthogonality is decided exactly per distinct companion, against its
+level's zero-set family alone (a Hadamard triple per level); completeness at
+finite level is the statement that the quadratic sum
 Q(xi) = sum over points of |F_n(xi + lambda)|^2 is constant 1.
 """
 
@@ -22,11 +23,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import (
+    Level,
     LevelClass,
     MoranStructureError,
     MoranSystem,
@@ -38,16 +40,9 @@ from .core import (
     np,
     zero_set_contains,
 )
+from .hadamard import construct_L
 
 SigmaPrefix = Sequence[int]
-
-
-def digit_star(N: int) -> tuple[int, ...]:
-    """Centered integer interval of size N containing 0: {-floor(N/2), ...}."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    lo = -(N // 2)
-    return tuple(range(lo, N + lo))
 
 
 def _sign(sigma: SigmaPrefix | None, k: int) -> int:
@@ -62,17 +57,24 @@ def _sign(sigma: SigmaPrefix | None, k: int) -> int:
 
 @dataclass(frozen=True)
 class SpectrumLevel:
-    """Level-n candidate spectrum: the sign prefix actually used + factors.
+    """Level-n candidate spectrum of a system: the sign prefix used + companions.
 
-    The points, the factors' Minkowski sum, are built on first access.
+    ``companions[j-1]`` is L_j; the factors F_j = P_{j-1} L_j and the points,
+    their Minkowski sum, are built on first access.
     """
 
+    system: MoranSystem
     level: int
     sigma: tuple[int, ...]
-    factors: tuple[tuple[int, ...], ...]
+    companions: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
-        return math.prod(map(len, self.factors))
+        return math.prod(map(len, self.companions))
+
+    @cached_property
+    def factors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(prev * a for a in L)
+                     for (_, prev, _), L in zip(self.system.walk(self.level), self.companions))
 
     @cached_property
     def points(self) -> tuple[int, ...]:
@@ -82,35 +84,9 @@ class SpectrumLevel:
         return tuple(pts.tolist())
 
 
-def level_factors(
-    system: MoranSystem, n: int, sigma: SigmaPrefix | None = None
-) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Per-level integer factor sets whose Minkowski sum is the spectrum.
-
-    Returns (factors, sigma_used).  Each factor set contains 0 and has
-    Phi(i) elements; raises when a level up to n is not admissible.
-    """
-    system.check_admissible(n)
-    factors: list[tuple[int, ...]] = []
-    used: list[int] = []
-    for lvl, _, Pi in system.walk(n):
-        ds = lvl.digits
-        cls = ds.cls
-        if cls is LevelClass.T3:
-            l, _ = ds.d_two_adic
-            denom = 2 ** (1 + l)
-            # 2**(1+l) | p_i is implied by the even-cofactor condition
-            assert Pi % denom == 0
-            s = _sign(sigma, len(used))
-            used.append(s)
-            factors.append((0, s * (Pi // denom)))
-        elif cls is LevelClass.T2:
-            step = Pi // 3
-            factors.append((0, step, -step))
-        else:  # T1: check_admissible refused INVALID
-            base = Pi // ds.N
-            factors.append(tuple(base * a for a in digit_star(ds.N)))
-    return factors, tuple(used)
+def _distinct_companions(spec: SpectrumLevel) -> set[tuple[Level, tuple[int, ...]]]:
+    """The distinct (level j, L_j) pairs of a spectrum, taken with no P_j formed."""
+    return set(zip(map(spec.system.level, range(1, spec.level + 1)), spec.companions))
 
 
 def level_spectrum(
@@ -120,10 +96,20 @@ def level_spectrum(
 
     ``sigma`` assigns a sign to successive two-digit (T3) levels; entries
     beyond the prefix default to +1.  Raises when a level up to n is not
-    admissible.  The points are not built until they are asked for.
+    admissible.  Each distinct (level, sign) companion is built once, and
+    neither the factors nor the points are built until they are asked for.
     """
-    factors, used = level_factors(system, n, sigma)
-    return SpectrumLevel(n, used, tuple(factors))
+    system.check_admissible(n)
+    companion = cache(construct_L)
+    companions: list[tuple[int, ...]] = []
+    used: list[int] = []
+    for lvl in map(system.level, range(1, n + 1)):
+        s = 1
+        if lvl.digits.cls is LevelClass.T3:
+            s = _sign(sigma, len(used))
+            used.append(s)
+        companions.append(companion(lvl.p, lvl.digits, s))
+    return SpectrumLevel(system, n, tuple(used), tuple(companions))
 
 
 def _points(points: SpectrumLevel | Iterable) -> tuple:
@@ -144,31 +130,19 @@ class OrthogonalityReport:
         return not self.failures
 
 
-def _nested(system: MoranSystem, factors) -> bool:
-    """Every F_j lies in P_{j-1} Z with distinct residues mod P_j.
+def _companions_hadamard(system: MoranSystem, spec: SpectrumLevel) -> bool:
+    """Each distinct companion of a spectrum of ``system`` is Hadamard for its level.
 
-    Then two points whose digit words first differ at level j differ by a
-    nonzero residue mod P_j, so none collide, and every point is congruent
-    mod P_m to the sum of its first m factor elements.
-    """
-    return all(all(f % prev == 0 for f in F) and len({f % P for f in F}) == len(F)
-               for (_, prev, P), F in zip(system.walk(len(factors)), factors))
-
-
-def _factors_orthogonal(system: MoranSystem, factors) -> bool:
-    """The factors nest and each F_j, over P_{j-1}, is a Hadamard companion.
-
-    A companion L of level j has every difference l - l' a zero of
+    L_j of level j has Phi(j) entries and every difference l - l' a zero of
     mask(D_j, (l - l')/p_j), which ``DigitSet.mask_zero`` decides per pair.
     Then two points whose digit words first differ at level j differ by
-    (f - f') + P_j m with s (f - f') / P_j an integer not divisible by k
-    for level j's family (s, k), and s m divisible by k: level j holds the
-    difference, and no level below it can, since P_{j-1} divides it.
+    P_{j-1} (l - l') + P_j m with s (l - l') / p_j an integer not divisible
+    by k for level j's family (s, k), and s m divisible by k: level j holds
+    the difference, and no level below it can, since P_{j-1} divides it.
     """
-    return _nested(system, factors) and all(
-        lvl.digits.mask_zero(a - b, lvl.p)
-        for (lvl, prev, _), F in zip(system.walk(len(factors)), factors)
-        for a, b in combinations([f // prev for f in F], 2))
+    return spec.system == system and all(
+        len(L) == lvl.phi and all(lvl.digits.mask_zero(a - b, lvl.p) for a, b in combinations(L, 2))
+        for lvl, L in _distinct_companions(spec))
 
 
 def check_orthogonal(
@@ -178,22 +152,21 @@ def check_orthogonal(
 ) -> OrthogonalityReport:
     """Exact orthogonality: every pairwise difference must hit the zero set.
 
-    A SpectrumLevel is decided from its factors in O(sum |F_j|**2) integer
-    work, with no point built: one ``DigitSet.mask_zero`` test of level j
-    per pair of F_j (see ``_factors_orthogonal``); its witness levels are
-    those with |F_j| > 1.  A failing factor, a plain point
-    iterable, or ``max_level`` below the spectrum's level takes the point
-    path: the zero set is symmetric, so each distinct |difference| is
-    decided once, and the pairs are walked again only to list failures in
-    pair order.  With ``max_level`` set the membership scan is restricted to
-    that many levels, i.e. orthogonality relative to the level-truncated
-    measure.
+    A SpectrumLevel is decided from its companions, with no point and no P_j
+    built: one ``DigitSet.mask_zero`` test per pair of each distinct
+    (level, companion) (see ``_companions_hadamard``); its witness levels
+    are those with |L_j| > 1.  A failing companion, a plain point iterable,
+    or ``max_level`` below the spectrum's level takes the point path: the
+    zero set is symmetric, so each distinct |difference| is decided once,
+    and the pairs are walked again only to list failures in pair order.
+    With ``max_level`` set the membership scan is restricted to that many
+    levels, i.e. orthogonality relative to the level-truncated measure.
     """
     if (isinstance(points, SpectrumLevel)
-            and (max_level is None or max_level >= len(points.factors))
-            and _factors_orthogonal(system, points.factors)):
-        q = math.prod(map(len, points.factors))  # may exceed what len() returns
-        levels = tuple(j for j, f in enumerate(points.factors, start=1) if len(f) > 1)
+            and (max_level is None or max_level >= points.level)
+            and _companions_hadamard(system, points)):
+        q = system.phi_product(points.level)
+        levels = tuple(j for j, L in enumerate(points.companions, start=1) if len(L) > 1)
         return OrthogonalityReport(q, q * (q - 1) // 2, (), levels)
     pts = _points(points)
     witness = {d: zero_set_contains(system, d, max_level=max_level)
@@ -256,25 +229,26 @@ def q_sum_finite(
     1 (Bessel) for an orthogonal set.  Accepts scalar or ndarray xi.
 
     The points are summed over their digit tree, whose level-m nodes are
-    F_1 + ... + F_m: a SpectrumLevel whose factors nest (see ``_nested``),
-    else one factor holding the points.  Level m's mask depends on a point
-    only through its level-m node, so Q = sum_{f_1} W_1 sum_{f_2} W_2 ... is
+    F_1 + ... + F_m: a SpectrumLevel of ``system`` whose every L_j has
+    distinct residues mod p_j, so that no two digit words collide, else one
+    factor holding the points.  Level m's mask depends on a point only
+    through its level-m node, so Q = sum_{f_1} W_1 sum_{f_2} W_2 ... is
     folded bottom-up, levels past the tree multiplying at its leaves.  Each
     level's sum over a factor is 1 at any xi for a spectrum, and every level
     sees one xi mod P_m, so Q stays 1 to rounding at any float xi.  The
     product stops where ``_last_level`` says for the larger of max|xi| and
     max|lambda|, the latter read off the factors' extremes.  At the points'
-    own level ``check_orthogonal`` decides Q = 1 exactly from the factors
+    own level ``check_orthogonal`` decides Q = 1 exactly from the companions
     (the CLI's route); this float sum serves deeper levels and failing sets.
     """
     system.P(n)  # a level past a finite system's end is named as requested
     x = np.asarray(xi, dtype=np.float64)
     flat = x.reshape(-1)
-    if (isinstance(points, SpectrumLevel)
-            and len(points.factors) <= (system.finite_length or len(points.factors))
-            and _nested(system, points.factors)):
+    if (isinstance(points, SpectrumLevel) and points.system == system
+            and all(len({a % lvl.p for a in L}) == len(L)
+                    for lvl, L in _distinct_companions(points))):
         factors = [[int(f) for f in F] for F in points.factors]
-    else:  # a perturbed or colliding spectrum, or a plain point list
+    else:  # a spectrum of another system or with a repeated residue, or a point list
         factors = [[int(f) for f in _points(points)]]
     low, high = _factor_extremes(factors)
     last, _ = _last_level(system, 0, n, max(float(np.max(np.abs(x), initial=0.0)), high, -low))
@@ -295,18 +269,3 @@ def q_sum_finite(
         q[rows] = acc[:, 0]
     return float(q[0]) if x.ndim == 0 else q.reshape(x.shape)
 
-
-def exp_matrix_residual(positions: Iterable, frequencies: Iterable) -> float:
-    """Unitarity residual of the q x q matrix exp(-2 pi i lambda x)/sqrt(q).
-
-    Rows range over measure atoms, columns over spectrum points; a residual
-    at rounding level certifies that the points are a spectrum of the atom
-    measure.
-    """
-    x = np.array([float(v) for v in positions])
-    lam = np.array([float(v) for v in frequencies])
-    if len(x) != len(lam):
-        raise ValueError("need equally many atoms and spectrum points")
-    q = len(x)
-    H = np.exp(-2j * np.pi * np.outer(x, lam)) / np.sqrt(q)
-    return float(np.max(np.abs(H.conj().T @ H - np.eye(q))))

@@ -94,6 +94,25 @@ def sequential_mask_product(system, lo: int, hi: int, xi):
     return out, min(system.P(last), stop) or 1
 
 
+# -- unitarity oracle ----------------------------------------------------------
+
+
+def exp_matrix_residual(positions, frequencies) -> float:
+    """Unitarity residual of the q x q matrix exp(-2 pi i lambda x)/sqrt(q).
+
+    Rows range over measure atoms, columns over spectrum points; a residual
+    at rounding level says, in floats, what ``check_orthogonal`` decides
+    exactly: the points are a spectrum of the atom measure.
+    """
+    x = np.array([float(v) for v in positions])
+    lam = np.array([float(v) for v in frequencies])
+    if len(x) != len(lam):
+        raise ValueError("need equally many atoms and spectrum points")
+    q = len(x)
+    H = np.exp(-2j * np.pi * np.outer(x, lam)) / np.sqrt(q)
+    return float(np.max(np.abs(H.conj().T @ H - np.eye(q))))
+
+
 # -- CSV oracle ----------------------------------------------------------------
 
 

@@ -19,7 +19,6 @@ from moranspec import (
     construct_L,
     density_histogram,
     density_verdict,
-    exp_matrix_residual,
     f_min_points,
     fourier_level,
     is_hadamard,
@@ -35,7 +34,7 @@ from moranspec import (
     zero_set_contains,
 )
 from moranspec.density import VERDICT_NOT_SPECTRAL
-from conftest import random_t1_level, random_t2_level, random_t3_level
+from conftest import exp_matrix_residual, random_t1_level, random_t2_level, random_t3_level
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -13,7 +13,6 @@ from moranspec import (
     f_eval,
     f_min_points,
     lambda_norm_check,
-    level_factors,
     level_spectrum,
     make_system,
     mask_eval,
@@ -270,13 +269,13 @@ class TestCertify:
         # from 0 towards -4/7, and the hull spans both, widened by 1/P_7
         s = make_system(preamble=[(288230376151711742, (0, 1))] + [(2, (0, 1))] * 6,
                         cycle=[(8, (0, 1, 2, 3))])
-        factors, _ = level_factors(s, 7)
+        factors = level_spectrum(s, 7).factors
         assert sum(max(f) for f in factors) > 2**63
         pad = Fraction(1, s.P(7))
         lo, hi = certificates._class_range(s, 7, ())
         assert (lo, hi) == (Fraction(-4, 7) - pad, Fraction(127, 128) + pad)
         for n in range(7, 40):
-            factors, _ = level_factors(s, n)
+            factors = level_spectrum(s, n).factors
             a = Fraction(sum(min(f) for f in factors), s.P(n))
             b = Fraction(sum(max(f) for f in factors), s.P(n))
             assert lo + pad < a <= 0 < b <= hi - pad

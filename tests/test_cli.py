@@ -528,13 +528,15 @@ class TestErrorPaths:
         assert err.startswith("system file error: level 2 not admissible: p/gcd(d,p) = 5")
 
     def test_huge_level_refused_before_building(self, system_file):
-        # levels and cap are checked before any factor as long as P_level is built
+        # levels and cap are checked before any factor as long as P_level is built,
+        # and ortho decides its level from the companions, with no factor built
         level = ["--level", "1000000"]
         mixed, finite = system_file(MIXED, "mixed.moran"), system_file(FINITE, "finite.moran")
         bad = system_file("cycle: (9,{0,1,2}) (5,{0,1})\n", "bad.moran")
         cases = [(["spectrum", mixed, *level], 64), (["qsum", mixed, *level], 64),
                  (["density", mixed, *level], 64), (["spectrum", bad, *level], 66),
-                 (["qsum", bad, *level], 66), (["qsum", finite, *level], 64)]
+                 (["qsum", bad, *level], 66), (["qsum", finite, *level], 64),
+                 (["ortho", mixed, "--level", "200000"], 0)]
         # a regression would build factors as long as P_level: the limits stop it early
         child = ("import resource\n"
                  "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"

@@ -10,6 +10,8 @@ from moranspec import (
     hadamard,
     hadamard_triple,
     is_hadamard,
+    level_spectrum,
+    make_system,
     mask_eval,
     unitarity_residual,
 )
@@ -38,12 +40,14 @@ class TestConstruct:
         assert set(construct_L(3, [0, 1, 2])) == {0, 1, -1}
 
     def test_consecutive(self):
-        assert set(construct_L(12, [0, 1, 2, 3])) == {0, 3, 6, 9}
+        # (p/N) times the centered digits, as the level-n spectrum takes them
+        assert construct_L(12, [0, 1, 2, 3]) == (-6, -3, 0, 3)
 
     def test_two_digit_odd_part_in_gcd(self):
-        # g = gcd(d, p) = 3, so p = 2mg with m = 2 and L = {0, m}
-        assert construct_L(12, [0, 3]) == (0, 2)
-        assert construct_L(12, [0, 9]) == (0, 2)
+        # d = 2**0 * odd, so L = {0, p/2}, whatever odd factor gcd(d, p) has
+        assert construct_L(12, [0, 3]) == (0, 6)
+        assert construct_L(12, [0, 9]) == (0, 6)
+        assert construct_L(12, [0, 9], -1) == (0, -6)
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError, match="not admissible"):
@@ -101,9 +105,15 @@ class TestRandomTriples:
             exact = is_hadamard(p, digits, L)
             numeric = unitarity_residual(p, digits, L) < 1e-9
             assert exact == numeric
-        # every admissible level of the class with p <= 40: the recorded exact
-        # verdict holds, and so does agreement with a companion moved by 1
+        # every admissible level of the class with p <= 40: the companion is the
+        # one-level spectrum's, under both signs, and Hadamard; the recorded
+        # exact verdict holds, and so does agreement with a companion moved by 1
         for p, digits in admissible_levels(GENERATED_CLASS[gen]):
+            for sign in (1, -1):
+                L = construct_L(p, digits, sign)
+                assert L == level_spectrum(make_system(cycle=[(p, digits)]), 1,
+                                           (sign,)).factors[0], (p, digits, sign)
+                assert is_hadamard(p, digits, L), (p, digits, sign)
             triple = hadamard_triple(p, digits)
             assert triple.exact, (p, digits)
             assert unitarity_residual(p, digits, triple.L) < 1e-9, (p, digits)

@@ -4,7 +4,7 @@ Systems are drawn with the random level generators from conftest.py, seeded
 by hypothesis; arbitrary (possibly colliding, inadmissible) levels are mixed
 in so that collisions and INVALID classes are exercised too.  Exact layers
 are checked against small Fraction oracles and the per-pair orthogonality
-loop (the factor path on spectra, perturbed ones included), transforms
+loop (the companion path on spectra, perturbed ones included), transforms
 against the scalar per-level mask loop they were first written as, the
 mask product grouped by digit set against the running product it replaced,
 bit for bit, the Q-sum against a per-point mask loop and, on spectra,
@@ -69,7 +69,7 @@ from moranspec import (
     zero_set_contains,
 )
 from moranspec.cli import write_csv
-from moranspec.core import _mask_product
+from moranspec.core import _mask_product, minkowski_sum
 from conftest import (random_t1_level, random_t2_level, random_t3_level, row_formatter_csv,
                       sequential_mask_product)
 
@@ -393,21 +393,27 @@ def test_check_orthogonal_matches_pair_loop_on_spectra(seed, n, max_level, sigma
     assert report == pair_loop_orthogonality(system, pts.points, max_level)
 
 
-def perturbed_spectrum(system, n: int, sigma, rng) -> SpectrumLevel:
-    """The level-n spectrum with one factor element moved.
+def perturbed_spectrum(system, n: int, sigma, rng) -> SpectrumLevel | tuple[int, ...]:
+    """The level-n spectrum with one element moved.
 
-    The move is a multiple of P_j (the factor test still passes), of
-    P_{j-1} (level j's family may fail), or less than P_{j-1} (the factor
-    leaves P_{j-1} Z while its floor quotients by P_{j-1} stay put).
+    A companion entry of L_j moves by a multiple of p_j (the companion test
+    still passes) or by 1 or 2 (level j's family may fail).  A factor element
+    moved by less than P_{j-1} leaves P_{j-1} Z, which no companion can say:
+    those points come back as a plain point list.
     """
     pts = level_spectrum(system, n, sigma)
     j = int(rng.integers(1, n + 1))
-    unit = (system.P(j), system.P(j - 1), 1)[int(rng.integers(3))]
-    step = int(rng.integers(1, max(2, system.P(j - 1)))) if unit == 1 else unit
-    factors = [list(f) for f in pts.factors]
-    e = int(rng.integers(len(factors[j - 1])))
-    factors[j - 1][e] += step * int(rng.choice((-2, -1, 1, 2)))
-    return SpectrumLevel(n, pts.sigma, tuple(map(tuple, factors)))
+    unit = (system.level(j).p, 1, None)[int(rng.integers(3))]
+    move = int(rng.choice((-2, -1, 1, 2)))
+    if unit is None:
+        factors = [list(f) for f in pts.factors]
+        e = int(rng.integers(len(factors[j - 1])))
+        factors[j - 1][e] += int(rng.integers(1, max(2, system.P(j - 1)))) * move
+        return tuple(minkowski_sum(factors).tolist())
+    companions = [list(L) for L in pts.companions]
+    e = int(rng.integers(len(companions[j - 1])))
+    companions[j - 1][e] += unit * move
+    return SpectrumLevel(system, n, pts.sigma, tuple(map(tuple, companions)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -420,7 +426,8 @@ def test_check_orthogonal_matches_pair_loop_on_perturbed_spectra(
         n -= 1
     pts = perturbed_spectrum(system, n, sigma, rng)
     try:
-        expected = pair_loop_orthogonality(system, pts.points, max_level)
+        expected = pair_loop_orthogonality(
+            system, pts.points if isinstance(pts, SpectrumLevel) else pts, max_level)
     except MoranStructureError:  # two digit words collide
         with pytest.raises(MoranStructureError, match="spectrum collision"):
             check_orthogonal(system, pts, max_level)

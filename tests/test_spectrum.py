@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from moranspec import (
+    DigitSet,
     LevelClass,
     MoranStructureError,
     MoranSystem,
@@ -14,7 +15,6 @@ from moranspec import (
     construct_L,
     corpus,
     digit_star,
-    exp_matrix_residual,
     is_hadamard,
     level_spectrum,
     make_system,
@@ -22,6 +22,7 @@ from moranspec import (
     zero_set_contains,
 )
 from moranspec.spectrum import _level_terms
+from conftest import exp_matrix_residual
 
 
 class TestDigitStar:
@@ -115,7 +116,8 @@ class TestOrthogonality:
     def test_failing_factor_falls_back_to_pairs(self, final_system):
         # (0, 1, -2) is no companion of (3, {0,1,2}): 3 * 3 / 3 is divisible by 3
         # (-4, 2) and (-3, 3) differ by 6, which only level 3 holds
-        pts = SpectrumLevel(2, (1,), ((0, 1), (0, 2, -4)))
+        pts = SpectrumLevel(final_system, 2, (1,), ((0, 1), (0, 1, -2)))
+        assert pts.factors == ((0, 1), (0, 2, -4))
         for max_level in (2, None):
             report = check_orthogonal(final_system, pts, max_level)
             assert report == check_orthogonal(final_system, pts.points, max_level)
@@ -123,9 +125,23 @@ class TestOrthogonality:
         assert check_orthogonal(final_system, pts, 2).failures == ((-4, 2), (-3, 3))
 
     def test_colliding_factors_rejected(self, final_system):
-        pts = SpectrumLevel(2, (1,), ((0, 2), (0, 2, -2)))
+        pts = SpectrumLevel(final_system, 2, (1,), ((0, 2), (0, 1, -1)))
+        assert pts.factors == ((0, 2), (0, 2, -2))
         with pytest.raises(MoranStructureError, match="spectrum collision"):
             check_orthogonal(final_system, pts)
+
+    def test_decided_once_per_distinct_companion(self, monkeypatch, mixed_system):
+        # 40 levels, three distinct companions: one mask-zero test per pair of
+        # each, 1 + 3 + 6, and no running product P_j
+        pts = level_spectrum(mixed_system, 40)
+        tests, walks = [], []
+        mask_zero, walk = DigitSet.mask_zero, MoranSystem.walk
+        monkeypatch.setattr(DigitSet, "mask_zero",
+                            lambda self, u, v: (tests.append(u), mask_zero(self, u, v))[1])
+        monkeypatch.setattr(MoranSystem, "walk",
+                            lambda self, n=None: (walks.append(n), walk(self, n))[1])
+        assert check_orthogonal(mixed_system, pts).passed
+        assert len(tests) == 10 and walks == []
 
     def test_sigma_variants_pass(self, final_system):
         for sigma in itertools.product((-1, 1), repeat=3):
@@ -134,7 +150,7 @@ class TestOrthogonality:
 
     @pytest.mark.parametrize("name", corpus.example_names())
     def test_exact_checks_build_no_system_and_do_not_recurse(self, monkeypatch, name):
-        # the factor path and is_hadamard ask each level's mask-zero test directly
+        # the companion path and is_hadamard ask each level's mask-zero test directly
         system, _ = corpus.load_example(name)
         n = 6  # the last level up to 6 with no inadmissible level before it
         while any(system.digit_set(i).cls is LevelClass.INVALID for i in range(1, n + 1)):
@@ -218,14 +234,14 @@ class TestQSumFinite:
         assert np.max(np.abs(tree - q_sum_finite(mixed_system, 4, pts.points, xs))) < 1e-13
 
     def test_perturbed_spectrum_summed_as_its_points(self, final_system):
-        # (0, 2, -4) repeats residue 2 mod P_2 = 6: no digit tree
-        pts = SpectrumLevel(2, (1,), ((0, 1), (0, 2, -4)))
+        # (0, 1, -2) repeats residue 1 mod p_2 = 3, so (0, 2, -4) does mod P_2 = 6: no digit tree
+        pts = SpectrumLevel(final_system, 2, (1,), ((0, 1), (0, 1, -2)))
         xs = np.linspace(-3, 3, 13)
         assert np.array_equal(q_sum_finite(final_system, 2, pts, xs),
                               q_sum_finite(final_system, 2, pts.points, xs))
 
     def test_colliding_factors_rejected(self, final_system):
-        pts = SpectrumLevel(2, (1,), ((0, 2), (0, 2, -2)))
+        pts = SpectrumLevel(final_system, 2, (1,), ((0, 2), (0, 1, -1)))
         with pytest.raises(MoranStructureError, match="spectrum collision"):
             q_sum_finite(final_system, 2, pts, 0.3)
 
@@ -249,9 +265,10 @@ class TestQSumFinite:
         assert cos_x[0] == np.cos(2 * np.pi * u) and sin_x[0] == np.sin(2 * np.pi * u)
 
     def test_fold_assumes_no_hadamard_companion(self, alternating_system):
-        # (0, 18) nests over P_1 = 9 but is no companion of (4,{0,2}) over it:
-        # the fold sums every level over its factor and takes no sum as 1
-        pts = SpectrumLevel(2, (1,), ((0, 3, -3), (0, 18)))
+        # (0, 2), so F_2 = (0, 18), has distinct residues mod 4 but is no companion
+        # of (4,{0,2}): the fold sums every level over its factor and takes no sum as 1
+        pts = SpectrumLevel(alternating_system, 2, (1,), ((0, 3, -3), (0, 2)))
+        assert pts.factors == ((0, 3, -3), (0, 18))
         xs = np.linspace(-3, 3, 61)
         folded = q_sum_finite(alternating_system, 2, pts, xs)
         assert "points" not in vars(pts)
