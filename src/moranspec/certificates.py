@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 
 from .core import (
     LevelClass,
     MoranStructureError,
     MoranSystem,
-    _factor_extremes,
     fourier_tail,
     np,
 )
@@ -37,14 +37,18 @@ def lambda_norm_check(
     system: MoranSystem, k: int, sigma: SigmaPrefix | None = None
 ) -> Fraction:
     """Exact max over level-k spectrum points of |lambda| / P_k; at most 1 if admissible."""
-    lo, hi = _lambda_extremes(system, k, sigma)
-    return max(hi, -lo)
+    *_, (lo, hi, P) = _lambda_extremes(system, k, sigma)
+    return Fraction(max(hi, -lo), P)
 
 
-def _lambda_extremes(system: MoranSystem, n: int, sigma) -> tuple[Fraction, Fraction]:
-    """Exact (min, max) of lambda / P_n over Lambda_n: the extremes add over the factors."""
-    lo, hi = _factor_extremes(level_spectrum(system, n, sigma).factors)
-    return Fraction(lo, system.P(n)), Fraction(hi, system.P(n))
+def _lambda_extremes(system: MoranSystem, n: int, sigma):
+    """(min Lambda_m, max Lambda_m, P_m), m = 0, ..., n: sum_{j <= m} P_{j-1} min L_j
+    and the like with max, over one running product; no factor F_j is formed."""
+    lo = hi = 0
+    yield lo, hi, 1
+    for (_, prev, P), L in zip(system.walk(n), level_spectrum(system, n, sigma).companions):
+        lo, hi = lo + prev * min(L), hi + prev * max(L)
+        yield lo, hi, P
 
 
 def f_eval(x, y):
@@ -219,18 +223,18 @@ def _first_checkpoint(system: MoranSystem, sig: tuple[int, ...]) -> int:
 def _class_range(system: MoranSystem, n_k: int, sig) -> tuple[Fraction, Fraction]:
     """Exact hull of y = (xi + lambda)/P_n, |xi| < 1, lambda in Lambda_n, n = n_k + j T.
 
-    The extremes of lambda/P_n add over the factors.  Past the preamble and
+    The extremes e/P of lambda/P_n at n_k and n_k + T come from one running
+    product over the companions (``_lambda_extremes``).  Past the preamble and
     the sign prefix a period maps each by a -> a/C + K, C = P_{n+T}/P_n, so
-    they move monotonically from a_0 to K C/(C - 1) = (a_1 C - a_0)/(C - 1),
-    and |xi|/P_n adds at most 1/P_{n_k}.
+    they move monotonically from a_0 to K C/(C - 1) = (a_1 C - a_0)/(C - 1)
+    = (e_1 - e_0)/(P_1 - P_0), and |xi|/P_n adds at most 1/P_{n_k}.
     """
-    P0, n1 = system.P(n_k), n_k + len(system.cycle)
-    C = system.P(n1) // P0
-    factors = level_spectrum(system, n1, sig).factors  # level n_k's are its first n_k
-    (lo0, hi0), (lo1, hi1) = ([Fraction(e, system.P(n)) for e in _factor_extremes(factors[:n])]
-                              for n in (n_k, n1))
-    return (min(lo0, (lo1 * C - lo0) / (C - 1)) - Fraction(1, P0),
-            max(hi0, (hi1 * C - hi0) / (C - 1)) + Fraction(1, P0))
+    run = _lambda_extremes(system, n_k + len(system.cycle), sig)
+    lo0, hi0, P0 = next(islice(run, n_k, None))
+    *_, (lo1, hi1, P1) = run
+    D = P1 - P0  # over the one denominator P0 D the ends compare as integers
+    return (Fraction(min(lo0 * D, (lo1 - lo0) * P0) - D, P0 * D),
+            Fraction(max(hi0 * D, (hi1 - hi0) * P0) + D, P0 * D))
 
 
 def _cover_class(tail: MoranSystem, lo: Fraction, hi: Fraction, depth: int):

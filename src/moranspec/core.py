@@ -378,19 +378,24 @@ class MoranSystem:
         return self._tail_sum(n, lambda ds: ds.max_digit)
 
     def _tail_sum(self, n: int, term) -> Fraction:
-        """Exact sum over i > n of term(D_i)/P_i, term(D) an int or a Fraction."""
+        """Exact sum over i > n of term(D_i)/P_i, term(D) an int or a Fraction.
 
-        def terms(lo: int, hi: int) -> Fraction:
-            return sum((Fraction(term(self.digit_set(i)), self.P(i))
-                        for i in range(lo, hi + 1)), Fraction(0))
-
-        if not self.cycle:
-            return terms(n + 1, len(self.preamble))
-        # past the preamble the tail repeats one period, scaled by 1/C each time
+        One Horner pass in integers gives A_i = B P_i S_i, S_i the sum to i, B
+        the terms' common denominator.  Past i0 = max(n, preamble) a period
+        scales by 1/C, C = P_i1/P_i0, i1 = i0 + T, so the tail is
+        (C S_i1 - S_i0)/(C - 1) = (A_i1 - A_i0)/(B (P_i1 - P_i0)).
+        """
         i0 = max(n, len(self.preamble))
-        C = self._cycle_P[-1]
-        period = terms(i0 + 1, i0 + len(self.cycle))
-        return terms(n + 1, i0) + period * Fraction(C, C - 1)
+        ts = [(lvl.p, term(lvl.digits))
+              for lvl in map(self.level, range(n + 1, i0 + len(self.cycle) + 1))]
+        B = math.lcm(*(t.denominator for _, t in ts))
+        A = A0 = 0
+        P = P0 = self.P(n) if ts else 1  # none: a finite system at or past its end
+        for i, (p, t) in enumerate(ts, n + 1):
+            A, P = A * p + t.numerator * (B // t.denominator), P * p
+            if i == i0:
+                A0, P0 = A, P
+        return Fraction(A - A0, B * (P - P0)) if self.cycle else Fraction(A, B * P)
 
 
 def make_system(
@@ -554,8 +559,8 @@ def mask_eval(digits: DigitSet | Iterable[int], xi):
     """
     ds = digits.digits if isinstance(digits, DigitSet) else tuple(digits)
     x = np.asarray(xi, dtype=np.float64)
-    acc = np.zeros(x.shape, dtype=np.complex128)
-    for d in ds:
+    acc = np.full(x.shape, ds.count(0), dtype=np.complex128)  # exp(0) = 1, taken as is
+    for d in filter(None, ds):
         acc += np.exp((-2j * np.pi * d) * x)
     acc /= len(ds)
     return complex(acc) if x.ndim == 0 else acc
@@ -569,34 +574,41 @@ def _last_level(system: MoranSystem, lo: int, hi: int, scale) -> tuple[int, floa
     above stop = 2**57 pi c scale, where that is below 2**-54, and never
     divides by a P_i too large for a float (nan: never stops).
     """
+    stop, _, levels = _walk_to_stop(system, lo, hi, scale)
+    return lo + len(levels), stop
+
+
+def _walk_to_stop(system: MoranSystem, lo: int, hi: int, scale):
+    """``_last_level``'s stop, P_m and [(level i, P_i), lo < i <= m]: one running product."""
     stop = math.ceil(2**57 * math.pi * system.max_digit_ratio) * scale
-    m = lo
-    while m < hi and not system.P(m) > stop:
-        m += 1
-    return m, stop
+    P, levels = system.P(lo), []
+    while lo + len(levels) < hi and not P > stop:
+        lvl = system.level(lo + len(levels) + 1)
+        levels.append((lvl, P := P * lvl.p))
+    return stop, P, levels
 
 
 def _mask_product(system: MoranSystem, lo: int, hi: int, xi, reach=None):
     """Product of mask(D_i, xi/P_i) over lo < i <= hi, and a scale S.
 
-    The product stops where ``_last_level`` says for max|reach| (default
-    xi); the float-sized S <= P_m bounds every omitted factor as P_m does,
-    past hi too.  Each digit set's mask is evaluated once, over its levels.
+    The product stops where ``_last_level`` says for max|reach| (default xi),
+    over one running product from P_lo; the float-sized S <= P_m bounds every
+    omitted factor as P_m does, past hi too.  Each digit set's mask is
+    evaluated once, over its levels.
     """
     system.P(hi)  # a level past a finite system's end is named as requested
     x = np.asarray(xi, dtype=np.float64)
     top = float(np.max(np.abs(x if reach is None else reach), initial=0.0))
-    last, stop = _last_level(system, lo, hi, top)
-    levels = range(lo + 1, last + 1)
-    P = np.array([float(system.P(m)) for m in levels]).reshape((-1,) + (1,) * x.ndim)
+    stop, last, levels = _walk_to_stop(system, lo, hi, top)
+    P = np.array([float(Pm) for _, Pm in levels]).reshape((-1,) + (1,) * x.ndim)
     y = np.fmod(x, P) / P  # fmod is exact, and leaves |xi| < P_m as it is
-    sets = [system.digit_set(m).digits for m in levels]
+    sets = [lvl.digits.digits for lvl, _ in levels]
     masks = np.empty(y.shape, dtype=np.complex128)
     for digits in set(sets):
         rows = np.array([d == digits for d in sets])
         masks[rows] = mask_eval(digits, y[rows])
     # a running product in level order, as one factor at a time would take it
-    return masks.prod(axis=0), min(system.P(last), stop) or 1
+    return masks.prod(axis=0), min(last, stop) or 1
 
 
 def fourier_level(system: MoranSystem, n: int, xi):

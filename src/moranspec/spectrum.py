@@ -33,9 +33,9 @@ from .core import (
     MoranStructureError,
     MoranSystem,
     _factor_extremes,
-    _last_level,
     _outer_sums,
     _partial_sum_dtype,
+    _walk_to_stop,
     minkowski_sum,
     np,
     zero_set_contains,
@@ -183,7 +183,7 @@ def check_orthogonal(
 _BLOCK_ENTRIES = 2**13
 
 
-def _level_terms(system: MoranSystem, m: int, nodes: np.ndarray, xi: np.ndarray):
+def _level_terms(digits: tuple[int, ...], Pm: int, nodes: np.ndarray, xi: np.ndarray):
     """Level m's |mask|^2 = 1/N + sum_delta (2 c_delta / N^2) cos 2 pi delta (r + xi) / P_m.
 
     Returns 1/N and, per distinct digit difference delta > 0 of multiplicity
@@ -193,8 +193,7 @@ def _level_terms(system: MoranSystem, m: int, nodes: np.ndarray, xi: np.ndarray)
     every delta (fmod is exact, and leaves |xi| < P_m as it is), so all of a
     level's terms see one xi.
     """
-    digits = system.digit_set(m).digits
-    N, Pm = len(digits), system.P(m)
+    N = len(digits)
     counts = Counter(b - a for a, b in combinations(digits, 2))
     if nodes.dtype == object or max(counts) * Pm >= 2**63:
         nodes = nodes.astype(object)  # exact Python ints past the int64 range
@@ -236,7 +235,7 @@ def q_sum_finite(
     folded bottom-up, levels past the tree multiplying at its leaves.  Each
     level's sum over a factor is 1 at any xi for a spectrum, and every level
     sees one xi mod P_m, so Q stays 1 to rounding at any float xi.  The
-    product stops where ``_last_level`` says for the larger of max|xi| and
+    product stops where ``_walk_to_stop`` says for the larger of max|xi| and
     max|lambda|, the latter read off the factors' extremes.  At the points'
     own level ``check_orthogonal`` decides Q = 1 exactly from the companions
     (the CLI's route); this float sum serves deeper levels and failing sets.
@@ -251,11 +250,12 @@ def q_sum_finite(
     else:  # a spectrum of another system or with a repeated residue, or a point list
         factors = [[int(f) for f in _points(points)]]
     low, high = _factor_extremes(factors)
-    last, _ = _last_level(system, 0, n, max(float(np.max(np.abs(x), initial=0.0)), high, -low))
-    depth = len(factors)
+    _, _, walked = _walk_to_stop(system, 0, n,
+                                 max(float(np.max(np.abs(x), initial=0.0)), high, -low))
+    depth, last = len(factors), len(walked)
     nodes = _outer_sums(factors, _partial_sum_dtype(factors))
-    levels = {m: _level_terms(system, m, nodes[min(m, depth)], flat)
-              for m in range(1, last + 1) if system.phi(m) > 1}  # one digit: |mask| = 1
+    levels = {m: _level_terms(lvl.digits.digits, P, nodes[min(m, depth)], flat)
+              for m, (lvl, P) in enumerate(walked, start=1) if lvl.phi > 1}  # one digit: |mask| = 1
     q = np.empty(flat.shape)
     step = max(1, _BLOCK_ENTRIES // max(len(nodes[-1]), 1))
     for k in range(0, len(flat), step):

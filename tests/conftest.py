@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from moranspec import make_system, mask_eval
-from moranspec.core import _last_level
+from moranspec import level_spectrum, make_system, mask_eval
+from moranspec.core import _factor_extremes, _last_level
 
 
 @pytest.fixture
@@ -92,6 +93,41 @@ def sequential_mask_product(system, lo: int, hi: int, xi):
         Pm = system.P(m)
         out *= mask_eval(system.digit_set(m), np.fmod(x, Pm) / Pm)
     return out, min(system.P(last), stop) or 1
+
+
+# -- certificate range oracles -------------------------------------------------
+
+
+def factor_lambda_extremes(system, n: int, sigma) -> tuple[Fraction, Fraction]:
+    """(min, max) of lambda / P_n summed over the level factors, as first written."""
+    lo, hi = _factor_extremes(level_spectrum(system, n, sigma).factors)
+    return Fraction(lo, system.P(n)), Fraction(hi, system.P(n))
+
+
+def factor_class_range(system, n_k: int, sig) -> tuple[Fraction, Fraction]:
+    """The class range over the factors of level n_k + T, as first written."""
+    P0, n1 = system.P(n_k), n_k + len(system.cycle)
+    C = system.P(n1) // P0
+    factors = level_spectrum(system, n1, sig).factors  # level n_k's are its first n_k
+    (lo0, hi0), (lo1, hi1) = ([Fraction(e, system.P(n)) for e in _factor_extremes(factors[:n])]
+                              for n in (n_k, n1))
+    return (min(lo0, (lo1 * C - lo0) / (C - 1)) - Fraction(1, P0),
+            max(hi0, (hi1 * C - hi0) / (C - 1)) + Fraction(1, P0))
+
+
+def fraction_tail_sum(system, n: int, term) -> Fraction:
+    """Sum over i > n of term(D_i)/P_i, one Fraction per level, as first written."""
+
+    def terms(lo: int, hi: int) -> Fraction:
+        return sum((Fraction(term(system.digit_set(i)), system.P(i))
+                    for i in range(lo, hi + 1)), Fraction(0))
+
+    if not system.cycle:
+        return terms(n + 1, len(system.preamble))
+    # past the preamble the tail repeats one period, scaled by 1/C each time
+    i0 = max(n, len(system.preamble))
+    C = system.P(i0 + len(system.cycle)) // system.P(i0)
+    return terms(n + 1, i0) + terms(i0 + 1, i0 + len(system.cycle)) * Fraction(C, C - 1)
 
 
 # -- unitarity oracle ----------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 
 from moranspec import certificates, corpus
 from moranspec import (
+    MoranSystem,
+    SpectrumLevel,
     Verdict,
     certify,
     epsilon_next_level,
@@ -16,6 +18,7 @@ from moranspec import (
     level_spectrum,
     make_system,
     mask_eval,
+    parse_system,
     q_sum_finite,
     tail_constant,
 )
@@ -280,6 +283,25 @@ class TestCertify:
             b = Fraction(sum(max(f) for f in factors), s.P(n))
             assert lo + pad < a <= 0 < b <= hi - pad
         assert certify(s).verdict is Verdict.PASS
+
+    def test_long_prefix_walks_companions_once(self, monkeypatch):
+        # the class range comes from the companions over one running product:
+        # no factor as long as P_j is formed, and P is asked for a fixed number
+        # of times, P_0 for the Lipschitz sum and P_lo, P_hi for the one tail
+        # evaluation round, however far the prefix pushes n_0
+        s = parse_system("preamble: (4,{0,2}) cycle: (4,{0,1}) (3,{0,1,2})")
+        calls = []
+        P = MoranSystem.P
+        monkeypatch.setattr(MoranSystem, "P", lambda self, n: (calls.append(n), P(self, n))[1])
+        monkeypatch.setattr(SpectrumLevel, "factors",
+                            property(lambda self: pytest.fail("factors read")))
+        counts = []
+        for k in (20, 200, 2000):
+            calls.clear()
+            cert = certify(s, sigma=(1, -1) * (k // 2))
+            assert cert.verdict is Verdict.PASS and cert.checkpoint == 2 * k - 2
+            counts.append(len(calls))
+        assert counts == [3, 3, 3]
 
     def test_draws_no_random_numbers(self, alternating_system, pure_t3_system,
                                      monkeypatch):

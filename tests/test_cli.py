@@ -30,7 +30,8 @@ T1_CYCLE = "cycle: (8,{0,1,2,3})\n"
 COLLIDING = "cycle: (2,{0,1,2})\n"
 # copies one unit apart under a one-unit hull: the cover has (3**n + 1)/2 intervals
 CANTOR = "cycle: (4,{0,1,3})\n"
-#: certify's stdout and exit code on each corpus system under three sign prefixes
+#: certify's stdout and exit code on each corpus system under three sign prefixes, and
+#: on one system given as text under a 200-entry prefix
 CERTIFY_GOLDEN = json.loads((Path(__file__).parent / "data" / "certify_stdout.json").read_text())
 #: ortho, qsum and hadamard stdout and exit code on each corpus system; ortho and qsum
 #: at levels 0-8 under the same three sign prefixes
@@ -355,10 +356,11 @@ class TestCertifyCommand:
         assert main(["certify", system_file(FINAL)]) == 3
         assert "verdict: INCONCLUSIVE" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("case", CERTIFY_GOLDEN,
-                             ids=lambda c: c["system"] + c["sigma"])
-    def test_corpus_stdout_unchanged(self, capsys, case):
-        path = str(corpus._data_root() / f"{case['system']}.moran")
+    @pytest.mark.parametrize("case", CERTIFY_GOLDEN, ids=lambda c: c["system"] + (
+        c["sigma"] if len(c["sigma"]) < 10 else f"-{len(c['sigma'])}-signs"))
+    def test_corpus_stdout_unchanged(self, capsys, system_file, case):
+        path = (system_file(case["text"]) if "text" in case
+                else str(corpus._data_root() / f"{case['system']}.moran"))
         assert main(["certify", path, f"--sigma={case['sigma']}"]) == case["exit"]
         assert capsys.readouterr().out == case["stdout"]
 

@@ -15,7 +15,10 @@ against the midpoint-probe loop they replaced, int64 atoms and their
 support covers against the Python-int sum they replaced, the cover's level
 recursion across its merge point against the cover of the atoms, and integer
 histogram bins against the Fraction floor (half the draws past int64), on
-colliding words too, counted with multiplicity.
+colliding words too, counted with multiplicity.  The certificate's running
+extremes, class range and tail sums are checked against the factor-based and
+per-level Fraction code they replaced, and the mask against the exp sum that
+took the digit 0 too, bit for bit.
 Normalized systems are checked against the raw signed levels they come
 from, integer interval lengths against the Fraction sum they replaced,
 interval-union queries against the Fraction intervals, covers on both sides
@@ -68,9 +71,11 @@ from moranspec import (
     tiling_defects,
     zero_set_contains,
 )
+from moranspec.certificates import _class_range, _lambda_extremes, lambda_norm_check
 from moranspec.cli import write_csv
 from moranspec.core import _mask_product, minkowski_sum
-from conftest import (random_t1_level, random_t2_level, random_t3_level, row_formatter_csv,
+from conftest import (factor_class_range, factor_lambda_extremes, fraction_tail_sum,
+                      random_t1_level, random_t2_level, random_t3_level, row_formatter_csv,
                       sequential_mask_product)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -575,6 +580,23 @@ def per_point_q_sum(system, n: int, lams, xs) -> np.ndarray:
 XIS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.lists(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+                       min_size=1, max_size=20))
+def test_mask_skips_no_bit_of_exp_zero(seed, xs):
+    # the digit 0, first as in every DigitSet, adds 1 with no exp taken: bit
+    # for bit the sum that took exp(0 * x) too, at +-0 and tiny and huge x
+    rng = np.random.default_rng(seed)
+    p, digits = GENERATORS[int(rng.integers(4))](rng)
+    x = np.array(xs + [0.0, -0.0, 5e-324, -1e-300])
+    full = np.zeros(x.shape, dtype=np.complex128)
+    for d in digits:
+        full += np.exp((-2j * np.pi * d) * x)
+    full /= len(digits)
+    assert mask_eval(digits, x).tobytes() == full.tobytes()
+    assert complex(mask_eval(digits, x[0])) == full[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(SEEDS, st.integers(0, 8), st.integers(1, 40), XIS)
 def test_transforms_match_scalar_loop(seed, n, depth, xi):
@@ -757,6 +779,58 @@ def test_covered_epsilon_bounds_tail_on_class(seed):
         lam = np.array(level_spectrum(system, n, sigma).points, dtype=np.float64)
         val, err = fourier_tail(system, n, np.add.outer(xi, lam).ravel(), 12)
         assert np.min(np.abs(val) * (1 + err)) >= cert.epsilon
+
+
+def range_system(rng, cyclic: bool):
+    """Admissible: up to 3 preamble levels, and 1 to 3 cycle levels if cyclic."""
+    def levels(lo, hi):
+        return [ADMISSIBLE[int(rng.integers(3))](rng) for _ in range(int(rng.integers(lo, hi + 1)))]
+
+    return make_system(preamble=levels(0 if cyclic else 1, 3),
+                       cycle=levels(1, 3) if cyclic else ())
+
+
+def sign_prefix(rng, system):
+    """Up to 3T + 10 signs, T the cycle length."""
+    size = int(rng.integers(0, 3 * len(system.cycle) + 11))
+    return tuple(int(v) for v in rng.choice((1, -1), size=size))
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.booleans())
+def test_running_extremes_match_factor_oracle(seed, cyclic):
+    # at every level m <= n, inside the preamble and past it
+    rng = np.random.default_rng(seed)
+    system = range_system(rng, cyclic)
+    n = len(system.preamble) + (int(rng.integers(0, 3 * len(system.cycle) + 4)) if cyclic else 0)
+    sigma = sign_prefix(rng, system)
+    for m, (lo, hi, P) in enumerate(_lambda_extremes(system, n, sigma)):
+        assert (Fraction(lo, P), Fraction(hi, P)) == factor_lambda_extremes(system, m, sigma)
+    assert m == n
+    assert lambda_norm_check(system, n, sigma) == max(Fraction(hi, P), Fraction(-lo, P))
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS)
+def test_class_range_matches_factor_oracle(seed):
+    # classes that start inside the preamble, at its end and past it
+    rng = np.random.default_rng(seed)
+    system = range_system(rng, True)
+    sigma = sign_prefix(rng, system)
+    for n_k in range(len(system.preamble) + 2 * len(system.cycle) + 2):
+        assert _class_range(system, n_k, sigma) == factor_class_range(system, n_k, sigma)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.booleans())
+def test_tail_sums_match_fraction_oracle(seed, cyclic):
+    # int and Fraction terms from every n inside the preamble and past it,
+    # past a finite system's end too
+    system = range_system(np.random.default_rng(seed), cyclic)
+    mean = lambda ds: Fraction(sum(ds.digits), ds.N)
+    for n in range(len(system.preamble) + 2 * len(system.cycle) + 2):
+        assert system.tail_max_sum(n) == fraction_tail_sum(system, n, lambda ds: ds.max_digit)
+        assert system._tail_sum(n, mean) == fraction_tail_sum(system, n, mean)
 
 
 def signed_levels(rng, count: int):

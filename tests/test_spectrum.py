@@ -258,8 +258,8 @@ class TestQSumFinite:
         # |xi| < P_m reduces to xi itself: a float remainder gave 2 - 0.3,
         # rounded, at P_1 = 2, and P_71 = 2**71 itself for -2
         Pm = dyadic_system.P(m)
-        _, [(cos_x, sin_x, _, _)] = _level_terms(dyadic_system, m, np.array([0]),
-                                                 np.array([xi]))
+        _, [(cos_x, sin_x, _, _)] = _level_terms(dyadic_system.digit_set(m).digits, Pm,
+                                                 np.array([0]), np.array([xi]))
         u = xi / Pm
         assert u * Pm == xi
         assert cos_x[0] == np.cos(2 * np.pi * u) and sin_x[0] == np.sin(2 * np.pi * u)
