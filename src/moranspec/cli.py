@@ -17,7 +17,6 @@ import math
 import re
 import sys
 
-from . import corpus
 from .certificates import certify
 from .core import LevelClass, MoranError, MoranSystem, np, parse_system
 from .density import (
@@ -134,31 +133,28 @@ def load_system(path: str) -> MoranSystem:
 def build_parser() -> _Parser:
     parser = _Parser(prog="moranspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, which main hands its argv
 
-    def add(name, help_text, with_file=True, output=False):
+    def add(name, help_text, with_file=True, output=False, level=False, sigma=False):
         p = sub.add_parser(name, help=help_text)
         if with_file:
             p.add_argument("system", help="path to a .moran system file")
         if output:
             p.add_argument("-o", "--output", default=None, help="CSV output path")
+        if level:
+            p.add_argument("--level", type=int, default=6)
+        if sigma:
+            p.add_argument("--sigma", default="", help=None if sigma is True else sigma)
         return p
 
     add("validate", "parse a system file and print per-level classification")
-
-    p = add("spectrum", "construct the level-n candidate spectrum", output=True)
-    p.add_argument("--level", type=int, default=6)
-    p.add_argument("--sigma", default="",
-                   help="sign prefix, e.g. '+-+' (leading '-' needs --sigma=-+)")
-
-    p = add("ortho", "exact pairwise orthogonality of the level-n spectrum")
-    p.add_argument("--level", type=int, default=6)
-    p.add_argument("--sigma", default="")
+    add("spectrum", "construct the level-n candidate spectrum", output=True, level=True,
+        sigma="sign prefix, e.g. '+-+' (leading '-' needs --sigma=-+)")
+    add("ortho", "exact pairwise orthogonality of the level-n spectrum", level=True, sigma=True)
 
     p = add("qsum", "quadratic sum Q(xi) of the level-n spectrum on a grid; at depth = "
             "level, decided exactly from the orthogonality of the level factors",
-            output=True)
-    p.add_argument("--level", type=int, default=6)
-    p.add_argument("--sigma", default="")
+            output=True, level=True, sigma=True)
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--xmin", type=finite_float, default=-5.0)
     p.add_argument("--xmax", type=finite_float, default=5.0)
@@ -170,19 +166,16 @@ def build_parser() -> _Parser:
 
     add("hadamard", "companion sets and exact Hadamard verdicts per level")
 
-    p = add("certify", "assemble the spectrality certificate")
-    p.add_argument("--sigma", default="")
+    p = add("certify", "assemble the spectrality certificate", sigma=True)
     p.add_argument("--depth", type=int, default=30)
 
     p = add("density", "histogram density estimate over the support hull",
-            output=True)
-    p.add_argument("--level", type=int, default=6)
+            output=True, level=True)
     p.add_argument("--bins", type=int, default=4096)
     p.add_argument("--tol", type=tolerance, default=0.1,
                    help="relative tolerance for the uniformity check")
 
-    p = add("tiling", "check integer-translate tiling of the support cover")
-    p.add_argument("--level", type=int, default=6)
+    p = add("tiling", "check integer-translate tiling of the support cover", level=True)
     p.add_argument("--samples", type=int, default=None,
                    help="ignored: the tiling decision is exact")
 
@@ -227,7 +220,7 @@ def cmd_spectrum(args) -> int:
     _, pts, q = built_spectrum(args)
     print(f"level {args.level} spectrum: {q} points, "
           f"sigma prefix {pts.sigma}")
-    print(" ".join(str(p) for p in pts.points))
+    print(" ".join(map(str, pts.points)))
     if args.output:
         write_csv(args.output, ["index", "lambda"], [range(q), pts.points])
         print(f"wrote {args.output}")
@@ -342,6 +335,7 @@ def cmd_tiling(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from . import corpus  # its only user: no other command loads it, or json
     results = corpus.run_example(args.name) if args.name else corpus.run_all()
     width = max(len(r.example) for r in results) + 2
     cwidth = max(len(r.check) for r in results) + 2
@@ -370,8 +364,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and (command := parser.commands.get(argv[0])) is not None:
+            # the one parse: what the top-level parser would hand this command's parser
+            args, rest = command.parse_known_args(argv[1:])
+            if rest:
+                parser.error(f"unrecognized arguments: {' '.join(rest)}")
+            args.command = argv[0]
+        else:  # no command name first: none, --help, an unknown command or --
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError) as exc:
         # library ValueErrors (LevelRangeError too) reject argument values

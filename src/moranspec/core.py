@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
+from itertools import accumulate, count
 from typing import Iterable, Iterator, Sequence
 
 if (np := sys.modules.get("numpy")) is None:
@@ -148,7 +149,11 @@ def classify_level(p: int, digits: Iterable[int]) -> DigitSet:
     A three-digit set with b/p exactly 2/3 is accepted as T2 with a
     "boundary-ratio" warning; b/p > 2/3 is a violation.
     """
-    ds = tuple(sorted(set(int(d) for d in digits)))
+    return _classify(p, tuple(sorted(set(map(int, digits)))))
+
+
+def _classify(p: int, ds: tuple[int, ...]) -> DigitSet:
+    """classify_level of digits ds that are already sorted, distinct ints."""
     violations: list[str] = []
     warnings: list[str] = []
     if p < 2:
@@ -208,18 +213,17 @@ def normalize_level(p: int, digits: Iterable[int]) -> tuple[int, tuple[int, ...]
 
     Applies theta in {-1,1} to make p positive and gamma in {0, max|D|} to
     make every nonzero digit positive; |mask| is unchanged pointwise.
+    The shifted digits come back sorted and distinct.
     """
-    ds = sorted(set(int(d) for d in digits))
+    ds = sorted(set(map(int, digits)))
     if not ds:
         raise MoranStructureError("empty digit set")
     if p == 0:
         raise MoranStructureError("scale p must be nonzero")
-    gamma = 0 if ds[0] >= 0 else max(abs(d) for d in ds)
-    shifted = tuple(d + gamma for d in ds)
-    if 0 not in shifted:
-        raise MoranStructureError(
-            f"digits {ds} do not normalize: shift by {gamma} loses 0"
-        )
+    gamma = 0 if ds[0] >= 0 else max(-ds[0], ds[-1])  # max |d|
+    shifted = tuple(d + gamma for d in ds) if gamma else tuple(ds)
+    if shifted[0]:  # the least shifted digit is not 0
+        raise MoranStructureError(f"digits {ds} do not normalize: shift by {gamma} loses 0")
     return abs(p), shifted
 
 
@@ -280,17 +284,11 @@ class MoranSystem:
 
     @cached_property
     def _pre_P(self) -> tuple[int, ...]:
-        out = [1]
-        for lvl in self.preamble:
-            out.append(out[-1] * lvl.p)
-        return tuple(out)
+        return tuple(accumulate((lvl.p for lvl in self.preamble), operator.mul, initial=1))
 
     @cached_property
     def _cycle_P(self) -> tuple[int, ...]:
-        out = [1]
-        for lvl in self.cycle:
-            out.append(out[-1] * lvl.p)
-        return tuple(out)
+        return tuple(accumulate((lvl.p for lvl in self.cycle), operator.mul, initial=1))
 
     def P(self, n: int) -> int:
         """Product p_1 ... p_n (exact integer); P(0) = 1."""
@@ -406,14 +404,12 @@ def make_system(
 
     def build(p_raw, digits):
         digits = tuple(digits)
-        if not digits:
-            raise MoranStructureError("empty digit set")
         if len(digits) != len(set(digits)):
             raise MoranStructureError(f"duplicate digits in {digits}")
         p, shifted = normalize_level(p_raw, digits)
         if p <= 1:
             raise MoranStructureError(f"scale p = {p_raw} must exceed 1 in modulus")
-        return Level(p, classify_level(p, shifted))
+        return Level(p, _classify(p, shifted))
 
     return MoranSystem(
         tuple(build(p, d) for p, d in preamble),
@@ -423,10 +419,11 @@ def make_system(
 
 _TOKEN = re.compile(
     r"""(?P<header>preamble:|cycle:)
-        |(?P<entry>\(\s*(?P<p>-?\d+)\s*,\s*\{(?P<digits>[^{}]*)\}\s*\))
+        |(?P<entry>\(\s*(?P<p>-?[0-9]+)\s*,\s*\{(?P<digits>[^{}]*)\}\s*\))
         |(?P<junk>\S)""",
     re.VERBOSE,
 )
+_DIGIT_LIST = re.compile(r"\s*[+-]?[0-9]+\s*(?:,\s*[+-]?[0-9]+\s*)*")  # ASCII decimals only
 
 
 def parse_system(text: str) -> MoranSystem:
@@ -440,7 +437,7 @@ def parse_system(text: str) -> MoranSystem:
     sections: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
     current: str | None = None
     for m in _TOKEN.finditer(stripped):
-        if m.group("header"):
+        if (kind := m.lastgroup) == "header":
             name = m.group("header")[:-1]
             if name in sections:
                 raise MoranSyntaxError(f"duplicate section '{name}:'")
@@ -448,7 +445,7 @@ def parse_system(text: str) -> MoranSystem:
                 raise MoranSyntaxError("'preamble:' must come before 'cycle:'")
             sections[name] = []
             current = name
-        elif m.group("entry"):
+        elif kind == "entry":
             if current is None:
                 raise MoranSyntaxError(
                     "entry before any 'preamble:' or 'cycle:' header"
@@ -456,11 +453,14 @@ def parse_system(text: str) -> MoranSystem:
             raw = m.group("digits").strip()
             if not raw:
                 raise MoranStructureError("empty digit set")
+            if not _DIGIT_LIST.fullmatch(raw):
+                raise MoranSyntaxError(f"bad digit list {{{raw}}}")
             try:
-                digits = tuple(int(tok) for tok in raw.split(","))
-            except ValueError as exc:
-                raise MoranSyntaxError(f"bad digit list {{{raw}}}") from exc
-            sections[current].append((int(m.group("p")), digits))
+                sections[current].append((int(m.group("p")), tuple(map(int, raw.split(",")))))
+            except ValueError:  # the grammar leaves only CPython's digit limit on int(str)
+                raise MoranSyntaxError(
+                    f"entry {len(sections[current]) + 1} of '{current}:' has an integer past "
+                    f"Python's int(str) limit of {sys.get_int_max_str_digits()} digits") from None
         else:
             raise MoranSyntaxError(f"unexpected text near {m.group('junk')!r}")
     return make_system(sections.get("preamble", ()), sections.get("cycle", ()))

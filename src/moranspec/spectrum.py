@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -100,7 +100,7 @@ def level_spectrum(
     neither the factors nor the points are built until they are asked for.
     """
     system.check_admissible(n)
-    companion = cache(construct_L)
+    built: dict[tuple, tuple[int, ...]] = {}  # (p, digits, sign) -> L
     companions: list[tuple[int, ...]] = []
     used: list[int] = []
     for lvl in map(system.level, range(1, n + 1)):
@@ -108,7 +108,9 @@ def level_spectrum(
         if lvl.digits.cls is LevelClass.T3:
             s = _sign(sigma, len(used))
             used.append(s)
-        companions.append(companion(lvl.p, lvl.digits, s))
+        if (L := built.get(key := (lvl.p, lvl.digits, s))) is None:
+            L = built[key] = construct_L(*key)
+        companions.append(L)
     return SpectrumLevel(system, n, tuple(used), tuple(companions))
 
 

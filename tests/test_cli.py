@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -37,13 +38,16 @@ CERTIFY_GOLDEN = json.loads((Path(__file__).parent / "data" / "certify_stdout.js
 #: at levels 0-8 under the same three sign prefixes
 EXACT_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "ortho_qsum_hadamard_stdout.json").read_text())
+#: stdout, stderr and exit code of argvs at the edges of the command line ("{mixed}" is
+#: the corpus file mixed_classes.moran), as printed at COLUMNS = 80 by the recording Python
+ARGV_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_argv_golden.json").read_text())
 
 
 @pytest.fixture
 def system_file(tmp_path):
     def write(text, name="system.moran"):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     return write
@@ -83,7 +87,7 @@ class TestValidate:
 
 
 #: Runs cli.main on each argv of a JSON list; prints one JSON line per call with its
-#: exit code, its stdout and the numpy submodules loaded so far.
+#: exit code, its stdout, the numpy submodules loaded so far and whether the corpus is.
 FRESH_MAIN = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -96,7 +100,8 @@ for argv in json.loads(sys.argv[2]):
         except SystemExit as exc:  # --help
             code = exc.code
     print(json.dumps({"exit": code, "stdout": out.getvalue(),
-                      "numpy": sorted(m for m in sys.modules if m.startswith("numpy."))}))
+                      "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
+                      "corpus": "moranspec.corpus" in sys.modules}))
 """
 
 
@@ -113,6 +118,7 @@ class TestLazyNumpy:
     """numpy loads at first use; the tests here import it first, so these start fresh."""
 
     def test_exact_commands_load_no_numpy(self, capsys):
+        # nor the example corpus, which only the examples command loads
         data = corpus._data_root()
         mixed = str(data / "mixed_classes.moran")
         exact = [["hadamard", str(data / "skewed_two_digit.moran")],
@@ -126,7 +132,7 @@ class TestLazyNumpy:
         out = run_fresh(FRESH_MAIN, json.dumps([argv for argv, _ in cases]))
         for (argv, code), line in zip(cases, out.splitlines(), strict=True):
             result = json.loads(line)
-            assert (result["exit"], result["numpy"]) == (code, []), argv
+            assert (result["exit"], result["numpy"], result["corpus"]) == (code, [], False), argv
             if argv in exact:  # as printed with numpy imported first
                 assert main(argv) == 0
                 assert capsys.readouterr().out == result["stdout"], argv
@@ -289,6 +295,40 @@ class TestSpectrumCommands:
         assert main(["qsum", path, "--level", "2", "--depth", "20"]) == 0
         shallow = capsys.readouterr().out.splitlines()
         assert "depth 400" in deep[0] and deep[1:] == shallow[1:]
+
+
+class TestArgvSurface:
+    @pytest.mark.parametrize("case", ARGV_GOLDEN["cases"], ids=lambda c: c["name"])
+    def test_output_unchanged(self, capsys, monkeypatch, case):
+        if "%d.%d" % sys.version_info[:2] != ARGV_GOLDEN["python"]:
+            pytest.skip(f"argparse text as printed by Python {ARGV_GOLDEN['python']}")
+        monkeypatch.setenv("COLUMNS", str(ARGV_GOLDEN["columns"]))
+        mixed = str(corpus._data_root() / "mixed_classes.moran")
+        try:
+            code = main([arg.replace("{mixed}", mixed) for arg in case["argv"]])
+        except SystemExit as exc:  # --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{}"], ["spectrum", "{}", "--level", "2"], ["ortho", "{}", "--lev", "2"],
+        ["qsum", "{}", "--level", "1", "--grid", "3", "--xmin", "-1e7"], ["hadamard", "{}"],
+        ["certify", "{}", "--sigma=-+"], ["density", "{}", "--level", "2", "--bins", "64"],
+        ["tiling", "{}", "--level", "2"], ["examples", "--name", "nope"],
+        ["validate"], ["ortho", "{}", "--seed", "3"], ["spectrum", "{}", "--level", "x"],
+    ], ids=lambda argv: "-".join(argv).replace("{}", "file"))
+    def test_one_parse_per_call(self, system_file, capsys, monkeypatch, argv):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        main([arg.replace("{}", system_file(FINAL)) for arg in argv])
+        assert calls == [f"moranspec {argv[0]}"]
 
 
 class TestRepeatedCalls:
@@ -520,6 +560,22 @@ class TestErrorPaths:
 
     def test_structural_error_file(self, system_file, capsys):
         assert main(["validate", system_file("cycle: (1,{0,1})")]) == 66
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(f"cycle: ({'9' * 5000},{{0,1}})",
+                     "entry 1 of 'cycle:' has an integer past", id="scale-5000-digits"),
+        pytest.param(f"cycle: (2,{{0,1}}) ({'2' * 4},{{0,{'1' * 5000}}})",
+                     "entry 2 of 'cycle:' has an integer past", id="digit-5000-digits"),
+        # int() reads both, the grammar neither: only ASCII decimal integers
+        pytest.param("cycle: (4,{0,1_0})", "bad digit list {0,1_0}", id="digit-underscore"),
+        pytest.param("cycle: (\uff14,{0,1})", "unexpected text near '('", id="full-width-scale"),
+    ])
+    def test_bad_integer_file(self, system_file, capsys, text, message):
+        assert main(["validate", system_file(text)]) == 66
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"system file error: {message}")
+        assert len(err) < 200  # the problem is named, not the 5000-digit text echoed
 
     @pytest.mark.parametrize("command", ["spectrum", "ortho", "qsum"])
     def test_inadmissible_level(self, system_file, capsys, command):

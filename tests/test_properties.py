@@ -20,7 +20,8 @@ extremes, class range and tail sums are checked against the factor-based and
 per-level Fraction code they replaced, and the mask against the exp sum that
 took the digit 0 too, bit for bit.
 Normalized systems are checked against the raw signed levels they come
-from, integer interval lengths against the Fraction sum they replaced,
+from, parsed levels against normalize_level then classify_level on the raw,
+shuffled, signed and repeated digits of a file, errors included, integer interval lengths against the Fraction sum they replaced,
 interval-union queries against the Fraction intervals, covers on both sides
 of the int64 edge against Fraction oracles, and the column CSV writer
 against the per-value row formatter it replaced.  The mask-zero test,
@@ -45,6 +46,7 @@ from moranspec import (
     IntervalUnion,
     Level,
     LevelClass,
+    MoranError,
     MoranStructureError,
     MoranSystem,
     OrthogonalityReport,
@@ -65,6 +67,7 @@ from moranspec import (
     level_spectrum,
     make_system,
     mask_eval,
+    normalize_level,
     parse_system,
     q_sum_finite,
     support_cover,
@@ -871,6 +874,61 @@ def test_normalization_keeps_transform_modulus_and_orthogonality(
     assert report.passed or max_level < n
     assert report == check_orthogonal(plain, level_spectrum(plain, n, sigma),
                                       max_level)
+
+
+def raw_level(rng) -> tuple[int, tuple[int, ...]]:
+    """A generator's level, or noise, as a file may give it: signs flipped, digits shuffled.
+
+    The noise draws scales from -3 to 12 and digits from -12 to 12, so p in {-1, 0, 1}
+    and digit sets that no shift normalizes come up; one level in 16 repeats a digit.
+    """
+    if rng.integers(3):
+        p, digits = GENERATORS[int(rng.integers(len(GENERATORS)))](rng)
+        p *= int(rng.choice([-1, 1]))
+        digits = [-d for d in digits] if rng.integers(2) else list(digits)
+    else:
+        p = int(rng.integers(-3, 13))
+        digits = rng.choice(np.arange(-12, 13), size=int(rng.integers(1, 6)),
+                            replace=False).tolist()
+    if rng.integers(16) == 0:
+        digits.append(digits[int(rng.integers(len(digits)))])
+    return p, tuple(int(d) for d in rng.permutation(digits))
+
+
+def two_pass_level(p_raw: int, digits: tuple[int, ...]) -> Level:
+    """A level as make_system first built it: normalize_level sorts, classify_level again."""
+    if len(digits) != len(set(digits)):
+        raise MoranStructureError(f"duplicate digits in {digits}")
+    p, shifted = normalize_level(p_raw, digits)
+    if p <= 1:
+        raise MoranStructureError(f"scale p = {p_raw} must exceed 1 in modulus")
+    return Level(p, classify_level(p, shifted))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_one_pass_levels_match_two_pass_oracle(seed):
+    rng = np.random.default_rng(seed)
+    pre, cyc = ([raw_level(rng) for _ in range(int(rng.integers(lo, 3)))] for lo in (0, 1))
+
+    def signed(d: int) -> str:  # a sign on a nonnegative digit is optional
+        return f"+{d}" if d >= 0 and rng.integers(2) else str(d)
+
+    def entries(levels):
+        return " ".join(f"({p},{{{','.join(map(signed, digits))}}})" for p, digits in levels)
+
+    text = f"preamble: {entries(pre)}\ncycle: {entries(cyc)}\n"
+    try:
+        expected = MoranSystem(tuple(two_pass_level(*lvl) for lvl in pre),
+                               tuple(two_pass_level(*lvl) for lvl in cyc))
+    except MoranError as exc:
+        with pytest.raises(MoranError) as raised:
+            parse_system(text)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+    else:
+        assert parse_system(text) == expected
+    for p, digits in pre + cyc:  # sorted or not, a tuple is sorted before it is classified
+        assert classify_level(p, digits) == classify_level(p, sorted(set(digits)))
 
 
 def sampled_tiling_check(T, window: int, samples: int) -> bool:
