@@ -2,7 +2,6 @@
 
 from .core import (
     DigitSet,
-    DiscreteMeasure,
     Level,
     LevelClass,
     MoranError,
@@ -10,9 +9,7 @@ from .core import (
     MoranSyntaxError,
     MoranSystem,
     ZeroWitness,
-    atoms,
     classify_level,
-    fourier_level,
     fourier_tail,
     make_system,
     mask_eval,

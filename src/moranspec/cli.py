@@ -314,7 +314,7 @@ def cmd_density(args) -> int:
     verdict = density_verdict(hist, args.tol)
     # the verdict decides uniformity, unless sparse support decided it first
     uniform = verdict == VERDICT_UNIFORM or (
-        verdict == VERDICT_SPARSE and uniformity_check(hist, args.tol))
+        verdict == VERDICT_SPARSE and uniformity_check(hist.density, args.tol))
     print(f"uniform within {args.tol:g}: {'yes' if uniform else 'no'}")
     print(f"verdict: {verdict}")
     if args.output:

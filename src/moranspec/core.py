@@ -7,10 +7,10 @@ It generates the infinite convolution
     mu = delta(D_1 / P_1) * delta(D_2 / P_2) * ...,   P_n = p_1 p_2 ... p_n,
 
 where delta(E) puts equal mass on the points of E.  This module holds the
-system representation, the admissible digit-set classes, the finite-level
-atom measures (integer numerators over P_n, built by one integer Minkowski
-sum), mask polynomials, truncated Fourier transforms, and the exact zero set
-of the full transform, decided in integer arithmetic.
+system representation, the admissible digit-set classes, the level factors
+whose integer Minkowski sum is the finite-level atoms (integer numerators
+over P_n), mask polynomials, truncated Fourier transforms, and the exact
+zero set of the full transform, decided in integer arithmetic.
 
 numpy loads at its first use, so validation, orthogonality and the exact
 certificate branches never pay its import.  ``np`` here is numpy itself if it
@@ -105,11 +105,6 @@ class DigitSet:
         if self.N != 2:
             raise ValueError("two-digit set required")
         return self.digits[1]
-
-    @property
-    def d_two_adic(self) -> tuple[int, int]:
-        """(l, d_odd) with d = 2**l * d_odd for a two-digit set."""
-        return two_adic_split(self.d)
 
     @property
     def a(self) -> int:
@@ -278,9 +273,6 @@ class MoranSystem:
 
     def digit_set(self, n: int) -> DigitSet:
         return self.level(n).digits
-
-    def phi(self, n: int) -> int:
-        return self.level(n).phi
 
     @cached_property
     def _pre_P(self) -> tuple[int, ...]:
@@ -461,39 +453,16 @@ def parse_system(text: str) -> MoranSystem:
                 raise MoranSyntaxError(
                     f"entry {len(sections[current]) + 1} of '{current}:' has an integer past "
                     f"Python's int(str) limit of {sys.get_int_max_str_digits()} digits") from None
+        elif m.group("junk") == "(" and current is not None:  # an entry the grammar rejects
+            entry = "".join(stripped[m.start():].partition(")")[:2])
+            raise MoranSyntaxError(f"entry {len(sections[current]) + 1} of '{current}:' is not "
+                                   f"(p,{{d,...}}) in ASCII decimal integers: {entry[:40]!r}")
         else:
             raise MoranSyntaxError(f"unexpected text near {m.group('junk')!r}")
     return make_system(sections.get("preamble", ()), sections.get("cycle", ()))
 
 
-# -- finite-level measures and Fourier data ---------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
-    """Uniform measure on level-n digit words: sorted integer numerators over P_n, repeats kept."""
-
-    numerators: np.ndarray  # as minkowski_sum builds them; compared by value
-    denominator: int
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.denominator == other.denominator
-                and np.array_equal(self.numerators, other.numerators))
-
-    def __hash__(self):
-        return hash((self.denominator, tuple(self.numerators.tolist())))
-
-    @property
-    def atoms(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(k, self.denominator) for k in self.numerators.tolist())
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, len(self.numerators))
-
-    def positions(self) -> np.ndarray:
-        # int / int is correctly rounded, exactly as float(Fraction) is
-        return np.array([k / self.denominator for k in self.numerators.tolist()])
+# -- finite-level atoms and Fourier data ------------------------------------
 
 
 def _partial_sum_dtype(factors: Iterable[Sequence[int]]):
@@ -535,20 +504,12 @@ def minkowski_sum(factors: Iterable[Sequence[int]]) -> np.ndarray:
 
 
 def _atom_factors(system: MoranSystem, n: int) -> list[list[int]]:
-    """Level factors {d P_n/P_i : d in D_i}, i = 1..n, of the level-n atom numerators."""
+    """Level factors {d P_n/P_i : d in D_i}, i = 1..n: their sums over P_n are the level-n
+    atoms d_1/P_1 + ... + d_n/P_n, one per digit word, so colliding words repeat theirs."""
     if n < 1:
         raise ValueError("level must be at least 1")
     Pn = system.P(n)
     return [[d * (Pn // P) for d in lvl.digits.digits] for lvl, _, P in system.walk(n)]
-
-
-def atoms(system: MoranSystem, n: int) -> DiscreteMeasure:
-    """Atoms of the level-n truncation: all sums d_1/P_1 + ... + d_n/P_n.
-
-    Each atom is the integer d_1 P_n/P_1 + ... + d_n P_n/P_n over P_n; digit
-    words that collide keep one each, so the measure counts them with multiplicity.
-    """
-    return DiscreteMeasure(minkowski_sum(_atom_factors(system, n)), system.P(n))
 
 
 def mask_eval(digits: DigitSet | Iterable[int], xi):
@@ -566,20 +527,12 @@ def mask_eval(digits: DigitSet | Iterable[int], xi):
     return complex(acc) if x.ndim == 0 else acc
 
 
-def _last_level(system: MoranSystem, lo: int, hi: int, scale) -> tuple[int, float]:
-    """Last level m <= hi a mask product from lo takes at |lam + xi| <= scale, and its stop.
-
-    Past level m the factors differ from 1 by at most expm1(4 pi c scale /
-    P_m) in all (see fourier_tail), so the product stops at the first P_m
-    above stop = 2**57 pi c scale, where that is below 2**-54, and never
-    divides by a P_i too large for a float (nan: never stops).
-    """
-    stop, _, levels = _walk_to_stop(system, lo, hi, scale)
-    return lo + len(levels), stop
-
-
 def _walk_to_stop(system: MoranSystem, lo: int, hi: int, scale):
-    """``_last_level``'s stop, P_m and [(level i, P_i), lo < i <= m]: one running product."""
+    """(stop, P_m, [(level i, P_i), lo < i <= m]) over one running product: a mask product
+    from lo at |lam + xi| <= scale takes levels up to m <= hi, the first with P_m > stop =
+    2**57 pi c scale.  Past it the factors differ from 1 by at most expm1(4 pi c scale / P_m)
+    < 2**-54 in all (see fourier_tail), and no P_i too large for a float is divided by (nan:
+    never stops)."""
     stop = math.ceil(2**57 * math.pi * system.max_digit_ratio) * scale
     P, levels = system.P(lo), []
     while lo + len(levels) < hi and not P > stop:
@@ -591,12 +544,12 @@ def _walk_to_stop(system: MoranSystem, lo: int, hi: int, scale):
 def _mask_product(system: MoranSystem, lo: int, hi: int, xi, reach=None):
     """Product of mask(D_i, xi/P_i) over lo < i <= hi, and a scale S.
 
-    The product stops where ``_last_level`` says for max|reach| (default xi),
-    over one running product from P_lo; the float-sized S <= P_m bounds every
-    omitted factor as P_m does, past hi too.  Each digit set's mask is
+    The product stops where ``_walk_to_stop`` says for max|reach| (default
+    xi), over one running product from P_lo; the float-sized S <= P_m bounds
+    every omitted factor as P_m does, past hi too.  Each digit set's mask is
     evaluated once, over its levels.
     """
-    system.P(hi)  # a level past a finite system's end is named as requested
+    system.level(hi)  # a level past a finite system's end is named as requested
     x = np.asarray(xi, dtype=np.float64)
     top = float(np.max(np.abs(x if reach is None else reach), initial=0.0))
     stop, last, levels = _walk_to_stop(system, lo, hi, top)
@@ -611,18 +564,6 @@ def _mask_product(system: MoranSystem, lo: int, hi: int, xi, reach=None):
     return masks.prod(axis=0), min(last, stop) or 1
 
 
-def fourier_level(system: MoranSystem, n: int, xi):
-    """Fourier transform of the level-n truncation via the mask product.
-
-    Equals mask(D_1, xi/P_1) * ... * mask(D_n, xi/P_n); n = 0 returns 1.
-    Accepts scalar or ndarray xi.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out, _ = _mask_product(system, 0, n, xi)
-    return complex(out) if out.ndim == 0 else out
-
-
 def fourier_tail(
     system: MoranSystem, n: int, xi, depth: int, reach=None
 ) -> tuple[complex, float]:
@@ -635,7 +576,8 @@ def fourier_tail(
     P_i, giving sum_{i > n+depth} 2 pi max(D_i) |xi| / P_i
     <= 4 pi c |xi| / P_{n+depth} with c = sup max(D_i)/p_i; where the
     product stops early, its scale replaces P_{n+depth}.  An ndarray xi gives
-    arrays of values and bounds, one per entry.
+    arrays of values and bounds, one per entry.  At n = 0, v is the transform
+    of the level-depth truncation.
 
     ``reach``, of xi's shape, takes B at |reach| instead, so that it holds
     for every |xi'| <= |reach|, and the product stops where max|reach| stops

@@ -127,7 +127,7 @@ def run_check(system: MoranSystem, name: str, params: dict) -> CheckResult:
                            worst <= params["rtol"])
     if kind == "uniformity":
         hist = density_histogram(system, params["level"], params["bins"])
-        obs = uniformity_check(hist, params["tol"])
+        obs = uniformity_check(hist.density, params["tol"])
         return CheckResult(name, f"{kind}@{params['level']}", str(params["expect"]),
                            str(obs), obs == params["expect"])
     if kind == "density_verdict":

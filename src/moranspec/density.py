@@ -4,10 +4,11 @@ When every level satisfies Phi(n) = p_n the Moran measure is absolutely
 continuous; its support can then be approximated from outside by finite
 unions of closed intervals, built level by level from the tile equation
 with no atom formed, its density estimated by histograms of the level
-atoms (integer numerators over P_n, binned from the level factors), and the
-tiling of the line by integer translates of the support decided exactly by
-one sweep mod 1.  Interval endpoints are integers over one denominator; only
-the density values are floating point.
+atoms (integer numerators over P_n, binned from the level factors) and
+judged uniform or not from the density array, and the tiling of the line
+by integer translates of the support decided exactly by one sweep mod 1.
+Interval endpoints are integers over one denominator; only the density
+values are floating point.
 """
 
 from __future__ import annotations
@@ -96,9 +97,6 @@ class IntervalUnion:
         # else between the ends i - 1 and i, if they exist
         return min(abs(int(e) - x) for e in self.ends[max(i - 1, 0):i + 1]) / self.den
 
-    def is_subset_of(self, other: "IntervalUnion") -> bool:
-        return IntervalUnion.from_intervals(self.intervals + other.intervals) == other
-
     def hausdorff_distance(self, other: "IntervalUnion") -> Fraction:
         """Exact Hausdorff distance between two nonempty unions."""
 
@@ -151,20 +149,32 @@ def support_cover(system: MoranSystem, level: int) -> IntervalUnion:
     copies already in order; closer ones mark the rows for a merge (sort by
     start, running maximum of the ends), made at ``_MERGE_ROWS`` rows, before
     a step that would pass ``MAX_COVER_INTERVALS`` and at the end.  A step
-    that passes the cap even from merged rows raises ValueError.
+    that passes the cap even from merged rows raises ValueError, before any
+    row is built when no step before it was marked (each word then has a row).
     """
+
+    def capped(count: int) -> int:
+        if count > MAX_COVER_INTERVALS:
+            raise ValueError(f"a level {level} support cover step of {count} "
+                             f"intervals, more than the cover cap of {MAX_COVER_INTERVALS}")
+        return count
+
     factors = _atom_factors(system, level)
     P, den, r = _over_tail_denominator(system, level)
     shifts = [sorted(f * (den // P) for f in F) for F in factors]
+    count, width = 1, r
+    for S in reversed(shifts):  # up to the first marked step
+        count = capped(count * len(S))
+        if any(b - a <= width for a, b in zip(S, S[1:])):
+            break
+        width += S[-1] - S[0]
     first, last = _factor_extremes(shifts)
     dtype = _ends_dtype(first, last + r, den)
     rows, width, dirty = np.array([[0, r]], dtype=dtype), r, False
     for S in reversed(shifts):
         if dirty and len(rows) * len(S) > MAX_COVER_INTERVALS:
             rows, dirty = _merged(rows), False
-        if len(rows) * len(S) > MAX_COVER_INTERVALS:
-            raise ValueError(f"a level {level} support cover step of {len(rows) * len(S)} "
-                             f"intervals, more than the cover cap of {MAX_COVER_INTERVALS}")
+        capped(len(rows) * len(S))
         dirty = dirty or any(b - a <= width for a, b in zip(S, S[1:]))
         rows = (np.array(S, dtype=dtype)[:, None, None] + rows).reshape(-1, 2)
         width += S[-1] - S[0]
@@ -182,10 +192,6 @@ class Histogram:
     density: np.ndarray  # counts / (atom_count * bin width)
     atom_count: int
     hull: tuple[Fraction, Fraction]
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.edges[1] - self.edges[0])
 
     @property
     def centers(self) -> np.ndarray:
@@ -249,23 +255,19 @@ def density_histogram(system: MoranSystem, level: int, bins: int) -> Histogram:
 EDGE_EXCLUDE = 2
 
 
-def uniformity_check(histogram: Histogram | np.ndarray, tol: float) -> bool:
+def uniformity_check(density: np.ndarray, tol: float) -> bool:
     """True when all interior bins with positive mass agree within tol.
 
-    Agreement is relative deviation from the mean of those bins.  For an
-    absolutely continuous measure a False verdict rules out spectrality,
-    since such a spectral measure must be uniform on its support.  Accepts a
-    Histogram or a bare density array; raises ValueError when dropping
+    ``density`` is a histogram's density array.  Agreement is relative
+    deviation from the mean of those bins.  For an absolutely continuous
+    measure a False verdict rules out spectrality, since such a spectral
+    measure must be uniform on its support.  Raises ValueError when dropping
     EDGE_EXCLUDE bins at each end leaves none.
     """
-    if isinstance(histogram, Histogram):
-        dens = histogram.density
-    else:
-        dens = np.asarray(histogram, dtype=float)
-    if len(dens) <= 2 * EDGE_EXCLUDE:
-        raise ValueError(f"{len(dens)} bins leave no interior bin once "
+    if len(density) <= 2 * EDGE_EXCLUDE:
+        raise ValueError(f"{len(density)} bins leave no interior bin once "
                          f"{EDGE_EXCLUDE} are dropped at each end")
-    dens = dens[EDGE_EXCLUDE:-EDGE_EXCLUDE]
+    dens = density[EDGE_EXCLUDE:-EDGE_EXCLUDE]
     dens = dens[dens > 0]
     if dens.size == 0:
         return False
@@ -288,7 +290,7 @@ def density_verdict(histogram: Histogram, tol: float = 0.1) -> str:
     """
     if histogram.sparse_support:
         return VERDICT_SPARSE
-    if not uniformity_check(histogram, tol):
+    if not uniformity_check(histogram.density, tol):
         return VERDICT_NOT_SPECTRAL
     return VERDICT_UNIFORM
 

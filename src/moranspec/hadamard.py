@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .core import DigitSet, LevelClass, classify_level, np
+from .core import DigitSet, LevelClass, classify_level, np, two_adic_split
 
 
 def _as_digit_set(p: int, digits: DigitSet | Iterable[int]) -> DigitSet:
@@ -48,7 +48,7 @@ def construct_L(p: int, digits: DigitSet | Iterable[int], sign: int = 1) -> tupl
     if ds.cls is LevelClass.T2:
         return (0, p // 3, -(p // 3))
     if ds.cls is LevelClass.T3:
-        return (0, sign * (p >> (1 + ds.d_two_adic[0])))
+        return (0, sign * (p >> (1 + two_adic_split(ds.d)[0])))
     raise ValueError(f"not admissible: {ds.violations}")
 
 

@@ -242,7 +242,8 @@ def q_sum_finite(
     own level ``check_orthogonal`` decides Q = 1 exactly from the companions
     (the CLI's route); this float sum serves deeper levels and failing sets.
     """
-    system.P(n)  # a level past a finite system's end is named as requested
+    if n:
+        system.level(n)  # a level past a finite system's end is named as requested
     x = np.asarray(xi, dtype=np.float64)
     flat = x.reshape(-1)
     if (isinstance(points, SpectrumLevel) and points.system == system

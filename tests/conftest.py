@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from moranspec import level_spectrum, make_system, mask_eval
-from moranspec.core import _factor_extremes, _last_level
+from moranspec.core import _atom_factors, _factor_extremes, _walk_to_stop, minkowski_sum
 
 
 @pytest.fixture
@@ -76,6 +76,20 @@ def random_t3_level(rng) -> tuple[int, tuple[int, ...]]:
             return p, (0, d)
 
 
+# -- level atoms ---------------------------------------------------------------
+
+
+def atom_numerators(system, n: int) -> np.ndarray:
+    """Sorted level-n atom numerators over P_n, one per digit word: repeats are kept."""
+    return minkowski_sum(_atom_factors(system, n))
+
+
+def level_atoms(system, n: int) -> tuple[Fraction, ...]:
+    """The level-n atoms as Fractions, sorted, one per digit word."""
+    P = system.P(n)
+    return tuple(Fraction(k, P) for k in atom_numerators(system, n).tolist())
+
+
 # -- mask product oracle -------------------------------------------------------
 
 
@@ -87,7 +101,8 @@ def sequential_mask_product(system, lo: int, hi: int, xi):
     """
     system.P(hi)
     x = np.asarray(xi, dtype=np.float64)
-    last, stop = _last_level(system, lo, hi, float(np.max(np.abs(x), initial=0.0)))
+    stop, _, levels = _walk_to_stop(system, lo, hi, float(np.max(np.abs(x), initial=0.0)))
+    last = lo + len(levels)
     out = np.ones(x.shape, dtype=np.complex128)
     for m in range(lo + 1, last + 1):
         Pm = system.P(m)

@@ -287,8 +287,9 @@ class TestCertify:
     def test_long_prefix_walks_companions_once(self, monkeypatch):
         # the class range comes from the companions over one running product:
         # no factor as long as P_j is formed, and P is asked for a fixed number
-        # of times, P_0 for the Lipschitz sum and P_lo, P_hi for the one tail
-        # evaluation round, however far the prefix pushes n_0
+        # of times, P_0 for the Lipschitz sum and P_lo for the one tail
+        # evaluation round, however far the prefix pushes n_0; the tail names
+        # its last level without forming P_hi
         s = parse_system("preamble: (4,{0,2}) cycle: (4,{0,1}) (3,{0,1,2})")
         calls = []
         P = MoranSystem.P
@@ -301,7 +302,7 @@ class TestCertify:
             cert = certify(s, sigma=(1, -1) * (k // 2))
             assert cert.verdict is Verdict.PASS and cert.checkpoint == 2 * k - 2
             counts.append(len(calls))
-        assert counts == [3, 3, 3]
+        assert counts == [2, 2, 2]
 
     def test_draws_no_random_numbers(self, alternating_system, pure_t3_system,
                                      monkeypatch):

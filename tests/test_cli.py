@@ -568,7 +568,15 @@ class TestErrorPaths:
                      "entry 2 of 'cycle:' has an integer past", id="digit-5000-digits"),
         # int() reads both, the grammar neither: only ASCII decimal integers
         pytest.param("cycle: (4,{0,1_0})", "bad digit list {0,1_0}", id="digit-underscore"),
-        pytest.param("cycle: (\uff14,{0,1})", "unexpected text near '('", id="full-width-scale"),
+        # an entry the grammar rejects is named by its position and text
+        pytest.param("cycle: (\uff14,{0,1})", "entry 1 of 'cycle:' is not (p,{d,...}) in ASCII "
+                     "decimal integers: '(\uff14,{0,1})'", id="full-width-scale"),
+        pytest.param("cycle: (2,{0,1}) (+4,{0,1})", "entry 2 of 'cycle:' is not (p,{d,...})",
+                     id="plus-scale"),
+        pytest.param("preamble: (2.5,{0,1})", "entry 1 of 'preamble:' is not (p,{d,...})",
+                     id="decimal-point-scale"),
+        pytest.param(f"cycle: (2.{'5' * 5000},{{0,1}})", "entry 1 of 'cycle:' is not",
+                     id="decimal-point-5000-digits"),
     ])
     def test_bad_integer_file(self, system_file, capsys, text, message):
         assert main(["validate", system_file(text)]) == 66
@@ -608,6 +616,23 @@ class TestErrorPaths:
         assert [(r["exit"], r["numpy"]) for r in results] == [(code, []) for _, code in cases]
         assert wall < len(cases)  # well under 1 s a refusal, process start included
         assert int(peak_kib) < 50 * 1024
+
+    def test_huge_depth_and_cover_refused_before_building(self):
+        # a huge --depth names its last level without forming P_depth, and a cover
+        # step past the cap is refused from the shifts, before any row is built
+        data = corpus._data_root()
+        cases = [(["certify", "unit_interval_tile", "--depth", "1000000000"], 0),
+                 (["qsum", "pure_two_digit", "--level", "4", "--depth", "1000000000"], 0),
+                 (["tiling", "mixed_classes", "--level", "70"], 64),
+                 (["tiling", "skewed_two_digit", "--level", "40"], 64)]
+        argvs = [[cmd, str(data / f"{name}.moran"), *rest] for (cmd, name, *rest), _ in cases]
+        child = ("import resource\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                 "resource.setrlimit(resource.RLIMIT_CPU, (30, 30))\n" + FRESH_MAIN)
+        start = time.perf_counter()
+        results = [json.loads(line) for line in run_fresh(child, json.dumps(argvs)).splitlines()]
+        assert [r["exit"] for r in results] == [code for _, code in cases]
+        assert time.perf_counter() - start < 2 * len(cases)
 
     def test_atom_limit_is_inclusive(self, system_file, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_BINNED_ATOMS", 6)

@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from moranspec import (
-    DiscreteMeasure,
     LevelClass,
     MoranStructureError,
     MoranSyntaxError,
-    atoms,
     classify_level,
-    fourier_level,
     fourier_tail,
     make_system,
     mask_eval,
@@ -19,14 +16,15 @@ from moranspec import (
     parse_system,
     zero_set_contains,
 )
-from moranspec.core import minkowski_sum
+from moranspec.core import minkowski_sum, two_adic_split
+from conftest import atom_numerators, level_atoms
 
 
 class TestParse:
     def test_cycle_only(self):
         s = parse_system("cycle: (2,{0,1}) (3,{0,1,2})")
-        assert s.phi(1) == 2 and s.phi(2) == 3
-        assert s.phi(3) == 2 and s.phi(4) == 3  # cycle repeats
+        assert s.level(1).phi == 2 and s.level(2).phi == 3
+        assert s.level(3).phi == 2 and s.level(4).phi == 3  # cycle repeats
 
     def test_preamble_only_finite(self):
         s = parse_system("preamble: (4,{0,2})")
@@ -84,7 +82,7 @@ class TestClassify:
     def test_t3(self):
         ds = classify_level(4, [0, 2])
         assert ds.cls is LevelClass.T3
-        assert ds.d == 2 and ds.d_two_adic == (1, 1)
+        assert ds.d == 2 and two_adic_split(ds.d) == (1, 1)
 
     def test_t2_boundary_warning(self):
         ds = classify_level(3, [0, 1, 2])
@@ -151,48 +149,29 @@ class TestMask:
 
 class TestAtoms:
     def test_binary_two_levels(self, dyadic_system):
-        meas = atoms(dyadic_system, 2)
-        assert meas.atoms == (Fraction(0), Fraction(1, 4), Fraction(1, 2),
-                              Fraction(3, 4))
-        assert meas.weight == Fraction(1, 4)
+        assert level_atoms(dyadic_system, 2) == (Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                                                 Fraction(3, 4))
 
     def test_final_level_one(self, final_system):
-        meas = atoms(final_system, 1)
-        assert meas.atoms == (Fraction(0), Fraction(1, 2))
+        assert level_atoms(final_system, 1) == (Fraction(0), Fraction(1, 2))
 
     def test_nonuniform_nine_atoms(self, nonuniform_system):
-        meas = atoms(nonuniform_system, 2)
         expected = (0, Fraction(1, 2), 1, Fraction(5, 4), Fraction(3, 2),
                     Fraction(7, 4), 2, Fraction(9, 4), Fraction(5, 2))
-        assert meas.atoms == tuple(Fraction(e) for e in expected)
-        assert meas.weight == Fraction(1, 9)
+        assert level_atoms(nonuniform_system, 2) == tuple(Fraction(e) for e in expected)
 
     def test_atom_count_matches_phi_product(self, final_system, mixed_system):
         for s in (final_system, mixed_system):
             for n in range(1, 6):
-                assert len(atoms(s, n).atoms) == s.phi_product(n)
+                assert len(level_atoms(s, n)) == s.phi_product(n)
 
     def test_collision_detected(self):
         # 1/2 from level one equals 2/4 from level two: colliding words repeat
         # their numerator 2 d_1 + d_2, so the atom carries their mass
         s = make_system(cycle=[(2, (0, 1, 2, 3))])
-        meas = atoms(s, 2)
-        assert meas.numerators.tolist() == sorted(2 * a + b for a in range(4) for b in range(4))
-        assert meas.numerators.tolist().count(4) == 2
-        assert meas.weight == Fraction(1, 16)
-
-    def test_measures_compare_and_hash_by_value(self, mixed_system):
-        a, b = atoms(mixed_system, 3), atoms(mixed_system, 3)
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert len({a, b}) == 1
-        assert a != atoms(mixed_system, 2)
-        assert a != a.numerators.tolist()
-
-    def test_positions_correctly_rounded_past_2_53(self):
-        # P_n or a numerator past 2**53 is no exact float; int / int rounds once
-        for nums, P in (([1, 2**52 + 1, 3**33], 3**34), ([2**53 + 1, 3**38], 3)):
-            meas = DiscreteMeasure(np.array(nums), P)
-            assert meas.positions().tolist() == [float(Fraction(k, P)) for k in nums]
+        nums = atom_numerators(s, 2).tolist()
+        assert nums == sorted(2 * a + b for a in range(4) for b in range(4))
+        assert nums.count(4) == 2
 
 
 class TestMinkowskiSum:
@@ -224,22 +203,22 @@ class TestFourier:
                                        mixed_system, rng):
         for s in (final_system, nonuniform_system, mixed_system):
             for n in (1, 3, 6):
-                meas = atoms(s, n)
-                pos = meas.positions()
-                w = float(meas.weight)
+                pos = np.array([float(a) for a in level_atoms(s, n)])
+                w = 1 / len(pos)
                 xs = rng.uniform(-10, 10, 100)
                 direct = np.array([
                     np.sum(w * np.exp(-2j * np.pi * pos * x)) for x in xs
                 ])
-                prod = fourier_level(s, n, xs)
+                prod, _ = fourier_tail(s, 0, xs, n)
                 assert np.max(np.abs(prod - direct)) < 1e-12
 
     def test_recursion(self, final_system, rng):
         for x in rng.uniform(-20, 20, 50):
             for n in (1, 2, 5):
-                lhs = fourier_level(final_system, n, x)
+                lhs, _ = fourier_tail(final_system, 0, x, n)
                 P = final_system.P(n)  # x reduced mod P_n exactly, as the product does
-                rhs = fourier_level(final_system, n - 1, x) * mask_eval(
+                prev = fourier_tail(final_system, 0, x, n - 1)[0] if n > 1 else 1
+                rhs = prev * mask_eval(
                     final_system.digit_set(n), math.fmod(x, P) / P
                 )
                 assert abs(lhs - rhs) < 1e-15
@@ -253,35 +232,32 @@ class TestFourier:
                 P = mixed_system.P(i)
                 oracle *= mask_eval(mixed_system.digit_set(i),
                                     float(Fraction(x) % P / P))
-            assert abs(fourier_level(mixed_system, 4, x) - oracle) < 1e-12
+            assert abs(fourier_tail(mixed_system, 0, x, 4)[0] - oracle) < 1e-12
 
     def test_reflection_symmetry(self, mixed_system, rng):
         for x in rng.uniform(-20, 20, 50):
             assert abs(
-                abs(fourier_level(mixed_system, 4, x))
-                - abs(fourier_level(mixed_system, 4, -x))
+                abs(fourier_tail(mixed_system, 0, x, 4)[0])
+                - abs(fourier_tail(mixed_system, 0, -x, 4)[0])
             ) < 1e-13
 
     def test_simple_values(self, dyadic_system, final_system):
-        assert abs(fourier_level(dyadic_system, 1, 1.0)) < 1e-15
-        assert fourier_level(final_system, 4, 0.0) == 1.0
-        assert abs(fourier_level(final_system, 2, 3.0)) < 1e-15
-
-    def test_level_zero(self, final_system):
-        assert fourier_level(final_system, 0, 1.23) == 1.0
+        assert abs(fourier_tail(dyadic_system, 0, 1.0, 1)[0]) < 1e-15
+        assert fourier_tail(final_system, 0, 0.0, 4)[0] == 1.0
+        assert abs(fourier_tail(final_system, 0, 3.0, 2)[0]) < 1e-15
 
     def test_zero_set_kills_transform(self, final_system):
         for xi in (1, 2, 3, 5, Fraction(7, 2) * 2):
             w = zero_set_contains(final_system, Fraction(xi))
             assert w is not None
             for n in range(w.level, w.level + 4):
-                assert abs(fourier_level(final_system, n, float(xi))) < 1e-12
+                assert abs(fourier_tail(final_system, 0, float(xi), n)[0]) < 1e-12
 
     def test_level_past_float_range(self):
         # P_400 = 8**400 overflows a float; the factors past about level 20
         # equal 1 to double precision
         s = make_system(cycle=[(8, (0, 1, 2, 3))])
-        assert fourier_level(s, 400, 0.5) == fourier_level(s, 20, 0.5)
+        assert fourier_tail(s, 0, 0.5, 400)[0] == fourier_tail(s, 0, 0.5, 20)[0]
 
 
 class TestFourierTail:
@@ -373,7 +349,7 @@ class TestSystemAccessors:
         # one pow past the preamble, against the level-by-level product
         for s in (final_system, mixed_system, nonuniform_system):
             assert [s.phi_product(n) for n in range(-1, 12)] == [1] + [
-                math.prod(s.phi(i) for i in range(1, n + 1)) for n in range(12)]
+                math.prod(s.level(i).phi for i in range(1, n + 1)) for n in range(12)]
 
     def test_max_digit_ratio(self, nonuniform_system):
         assert nonuniform_system.max_digit_ratio == Fraction(3, 1)

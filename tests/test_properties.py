@@ -52,7 +52,6 @@ from moranspec import (
     OrthogonalityReport,
     SpectrumLevel,
     Verdict,
-    atoms,
     certify,
     check_orthogonal,
     classify_level,
@@ -61,7 +60,6 @@ from moranspec import (
     density_histogram,
     epsilon_next_level,
     f_eval,
-    fourier_level,
     fourier_tail,
     is_hadamard,
     level_spectrum,
@@ -77,8 +75,8 @@ from moranspec import (
 from moranspec.certificates import _class_range, _lambda_extremes, lambda_norm_check
 from moranspec.cli import write_csv
 from moranspec.core import _mask_product, minkowski_sum
-from conftest import (factor_class_range, factor_lambda_extremes, fraction_tail_sum,
-                      random_t1_level, random_t2_level, random_t3_level, row_formatter_csv,
+from conftest import (atom_numerators, factor_class_range, factor_lambda_extremes,
+                      fraction_tail_sum, level_atoms, random_t1_level, random_t2_level, random_t3_level, row_formatter_csv,
                       sequential_mask_product)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -148,11 +146,7 @@ def test_integer_atoms_match_fraction_oracle(seed, n):
     while n > 1 and system.phi_product(n) > MAX_ATOMS:
         n -= 1
     oracle = fraction_atoms(system, n)  # colliding words repeat their atom
-    meas = atoms(system, n)
-    assert meas.denominator == system.P(n)
-    assert meas.atoms == tuple(sorted(oracle))
-    assert meas.weight == Fraction(1, len(oracle))
-    assert meas.positions().tolist() == [float(a) for a in sorted(oracle)]
+    assert level_atoms(system, n) == tuple(sorted(oracle))
 
 
 def python_int_atoms(system, n: int) -> list[int]:
@@ -181,11 +175,9 @@ def test_atoms_past_int64_match_python_int_oracle(seed, n):
     levels.append((p, (0, int(rng.integers(1, p)) << int(rng.integers(81)))))
     system = make_system(preamble=levels)
     oracle = python_int_atoms(system, n)
-    meas = atoms(system, n)
-    assert meas.numerators.tolist() == oracle
-    assert (meas.numerators.dtype == object) == (oracle[-1] >= 2**63)
-    P = system.P(n)
-    assert meas.positions().tolist() == [float(Fraction(k, P)) for k in oracle]
+    nums = atom_numerators(system, n)
+    assert nums.tolist() == oracle
+    assert (nums.dtype == object) == (oracle[-1] >= 2**63)
     assert support_cover(system, n) == cover_oracle(system, n, oracle)
 
 
@@ -219,7 +211,7 @@ def test_cover_recursion_across_merge_point(seed, dense_top):
     n = len(preamble)
     while system.phi_product(n) < 2**10 * system.phi_product(len(preamble)):
         n += 1
-    nums = atoms(system, n).numerators.tolist()
+    nums = atom_numerators(system, n).tolist()
     assert len(set(nums)) < len(nums)  # words collide; the oracle needs each atom once
     with mock.patch.object(density, "_merged", wraps=density._merged) as merged:
         assert support_cover(system, n) == cover_oracle(system, n, set(nums))
@@ -252,7 +244,7 @@ def test_cover_at_int64_edge(excess):
     cover = support_cover(system, 1)
     assert cover.den == 3 * p and int(cover.ends[-1]) + cover.den == 2**63 - 1 + excess
     assert cover.ends.dtype == (object if excess else np.int64)
-    assert cover == cover_oracle(system, 1, atoms(system, 1).numerators.tolist())
+    assert cover == cover_oracle(system, 1, atom_numerators(system, 1).tolist())
     assert len(cover.intervals) == 2
     assert cover.total_length == sum((hi - lo for lo, hi in cover.intervals), Fraction(0))
     assert tiling_defects(cover) == tiling_oracle(cover)
@@ -309,14 +301,15 @@ def test_integer_bins_match_fraction_oracle(seed, wide, bins):
         n = 5
         while n > 1 and system.phi_product(n) > MAX_ATOMS:
             n -= 1
-    meas = atoms(system, n)
-    assert meas.numerators.dtype == np.int64
+    nums = atom_numerators(system, n)
+    assert nums.dtype == np.int64
+    words = level_atoms(system, n)
     hist = density_histogram(system, n, bins)
     tail = system.tail_max_sum(n)
-    assert hist.hull == (meas.atoms[0], meas.atoms[-1] + tail)
-    assert hist.counts.tolist() == bin_oracle(meas.atoms, tail, bins)
+    assert hist.hull == (words[0], words[-1] + tail)
+    assert hist.counts.tolist() == bin_oracle(words, tail, bins)
     # the second wide family has int64 atoms and a cover reach past 2**63
-    assert support_cover(system, n) == cover_oracle(system, n, meas.numerators.tolist())
+    assert support_cover(system, n) == cover_oracle(system, n, nums.tolist())
 
 
 @settings(max_examples=80, deadline=None)
@@ -326,7 +319,7 @@ def test_histogram_counts_colliding_words(seed, n, bins):
     while n > 1 and system.phi_product(n) > MAX_ATOMS:
         n -= 1
     words = fraction_atoms(system, n)
-    assert atoms(system, n).atoms == tuple(sorted(words))
+    assert level_atoms(system, n) == tuple(sorted(words))
     hist = density_histogram(system, n, bins)
     tail = system.tail_max_sum(n)
     assert hist.atom_count == len(words)
@@ -342,10 +335,9 @@ def test_histogram_counts_colliding_words(seed, n, bins):
 ])
 def test_histogram_blocks_match_sorted_atoms(text, n):
     system = parse_system(text)
-    meas = atoms(system, n)
     tail = system.tail_max_sum(n)
     hist = density_histogram(system, n, 4096)
-    assert hist.counts.tolist() == bin_oracle(meas.atoms, tail, 4096)
+    assert hist.counts.tolist() == bin_oracle(level_atoms(system, n), tail, 4096)
 
 
 @settings(max_examples=300, deadline=None)
@@ -604,8 +596,9 @@ def test_mask_skips_no_bit_of_exp_zero(seed, xs):
 @given(SEEDS, st.integers(0, 8), st.integers(1, 40), XIS)
 def test_transforms_match_scalar_loop(seed, n, depth, xi):
     system = random_system(seed)
-    level = fourier_level(system, n, xi)
-    assert abs(level - scalar_mask_loop(system, 0, n, xi)) < 1e-12
+    if n:  # the level-n transform is the tail from 0
+        level, _ = fourier_tail(system, 0, xi, n)
+        assert abs(level - scalar_mask_loop(system, 0, n, xi)) < 1e-12
     val, _ = fourier_tail(system, n, xi, depth)
     assert abs(val - scalar_mask_loop(system, n, n + depth, xi)) < 1e-12
 
@@ -690,7 +683,7 @@ def test_grouped_mask_product_is_sequential_product(seed, lo, depth, xs):
         oracle, oracle_scale = sequential_mask_product(system, lo, lo + depth, x)
         assert np.array_equal(val, oracle) and scale == oracle_scale
         assert np.shape(val) == np.shape(x)
-        level = fourier_level(system, depth, x)
+        level, _ = fourier_tail(system, 0, x, depth)
         assert np.array_equal(level, sequential_mask_product(system, 0, depth, x)[0])
 
 
@@ -865,7 +858,7 @@ def test_normalization_keeps_transform_modulus_and_orthogonality(
     for p, digits in raw[:n]:
         P *= p
         product *= mask_eval(digits, x / P)
-    assert np.allclose(np.abs(fourier_level(normalized, n, x)), np.abs(product),
+    assert np.allclose(np.abs(fourier_tail(normalized, 0, x, n)[0]), np.abs(product),
                        rtol=0, atol=1e-10)
     while n > 1 and plain.phi_product(n) > 150:
         n -= 1
@@ -1001,9 +994,9 @@ def test_union_queries_match_fraction_intervals(pairs, other_pairs, x):
     assert T.contains(x) == any(lo <= x <= hi for lo, hi in raw)
     if raw:
         assert T.distance_to(x) == min(max(lo - x, x - hi, 0) for lo, hi in raw)
+    # merging T's intervals into U leaves U as it is iff T lies inside it
     inside = all(any(a <= lo and hi <= b for a, b in U.intervals) for lo, hi in raw)
-    assert T.is_subset_of(U) == inside
-    assert T.is_subset_of(IntervalUnion.from_intervals(raw + list(U.intervals)))
+    assert (IntervalUnion.from_intervals(T.intervals + U.intervals) == U) == inside
 
 
 #: Values repeat within a column: signed zeros, both nan signs, infinities,

@@ -10,7 +10,6 @@ from moranspec import (
     MoranStructureError,
     MoranSystem,
     SpectrumLevel,
-    atoms,
     check_orthogonal,
     construct_L,
     corpus,
@@ -22,7 +21,7 @@ from moranspec import (
     zero_set_contains,
 )
 from moranspec.spectrum import _level_terms
-from conftest import exp_matrix_residual
+from conftest import exp_matrix_residual, level_atoms
 
 
 class TestDigitStar:
@@ -69,7 +68,7 @@ class TestLevelSpectrum:
             for n in range(1, 6):
                 pts = level_spectrum(s, n)
                 assert len(pts) == s.phi_product(n)
-                assert len(pts) == len(atoms(s, n).atoms)
+                assert len(pts) == len(level_atoms(s, n))
 
     def test_zero_always_member(self, alternating_system):
         for n in range(5):
@@ -302,9 +301,8 @@ class TestQPartial:
 class TestExpMatrix:
     def test_unitarity_for_spectra(self, final_system):
         for n in (1, 2, 3, 4):
-            meas = atoms(final_system, n)
             pts = level_spectrum(final_system, n)
-            assert exp_matrix_residual(meas.atoms, pts.points) < 1e-10
+            assert exp_matrix_residual(level_atoms(final_system, n), pts.points) < 1e-10
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
