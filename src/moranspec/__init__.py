@@ -18,10 +18,8 @@ from .core import (
     zero_set_contains,
 )
 from .hadamard import (
-    HadamardTriple,
     construct_L,
     digit_star,
-    hadamard_triple,
     is_hadamard,
     unitarity_residual,
 )

@@ -290,7 +290,7 @@ def _certify_two_digit_tail(system, sig, diag):
     """(verdict, None, None) of the exact head completeness check."""
     head = max((i for i, lvl in enumerate(system.preamble, 1) if lvl.phi >= 3), default=0)
     # q orthogonal exponentials on a measure of at most q atoms are a basis
-    report = check_orthogonal(system, level_spectrum(system, head, sig), max_level=head)
+    report = check_orthogonal(system, level_spectrum(system, head, sig))
     diag.append(f"pure two-digit tail beyond level {head}; "
                 "per-level tail conditions hold by classification")
     diag.append(f"level-{head} head spectrum: {report.point_count} exponentials, "

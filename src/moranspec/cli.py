@@ -29,7 +29,7 @@ from .density import (
     tiling_defects,
     uniformity_check,
 )
-from .hadamard import hadamard_triple
+from .hadamard import construct_L, is_hadamard
 from .spectrum import SpectrumLevel, check_orthogonal, level_spectrum, q_sum_finite
 
 EXIT_OK = 0
@@ -230,7 +230,7 @@ def cmd_spectrum(args) -> int:
 def cmd_ortho(args) -> int:
     system = load_system(args.system)
     pts = level_spectrum(system, args.level, parse_sigma(args.sigma))
-    report = check_orthogonal(system, pts, max_level=args.level)
+    report = check_orthogonal(system, pts)
     print(f"points: {count_text(report.point_count)}  pairs: {count_text(report.pairs_checked)}  "
           f"failures: {len(report.failures)}")
     print(f"witness levels used: {list(report.witness_levels)}")
@@ -254,7 +254,7 @@ def cmd_qsum(args) -> int:
     if not math.isfinite(args.xmax - args.xmin):  # linspace would step by inf
         raise UsageError(f"--xmin {args.xmin} to --xmax {args.xmax} spans past the float range")
     # q orthogonal exponentials on a measure of at most q atoms are a basis: Q = 1
-    exact = depth == args.level and check_orthogonal(system, pts, max_level=args.level).passed
+    exact = depth == args.level and check_orthogonal(system, pts).passed
     if args.output or not exact:  # an exact Q = 1 needs an array only for the CSV
         xs = np.linspace(args.xmin, args.xmax, args.grid)
         qs = np.ones(args.grid) if exact else q_sum_finite(system, depth, pts, xs)
@@ -282,10 +282,9 @@ def cmd_hadamard(args) -> int:
             print(f"{where}: p={lvl.p} D={lvl.digits} not admissible "
                   f"({'; '.join(lvl.digits.violations)})")
             continue
-        triple = hadamard_triple(lvl.p, lvl.digits)
-        print(f"{where}: p={lvl.p} D={lvl.digits} "
-              f"L={{{','.join(str(v) for v in triple.L)}}} "
-              f"hadamard={'yes' if triple.exact else 'no'}")
+        L = construct_L(lvl.p, lvl.digits)
+        print(f"{where}: p={lvl.p} D={lvl.digits} L={{{','.join(map(str, L))}}} "
+              f"hadamard={'yes' if is_hadamard(lvl.p, lvl.digits, L) else 'no'}")
     return EXIT_OK
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 if (np := sys.modules.get("numpy")) is None:
@@ -274,27 +274,20 @@ class MoranSystem:
     def digit_set(self, n: int) -> DigitSet:
         return self.level(n).digits
 
-    @cached_property
-    def _pre_P(self) -> tuple[int, ...]:
-        return tuple(accumulate((lvl.p for lvl in self.preamble), operator.mul, initial=1))
-
-    @cached_property
-    def _cycle_P(self) -> tuple[int, ...]:
-        return tuple(accumulate((lvl.p for lvl in self.cycle), operator.mul, initial=1))
+    def _product(self, n: int, term) -> int:
+        """term(level 1) ... term(level n): past the preamble pre x cycle**k x partial, one pow."""
+        if n <= len(self.preamble):
+            return math.prod(map(term, self.preamble[:n]))
+        self.level(n)  # a level past a finite system's end is named as requested
+        k, r = divmod(n - len(self.preamble), len(self.cycle))
+        return (math.prod(map(term, self.preamble + self.cycle[:r]))
+                * math.prod(map(term, self.cycle)) ** k)
 
     def P(self, n: int) -> int:
         """Product p_1 ... p_n (exact integer); P(0) = 1."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        npre = len(self.preamble)
-        if n <= npre:
-            return self._pre_P[n]
-        if not self.cycle:
-            raise LevelRangeError(
-                f"level {n} requested from a finite system of {npre} levels"
-            )
-        k, r = divmod(n - npre, len(self.cycle))
-        return self._pre_P[npre] * self._cycle_P[-1] ** k * self._cycle_P[r]
+        return self._product(n, operator.attrgetter("p"))
 
     def walk(self, n: int | None = None) -> Iterator[tuple[Level, int, int]]:
         """(level i, P_{i-1}, P_i) for i = 1, ..., n, P_i as a running product.
@@ -310,16 +303,8 @@ class MoranSystem:
             yield lvl, prev, P
 
     def phi_product(self, n: int) -> int:
-        """Product Phi(1) ... Phi(n) = number of atoms at level n; 1 for n <= 0.
-
-        Past the preamble it is pre x cycle**k x partial with one pow, as P(n) is.
-        """
-        if n <= len(self.preamble):
-            return math.prod(lvl.phi for lvl in self.preamble[:max(n, 0)])
-        self.level(n)  # a level past a finite system's end is named as requested
-        k, r = divmod(n - len(self.preamble), len(self.cycle))
-        return (math.prod(lvl.phi for lvl in self.preamble + self.cycle[:r])
-                * math.prod(lvl.phi for lvl in self.cycle) ** k)
+        """Product Phi(1) ... Phi(n) = number of atoms at level n; 1 for n <= 0."""
+        return self._product(max(n, 0), operator.attrgetter("phi"))
 
     def check_admissible(self, n: int) -> None:
         """Raise unless levels 1..n exist and are all admissible.
@@ -453,10 +438,12 @@ def parse_system(text: str) -> MoranSystem:
                 raise MoranSyntaxError(
                     f"entry {len(sections[current]) + 1} of '{current}:' has an integer past "
                     f"Python's int(str) limit of {sys.get_int_max_str_digits()} digits") from None
-        elif m.group("junk") == "(" and current is not None:  # an entry the grammar rejects
+        elif m.group("junk") == "(":  # an entry the grammar rejects
             entry = "".join(stripped[m.start():].partition(")")[:2])
-            raise MoranSyntaxError(f"entry {len(sections[current]) + 1} of '{current}:' is not "
-                                   f"(p,{{d,...}}) in ASCII decimal integers: {entry[:40]!r}")
+            where = (f"entry {len(sections[current]) + 1} of '{current}:'" if current
+                     else "entry before any 'preamble:' or 'cycle:' header")
+            raise MoranSyntaxError(f"{where} is not (p,{{d,...}}) in ASCII decimal integers: "
+                                   f"{entry[:40]!r}")
         else:
             raise MoranSyntaxError(f"unexpected text near {m.group('junk')!r}")
     return make_system(sections.get("preamble", ()), sections.get("cycle", ()))
@@ -485,21 +472,6 @@ def _outer_sums(factors: Iterable[Sequence[int]], dtype) -> list[np.ndarray]:
     sums = [np.zeros(1, dtype=dtype)]
     for F in factors:
         sums.append(np.add.outer(np.array(F, dtype=dtype), sums[-1]).ravel())
-    return sums
-
-
-def minkowski_sum(factors: Iterable[Sequence[int]]) -> np.ndarray:
-    """Sorted sums f_1 + ... + f_n, one f_i from each integer factor.
-
-    int64 where ``_partial_sum_dtype`` allows, else Python ints.  Every choice
-    is one entry, so equal neighbours mean a collision.
-    """
-    factors = [[int(f) for f in factor] for factor in factors]
-    sums = np.zeros(1, dtype=_partial_sum_dtype(factors))
-    for factor in factors:
-        # each row f + sums is a sorted run, and the stable sort merges runs
-        sums = np.add.outer(np.array(factor, dtype=sums.dtype), sums).ravel()
-        sums.sort(kind="stable")
     return sums
 
 

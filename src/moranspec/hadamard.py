@@ -6,15 +6,16 @@ measure on D/p.  ``construct_L`` builds the companion set of each admissible
 class, the L_j that the level-n spectrum takes at level j (its factor there
 is P_{j-1} L_j), so ``hadamard`` prints the spectrum's L.  ``is_hadamard``
 decides the property exactly, asking ``DigitSet.mask_zero`` whether each
-difference of L, over p, is a zero of the mask of D, and
-``unitarity_residual`` measures the numeric deviation from unitarity, the
-float reference the exact test agrees with.
+difference of L, over p, is a zero of the mask of D: it is the one pair
+test, which ``hadamard`` prints per level and ``check_orthogonal`` asks of
+each distinct companion of a spectrum.  ``unitarity_residual`` measures the
+numeric deviation from unitarity, the float reference the exact test agrees
+with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -79,18 +80,3 @@ def is_hadamard(p: int, digits: DigitSet | Iterable[int], L: Iterable[int]) -> b
     if ds.cls is LevelClass.INVALID:
         raise ValueError(f"not admissible: {ds.violations}")
     return all(ds.mask_zero(a - b, p) for a, b in combinations(Ls, 2))
-
-
-@dataclass(frozen=True)
-class HadamardTriple:
-    p: int
-    digits: DigitSet
-    L: tuple[int, ...]
-    exact: bool  # is_hadamard's verdict
-
-
-def hadamard_triple(p: int, digits: DigitSet | Iterable[int]) -> HadamardTriple:
-    """Construct the canonical triple and record its exact Hadamard verdict."""
-    ds = _as_digit_set(p, digits)
-    L = construct_L(p, ds)
-    return HadamardTriple(p, ds, L, is_hadamard(p, ds, L))

@@ -36,11 +36,10 @@ from .core import (
     _outer_sums,
     _partial_sum_dtype,
     _walk_to_stop,
-    minkowski_sum,
     np,
     zero_set_contains,
 )
-from .hadamard import construct_L
+from .hadamard import construct_L, is_hadamard
 
 SigmaPrefix = Sequence[int]
 
@@ -78,7 +77,7 @@ class SpectrumLevel:
 
     @cached_property
     def points(self) -> tuple[int, ...]:
-        pts = minkowski_sum(self.factors)
+        pts = np.sort(_outer_sums(self.factors, _partial_sum_dtype(self.factors))[-1])
         if (pts[1:] == pts[:-1]).any():
             raise MoranStructureError(f"spectrum collision at level {self.level}")
         return tuple(pts.tolist())
@@ -114,10 +113,6 @@ def level_spectrum(
     return SpectrumLevel(system, n, tuple(used), tuple(companions))
 
 
-def _points(points: SpectrumLevel | Iterable) -> tuple:
-    return points.points if isinstance(points, SpectrumLevel) else tuple(points)
-
-
 @dataclass(frozen=True)
 class OrthogonalityReport:
     """Outcome of the exact pairwise orthogonality check."""
@@ -135,43 +130,42 @@ class OrthogonalityReport:
 def _companions_hadamard(system: MoranSystem, spec: SpectrumLevel) -> bool:
     """Each distinct companion of a spectrum of ``system`` is Hadamard for its level.
 
-    L_j of level j has Phi(j) entries and every difference l - l' a zero of
-    mask(D_j, (l - l')/p_j), which ``DigitSet.mask_zero`` decides per pair.
-    Then two points whose digit words first differ at level j differ by
+    Level j is admissible, L_j has Phi(j) entries and ``is_hadamard`` holds
+    for (p_j, D_j, L_j): every difference l - l' is a zero of
+    mask(D_j, (l - l')/p_j), the verdict ``hadamard`` prints.  Then two
+    points whose digit words first differ at level j differ by
     P_{j-1} (l - l') + P_j m with s (l - l') / p_j an integer not divisible
     by k for level j's family (s, k), and s m divisible by k: level j holds
     the difference, and no level below it can, since P_{j-1} divides it.
     """
     return spec.system == system and all(
-        len(L) == lvl.phi and all(lvl.digits.mask_zero(a - b, lvl.p) for a, b in combinations(L, 2))
+        lvl.digits.cls is not LevelClass.INVALID and len(L) == lvl.phi
+        and is_hadamard(lvl.p, lvl.digits, L)
         for lvl, L in _distinct_companions(spec))
 
 
-def check_orthogonal(
-    system: MoranSystem,
-    points: SpectrumLevel | Iterable,
-    max_level: int | None = None,
-) -> OrthogonalityReport:
+def check_orthogonal(system: MoranSystem, points: SpectrumLevel | Iterable) -> OrthogonalityReport:
     """Exact orthogonality: every pairwise difference must hit the zero set.
 
-    A SpectrumLevel is decided from its companions, with no point and no P_j
-    built: one ``DigitSet.mask_zero`` test per pair of each distinct
-    (level, companion) (see ``_companions_hadamard``); its witness levels
-    are those with |L_j| > 1.  A failing companion, a plain point iterable,
-    or ``max_level`` below the spectrum's level takes the point path: the
-    zero set is symmetric, so each distinct |difference| is decided once,
-    and the pairs are walked again only to list failures in pair order.
-    With ``max_level`` set the membership scan is restricted to that many
-    levels, i.e. orthogonality relative to the level-truncated measure.
+    A SpectrumLevel of level n is judged against the level-n truncation of
+    the measure, a plain point iterable against the measure itself.  The
+    former is decided from its companions, with no point and no P_j built,
+    when each distinct (level, companion) passes ``_companions_hadamard``;
+    its witness levels are those with |L_j| > 1.  A failing companion or a
+    plain point iterable takes the point path: the zero set is symmetric,
+    so ``zero_set_contains`` decides each distinct |difference| once, up to
+    level n for a SpectrumLevel, and the pairs are walked again only to list
+    failures in pair order.
     """
-    if (isinstance(points, SpectrumLevel)
-            and (max_level is None or max_level >= points.level)
-            and _companions_hadamard(system, points)):
+    if not isinstance(points, SpectrumLevel):
+        pts, last = tuple(points), None
+    elif _companions_hadamard(system, points):
         q = system.phi_product(points.level)
         levels = tuple(j for j, L in enumerate(points.companions, start=1) if len(L) > 1)
         return OrthogonalityReport(q, q * (q - 1) // 2, (), levels)
-    pts = _points(points)
-    witness = {d: zero_set_contains(system, d, max_level=max_level)
+    else:
+        pts, last = points.points, points.level
+    witness = {d: zero_set_contains(system, d, max_level=last)
                for d in {abs(a - b) for a, b in combinations(pts, 2)}}
     missed = {d for d, w in witness.items() if w is None}
     failures = tuple((a, b) for a, b in combinations(pts, 2)
@@ -251,7 +245,8 @@ def q_sum_finite(
                     for lvl, L in _distinct_companions(points))):
         factors = [[int(f) for f in F] for F in points.factors]
     else:  # a spectrum of another system or with a repeated residue, or a point list
-        factors = [[int(f) for f in _points(points)]]
+        pts = points.points if isinstance(points, SpectrumLevel) else points
+        factors = [[int(f) for f in pts]]
     low, high = _factor_extremes(factors)
     _, _, walked = _walk_to_stop(system, 0, n,
                                  max(float(np.max(np.abs(x), initial=0.0)), high, -low))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from moranspec import level_spectrum, make_system, mask_eval
-from moranspec.core import _atom_factors, _factor_extremes, _walk_to_stop, minkowski_sum
+from moranspec.core import (_atom_factors, _factor_extremes, _outer_sums, _partial_sum_dtype,
+                            _walk_to_stop)
 
 
 @pytest.fixture
@@ -79,9 +80,14 @@ def random_t3_level(rng) -> tuple[int, tuple[int, ...]]:
 # -- level atoms ---------------------------------------------------------------
 
 
+def sorted_sums(factors) -> np.ndarray:
+    """Sorted sums f_1 + ... + f_n, one f_i from each factor: ``SpectrumLevel.points``'s rule."""
+    return np.sort(_outer_sums(factors, _partial_sum_dtype(factors))[-1])
+
+
 def atom_numerators(system, n: int) -> np.ndarray:
     """Sorted level-n atom numerators over P_n, one per digit word: repeats are kept."""
-    return minkowski_sum(_atom_factors(system, n))
+    return sorted_sums(_atom_factors(system, n))
 
 
 def level_atoms(system, n: int) -> tuple[Fraction, ...]:

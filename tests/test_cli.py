@@ -235,7 +235,7 @@ class TestSpectrumCommands:
 
     def test_qsum_decided_exactly_builds_no_point(self, capsys, monkeypatch):
         calls = []
-        for module, name in ((cli, "q_sum_finite"), (spectrum, "minkowski_sum")):
+        for module, name in ((cli, "q_sum_finite"), (spectrum, "_outer_sums")):
             monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
         # each corpus system at its last admissible level up to 6, and 2**20 points
         for name, level, q in [("mixed_classes", 6, 1536), ("pure_two_digit", 6, 64),
@@ -252,8 +252,8 @@ class TestSpectrumCommands:
     def test_qsum_failing_orthogonality_takes_float_route(self, system_file, capsys, monkeypatch):
         calls = []
 
-        def failing(system, pts, max_level=None):
-            calls.append(max_level)
+        def failing(system, pts):
+            calls.append(pts.level)
             return OrthogonalityReport(len(pts), 0, ((0, 1),), ())
 
         monkeypatch.setattr(cli, "check_orthogonal", failing)
@@ -360,6 +360,13 @@ class TestHadamardCommand:
     def test_invalid_level_reported(self, system_file, capsys):
         assert main(["hadamard", system_file(NONUNIFORM)]) == 0
         assert "not admissible" in capsys.readouterr().out
+
+    def test_non_hadamard_companion_prints_no(self, system_file, capsys, monkeypatch):
+        # the printed verdict is is_hadamard's on the printed L
+        monkeypatch.setattr(cli, "construct_L", lambda p, ds: (0, 2) if p == 2 else (0, 1, -1))
+        assert main(["hadamard", system_file(FINAL)]) == 0
+        assert capsys.readouterr().out == ("cycle[1]: p=2 D={0,1} L={0,2} hadamard=no\n"
+                                           "cycle[2]: p=3 D={0,1,2} L={0,1,-1} hadamard=yes\n")
 
 
 @pytest.mark.parametrize("command", ["ortho", "qsum", "hadamard"])
@@ -575,6 +582,9 @@ class TestErrorPaths:
                      id="plus-scale"),
         pytest.param("preamble: (2.5,{0,1})", "entry 1 of 'preamble:' is not (p,{d,...})",
                      id="decimal-point-scale"),
+        pytest.param("(2.5,{0,1})", "entry before any 'preamble:' or 'cycle:' header is not "
+                     "(p,{d,...}) in ASCII decimal integers: '(2.5,{0,1})'",
+                     id="decimal-point-before-header"),
         pytest.param(f"cycle: (2.{'5' * 5000},{{0,1}})", "entry 1 of 'cycle:' is not",
                      id="decimal-point-5000-digits"),
     ])

@@ -16,8 +16,8 @@ from moranspec import (
     parse_system,
     zero_set_contains,
 )
-from moranspec.core import minkowski_sum, two_adic_split
-from conftest import atom_numerators, level_atoms
+from moranspec.core import two_adic_split
+from conftest import atom_numerators, level_atoms, sorted_sums
 
 
 class TestParse:
@@ -175,27 +175,29 @@ class TestAtoms:
 
 
 class TestMinkowskiSum:
+    """The sorted Minkowski sum of ``_outer_sums``, as ``SpectrumLevel.points`` takes it."""
+
     def test_int64_up_to_the_bound(self):
         # sum of max|f| = 2**63 - 1: every partial sum fits in int64
-        sums = minkowski_sum([(0, 2**62), (0, 2**62 - 1)])
+        sums = sorted_sums([(0, 2**62), (0, 2**62 - 1)])
         assert sums.dtype == np.int64
         assert sums.tolist() == [0, 2**62 - 1, 2**62, 2**63 - 1]
 
     def test_python_ints_past_the_bound(self):
-        sums = minkowski_sum([(0, 2**62), (2**62, 0)])
+        sums = sorted_sums([(0, 2**62), (2**62, 0)])
         assert sums.dtype == object
         assert sums.tolist() == [0, 2**62, 2**62, 2**63]  # a collision stays visible
 
     def test_negative_factors(self):
-        sums = minkowski_sum([(-(2**62), 1), (-(2**62) + 1, 0)])
+        sums = sorted_sums([(-(2**62), 1), (-(2**62) + 1, 0)])
         assert sums.dtype == np.int64
         assert sums.tolist() == [-(2**63) + 1, -(2**62), -(2**62) + 2, 1]
-        sums = minkowski_sum([(-(2**62), 1), (-(2**62), 0)])
+        sums = sorted_sums([(-(2**62), 1), (-(2**62), 0)])
         assert sums.dtype == object
         assert sums.tolist() == [-(2**63), -(2**62), -(2**62) + 1, 1]
 
     def test_no_factors(self):
-        assert minkowski_sum([]).tolist() == [0]
+        assert sorted_sums([]).tolist() == [0]
 
 
 class TestFourier:

@@ -7,8 +7,6 @@ from moranspec import (
     LevelClass,
     classify_level,
     construct_L,
-    hadamard,
-    hadamard_triple,
     is_hadamard,
     level_spectrum,
     make_system,
@@ -86,13 +84,13 @@ class TestRandomTriples:
     def test_constructed_triples(self, gen, rng):
         for _ in range(50):
             p, digits = gen(rng)
-            triple = hadamard_triple(p, digits)
-            assert triple.exact
-            assert unitarity_residual(p, digits, triple.L) < 1e-12
+            L = construct_L(p, digits)
+            assert is_hadamard(p, digits, L)
+            assert unitarity_residual(p, digits, L) < 1e-12
 
     @pytest.mark.parametrize("gen", [random_t1_level, random_t2_level,
                                      random_t3_level])
-    def test_exact_and_numeric_agree(self, gen, rng, monkeypatch):
+    def test_exact_and_numeric_agree(self, gen, rng):
         # perturb companion sets; the two decision paths must match at 1e-9
         for _ in range(50):
             p, digits = gen(rng)
@@ -106,23 +104,21 @@ class TestRandomTriples:
             numeric = unitarity_residual(p, digits, L) < 1e-9
             assert exact == numeric
         # every admissible level of the class with p <= 40: the companion is the
-        # one-level spectrum's, under both signs, and Hadamard; the recorded
-        # exact verdict holds, and so does agreement with a companion moved by 1
+        # one-level spectrum's, under both signs, and Hadamard, and the two
+        # decision paths agree on the companion and on it moved by 1
         for p, digits in admissible_levels(GENERATED_CLASS[gen]):
             for sign in (1, -1):
                 L = construct_L(p, digits, sign)
                 assert L == level_spectrum(make_system(cycle=[(p, digits)]), 1,
                                            (sign,)).factors[0], (p, digits, sign)
                 assert is_hadamard(p, digits, L), (p, digits, sign)
-            triple = hadamard_triple(p, digits)
-            assert triple.exact, (p, digits)
-            assert unitarity_residual(p, digits, triple.L) < 1e-9, (p, digits)
-            moved = (triple.L[0], triple.L[1] + 1, *triple.L[2:])
+            L = construct_L(p, digits)
+            assert unitarity_residual(p, digits, L) < 1e-9, (p, digits)
+            moved = (L[0], L[1] + 1, *L[2:])
             assert is_hadamard(p, digits, moved) == (
                 unitarity_residual(p, digits, moved) < 1e-9), (p, digits)
-        # a triple recorded with a non-Hadamard L: exact is False
-        monkeypatch.setattr(hadamard, "construct_L", lambda p, ds: (0, 2))
-        assert not hadamard_triple(4, [0, 2]).exact
+        # a non-Hadamard L: both paths say so
+        assert not is_hadamard(4, [0, 2], (0, 2))
         assert unitarity_residual(4, [0, 2], (0, 2)) >= 1 - 1e-12
 
     @pytest.mark.parametrize("gen", [random_t1_level, random_t2_level,

@@ -1,0 +1,30 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "moranspec").glob("*.py")
+                 if p.name != "__init__.py")  # __init__ imports to re-export
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that no other node of the module reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse("from itertools import accumulate, count\nimport os.path\ncount(1)\n")
+    assert unused_imports(tree) == ["line 1: accumulate", "line 2: os"]

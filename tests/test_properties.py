@@ -74,10 +74,10 @@ from moranspec import (
 )
 from moranspec.certificates import _class_range, _lambda_extremes, lambda_norm_check
 from moranspec.cli import write_csv
-from moranspec.core import _mask_product, minkowski_sum
+from moranspec.core import _mask_product
 from conftest import (atom_numerators, factor_class_range, factor_lambda_extremes,
                       fraction_tail_sum, level_atoms, random_t1_level, random_t2_level, random_t3_level, row_formatter_csv,
-                      sequential_mask_product)
+                      sequential_mask_product, sorted_sums)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 #: Oracle atom sets stay at or below this size.
@@ -378,19 +378,19 @@ def pair_loop_orthogonality(system, pts, max_level) -> OrthogonalityReport:
         q, q * (q - 1) // 2, tuple(failures), tuple(sorted(witnessed)))
 
 
-MAX_LEVELS = st.one_of(st.none(), st.integers(1, 3))
 SIGMAS = st.lists(st.sampled_from((1, -1)), max_size=3)
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEEDS, st.integers(1, 3), MAX_LEVELS, SIGMAS)
-def test_check_orthogonal_matches_pair_loop_on_spectra(seed, n, max_level, sigma):
+@given(SEEDS, st.integers(1, 3), SIGMAS)
+def test_check_orthogonal_matches_pair_loop_on_spectra(seed, n, sigma):
+    # a spectrum is judged against the truncation at its own level
     system = random_system(seed, ADMISSIBLE)
     while n > 1 and system.phi_product(n) > 150:
         n -= 1
     pts = level_spectrum(system, n, sigma)
-    report = check_orthogonal(system, pts, max_level)
-    assert report == pair_loop_orthogonality(system, pts.points, max_level)
+    report = check_orthogonal(system, pts)
+    assert report == pair_loop_orthogonality(system, pts.points, n)
 
 
 def perturbed_spectrum(system, n: int, sigma, rng) -> SpectrumLevel | tuple[int, ...]:
@@ -409,7 +409,7 @@ def perturbed_spectrum(system, n: int, sigma, rng) -> SpectrumLevel | tuple[int,
         factors = [list(f) for f in pts.factors]
         e = int(rng.integers(len(factors[j - 1])))
         factors[j - 1][e] += int(rng.integers(1, max(2, system.P(j - 1)))) * move
-        return tuple(minkowski_sum(factors).tolist())
+        return tuple(sorted_sums(factors).tolist())
     companions = [list(L) for L in pts.companions]
     e = int(rng.integers(len(companions[j - 1])))
     companions[j - 1][e] += unit * move
@@ -417,31 +417,32 @@ def perturbed_spectrum(system, n: int, sigma, rng) -> SpectrumLevel | tuple[int,
 
 
 @settings(max_examples=150, deadline=None)
-@given(SEEDS, st.integers(1, 3), MAX_LEVELS, SIGMAS)
-def test_check_orthogonal_matches_pair_loop_on_perturbed_spectra(
-        seed, n, max_level, sigma):
+@given(SEEDS, st.integers(1, 3), SIGMAS)
+def test_check_orthogonal_matches_pair_loop_on_perturbed_spectra(seed, n, sigma):
     rng = np.random.default_rng(seed)
     system = random_system(seed, ADMISSIBLE)
     while n > 1 and system.phi_product(n) > 150:
         n -= 1
     pts = perturbed_spectrum(system, n, sigma, rng)
-    try:
-        expected = pair_loop_orthogonality(
-            system, pts.points if isinstance(pts, SpectrumLevel) else pts, max_level)
+    try:  # a spectrum is judged at its own level, a point list against the measure
+        expected = (pair_loop_orthogonality(system, pts.points, n)
+                    if isinstance(pts, SpectrumLevel)
+                    else pair_loop_orthogonality(system, pts, None))
     except MoranStructureError:  # two digit words collide
         with pytest.raises(MoranStructureError, match="spectrum collision"):
-            check_orthogonal(system, pts, max_level)
+            check_orthogonal(system, pts)
         return
-    assert check_orthogonal(system, pts, max_level) == expected
+    assert check_orthogonal(system, pts) == expected
 
 
 @settings(max_examples=150, deadline=None)
-@given(SEEDS, st.lists(st.integers(-300, 300), max_size=30), MAX_LEVELS)
-def test_check_orthogonal_matches_pair_loop_on_point_sets(seed, pts, max_level):
-    # random integers miss the zero set often, so failures are compared too
+@given(SEEDS, st.lists(st.integers(-300, 300), max_size=30))
+def test_check_orthogonal_matches_pair_loop_on_point_sets(seed, pts):
+    # random integers miss the zero set often, so failures are compared too;
+    # a point set is judged against the measure
     system = random_system(seed)
-    report = check_orthogonal(system, pts, max_level)
-    assert report == pair_loop_orthogonality(system, pts, max_level)
+    report = check_orthogonal(system, pts)
+    assert report == pair_loop_orthogonality(system, pts, None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -648,7 +649,7 @@ def test_q_sum_of_spectra_is_one_at_large_xi(seed, n, sigma, xs):
     while n > 1 and system.phi_product(n) > 3000:
         n -= 1
     pts = level_spectrum(system, n, sigma)
-    assert check_orthogonal(system, pts, max_level=n).passed  # so Q is 1 exactly
+    assert check_orthogonal(system, pts).passed  # so Q is 1 exactly
     assert np.max(np.abs(q_sum_finite(system, n, pts, np.array(xs)) - 1.0)) <= 1e-13
 
 
@@ -841,11 +842,10 @@ def signed_levels(rng, count: int):
 
 
 @settings(max_examples=80, deadline=None)
-@given(SEEDS, st.integers(1, 4), MAX_LEVELS, SIGMAS,
+@given(SEEDS, st.integers(1, 4), SIGMAS,
        st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False),
                 min_size=1, max_size=8))
-def test_normalization_keeps_transform_modulus_and_orthogonality(
-        seed, n, max_level, sigma, xs):
+def test_normalization_keeps_transform_modulus_and_orthogonality(seed, n, sigma, xs):
     rng = np.random.default_rng(seed)
     pre_plain, pre_raw = signed_levels(rng, int(rng.integers(0, 3)))
     cyc_plain, cyc_raw = signed_levels(rng, int(rng.integers(1, 3)))
@@ -862,11 +862,12 @@ def test_normalization_keeps_transform_modulus_and_orthogonality(
                        rtol=0, atol=1e-10)
     while n > 1 and plain.phi_product(n) > 150:
         n -= 1
-    report = check_orthogonal(normalized, level_spectrum(normalized, n, sigma),
-                              max_level)
-    assert report.passed or max_level < n
-    assert report == check_orthogonal(plain, level_spectrum(plain, n, sigma),
-                                      max_level)
+    spectra = [level_spectrum(s, n, sigma) for s in (normalized, plain)]
+    report = check_orthogonal(normalized, spectra[0])
+    assert report.passed and report == check_orthogonal(plain, spectra[1])
+    # the point path, which judges the points against the measure, agrees too
+    assert (check_orthogonal(normalized, spectra[0].points)
+            == check_orthogonal(plain, spectra[1].points))
 
 
 def raw_level(rng) -> tuple[int, tuple[int, ...]]:

@@ -98,10 +98,11 @@ class TestOrthogonality:
         assert report.passed and report.pairs_checked == 0
 
     def test_level_restriction_lists_failure(self, final_system):
-        # difference 2 only enters the zero set through level 2
-        restricted = check_orthogonal(final_system, [0, 2], max_level=1)
-        assert restricted.failures == ((2, 0),) or restricted.failures == ((0, 2),)
-        full = check_orthogonal(final_system, [0, 2], max_level=2)
+        # difference 2 only enters the zero set through level 2: a level-1
+        # spectrum {0, 2} fails at its own level, the plain points pass
+        restricted = check_orthogonal(final_system, SpectrumLevel(final_system, 1, (), ((0, 2),)))
+        assert restricted.failures == ((0, 2),)
+        full = check_orthogonal(final_system, [0, 2])
         assert full.passed
 
     def test_factor_path_builds_no_points(self, mixed_system):
@@ -117,11 +118,16 @@ class TestOrthogonality:
         # (-4, 2) and (-3, 3) differ by 6, which only level 3 holds
         pts = SpectrumLevel(final_system, 2, (1,), ((0, 1), (0, 1, -2)))
         assert pts.factors == ((0, 1), (0, 2, -4))
-        for max_level in (2, None):
-            report = check_orthogonal(final_system, pts, max_level)
-            assert report == check_orthogonal(final_system, pts.points, max_level)
-        assert report.passed and report.witness_levels == (1, 2, 3)
-        assert check_orthogonal(final_system, pts, 2).failures == ((-4, 2), (-3, 3))
+        # judged at its own level 2, the spectrum fails; the same points as a
+        # plain tuple are judged against the measure, and pass
+        assert check_orthogonal(final_system, pts).failures == ((-4, 2), (-3, 3))
+        plain = check_orthogonal(final_system, pts.points)
+        assert plain.passed and plain.witness_levels == (1, 2, 3)
+
+    def test_inadmissible_level_falls_back_to_pairs(self, nonuniform_system):
+        # (2, {0,1,2}) has no zero-set family, so no companion passes and no pair either
+        pts = SpectrumLevel(nonuniform_system, 1, (), ((0, 1, 2),))
+        assert check_orthogonal(nonuniform_system, pts).failures == ((0, 1), (0, 2), (1, 2))
 
     def test_colliding_factors_rejected(self, final_system):
         pts = SpectrumLevel(final_system, 2, (1,), ((0, 2), (0, 1, -1)))
@@ -145,7 +151,7 @@ class TestOrthogonality:
     def test_sigma_variants_pass(self, final_system):
         for sigma in itertools.product((-1, 1), repeat=3):
             pts = level_spectrum(final_system, 5, sigma)
-            assert check_orthogonal(final_system, pts, max_level=5).passed
+            assert check_orthogonal(final_system, pts).passed
 
     @pytest.mark.parametrize("name", corpus.example_names())
     def test_exact_checks_build_no_system_and_do_not_recurse(self, monkeypatch, name):
