@@ -25,7 +25,7 @@ from .core import (
     fourier_tail,
     np,
 )
-from .spectrum import SigmaPrefix, check_orthogonal, level_spectrum
+from .spectrum import SigmaPrefix, _head, check_orthogonal, level_spectrum
 
 #: Bounds below this are treated as numerically indistinguishable from zero.
 BOUND_FLOOR = 1e-9
@@ -46,7 +46,7 @@ def _lambda_extremes(system: MoranSystem, n: int, sigma):
     and the like with max, over one running product; no factor F_j is formed."""
     lo = hi = 0
     yield lo, hi, 1
-    for (_, prev, P), L in zip(system.walk(n), level_spectrum(system, n, sigma).companions):
+    for (_, prev, P), L in zip(system.walk(n), level_spectrum(system, n, sigma).unfolded()):
         lo, hi = lo + prev * min(L), hi + prev * max(L)
         yield lo, hi, P
 
@@ -209,17 +209,6 @@ def certify(
 _START_CELLS, _MAX_EVALUATIONS = 64, 2**12
 
 
-def _first_checkpoint(system: MoranSystem, sig: tuple[int, ...]) -> int:
-    """n_0: the first level >= 7 past the preamble and the last T3 level sig reaches."""
-    npre = len(system.preamble)
-    t3 = [i for i, lvl in enumerate(system.cycle, 1) if lvl.digits.cls is LevelClass.T3]
-    rest = len(sig) - sum(lvl.digits.cls is LevelClass.T3 for lvl in system.preamble)
-    if rest <= 0 or not t3:  # the prefix ends in the preamble, or is never read past it
-        return max(7, npre)
-    k, r = divmod(rest - 1, len(t3))
-    return max(7, npre + k * len(system.cycle) + t3[r])
-
-
 def _class_range(system: MoranSystem, n_k: int, sig) -> tuple[Fraction, Fraction]:
     """Exact hull of y = (xi + lambda)/P_n, |xi| < 1, lambda in Lambda_n, n = n_k + j T.
 
@@ -273,7 +262,7 @@ def _cover_class(tail: MoranSystem, lo: Fraction, hi: Fraction, depth: int):
 def _certify_infinite_branch(system, sig, depth, diag):
     """(verdict, n_k, epsilon) of the covering, tried class by class from n_0."""
     npre, T = len(system.preamble), len(system.cycle)
-    for n_k in range(n0 := _first_checkpoint(system, sig), n0 + T):
+    for n_k in range(n0 := max(7, _head(system, sig)), n0 + T):
         lo, hi = _class_range(system, n_k, sig)
         r = (n_k - npre) % T  # tail.level(i) is system.level(n_k + i)
         eps, cells, evals, reason = _cover_class(

@@ -378,7 +378,7 @@ def main(argv=None) -> int:
         # library ValueErrors (LevelRangeError too) reject argument values
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a system file that cannot be read, or an -o that cannot be written
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except MoranError as exc:

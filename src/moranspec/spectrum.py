@@ -8,10 +8,11 @@ from ``construct_L``:
     T2 level j:  L_j = {0, p_j/3, -p_j/3},
     T1 level m:  L_m = (p_m/N_m) {the centered digit interval of size N_m}.
 
-A ``SpectrumLevel`` holds the companions, one small tuple per level shared
-by equal (level, sign) pairs, and forms the factors, as long as P_j, only
-when asked.  The level-n set has exactly Phi(1)...Phi(n) points, matching
-the atom count of the level-n truncation, and the sets nest as n grows.
+A ``SpectrumLevel`` holds the companions in the system's own shape, a head
+(the preamble and the levels the sign prefix reaches) and one cycle, and
+forms the factors, as long as P_j, only when asked.  The level-n set has
+Phi(1)...Phi(n) points, the atom count of the level-n truncation, and the
+sets nest as n grows.
 Orthogonality is decided exactly per distinct companion, against its
 level's zero-set family alone (a Hadamard triple per level); completeness at
 finite level is the statement that the quadratic sum
@@ -24,8 +25,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, cycle, islice
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Level,
@@ -44,36 +45,50 @@ from .hadamard import construct_L, is_hadamard
 SigmaPrefix = Sequence[int]
 
 
-def _sign(sigma: SigmaPrefix | None, k: int) -> int:
-    """Sign for the k-th two-digit level; +1 beyond the supplied prefix."""
-    if sigma is None or k >= len(sigma):
-        return 1
-    s = int(sigma[k])
-    if s not in (-1, 1):
-        raise ValueError(f"sigma entries must be +1 or -1, got {s}")
-    return s
+def _head(system: MoranSystem, sigma: SigmaPrefix | None) -> int:
+    """The preamble and the last T3 level sigma reaches: past it, L_j = L_{j-T}."""
+    npre = len(system.preamble)
+    t3 = [i for i, lvl in enumerate(system.cycle, 1) if lvl.digits.cls is LevelClass.T3]
+    rest = (0 if sigma is None else len(sigma)) - sum(
+        lvl.digits.cls is LevelClass.T3 for lvl in system.preamble)
+    if rest <= 0 or not t3:  # the prefix ends in the preamble, or is never read past it
+        return npre
+    k, r = divmod(rest - 1, len(t3))
+    return npre + k * len(system.cycle) + t3[r]
 
 
 @dataclass(frozen=True)
 class SpectrumLevel:
-    """Level-n candidate spectrum of a system: the sign prefix used + companions.
+    """Level-n candidate spectrum of a system, in the system's own shape.
 
-    ``companions[j-1]`` is L_j; the factors F_j = P_{j-1} L_j and the points,
-    their Minkowski sum, are built on first access.
+    ``companions`` holds L_1, ..., L_m, m = min(n, head + T): the preamble
+    and the levels the sign prefix reaches, then one cycle.  Past m,
+    L_j = L_{j-T}; ``unfolded`` yields all n.  The factors F_j = P_{j-1} L_j
+    and the points, their Minkowski sum, are built on first access.
     """
 
     system: MoranSystem
     level: int
-    sigma: tuple[int, ...]
     companions: tuple[tuple[int, ...], ...]
 
+    def unfolded(self) -> Iterator[tuple[int, ...]]:
+        """L_1, ..., L_n: the stored companions, then their last T repeated."""
+        stored, T = self.companions, len(self.system.cycle)
+        yield from stored
+        yield from islice(cycle(stored[len(stored) - T:]), self.level - len(stored))
+
+    @property
+    def sigma(self) -> tuple[int, ...]:
+        """Each T3 level's sign up to n: only T3 companions have two entries, (0, sign x)."""
+        return tuple(1 if sum(L) > 0 else -1 for L in self.unfolded() if len(L) == 2)
+
     def __len__(self) -> int:
-        return math.prod(map(len, self.companions))
+        return math.prod(map(len, self.unfolded()))
 
     @cached_property
     def factors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(prev * a for a in L)
-                     for (_, prev, _), L in zip(self.system.walk(self.level), self.companions))
+                     for (_, prev, _), L in zip(self.system.walk(self.level), self.unfolded()))
 
     @cached_property
     def points(self) -> tuple[int, ...]:
@@ -84,8 +99,8 @@ class SpectrumLevel:
 
 
 def _distinct_companions(spec: SpectrumLevel) -> set[tuple[Level, tuple[int, ...]]]:
-    """The distinct (level j, L_j) pairs of a spectrum, taken with no P_j formed."""
-    return set(zip(map(spec.system.level, range(1, spec.level + 1)), spec.companions))
+    """The distinct (level j, L_j) pairs of a spectrum, read off its stored companions."""
+    return set(zip(map(spec.system.level, range(1, len(spec.companions) + 1)), spec.companions))
 
 
 def level_spectrum(
@@ -95,22 +110,18 @@ def level_spectrum(
 
     ``sigma`` assigns a sign to successive two-digit (T3) levels; entries
     beyond the prefix default to +1.  Raises when a level up to n is not
-    admissible.  Each distinct (level, sign) companion is built once, and
-    neither the factors nor the points are built until they are asked for.
+    admissible, or a sign read is not +1 or -1.  Only the head and one
+    cycle of companions are built, and neither the factors nor the points
+    until they are asked for.
     """
     system.check_admissible(n)
-    built: dict[tuple, tuple[int, ...]] = {}  # (p, digits, sign) -> L
-    companions: list[tuple[int, ...]] = []
-    used: list[int] = []
-    for lvl in map(system.level, range(1, n + 1)):
+    signs, companions = iter(() if sigma is None else sigma), []
+    for lvl in map(system.level, range(1, min(n, _head(system, sigma) + len(system.cycle)) + 1)):
         s = 1
-        if lvl.digits.cls is LevelClass.T3:
-            s = _sign(sigma, len(used))
-            used.append(s)
-        if (L := built.get(key := (lvl.p, lvl.digits, s))) is None:
-            L = built[key] = construct_L(*key)
-        companions.append(L)
-    return SpectrumLevel(system, n, tuple(used), tuple(companions))
+        if lvl.digits.cls is LevelClass.T3 and (s := int(next(signs, 1))) not in (-1, 1):
+            raise ValueError(f"sigma entries must be +1 or -1, got {s}")
+        companions.append(construct_L(lvl.p, lvl.digits, s))
+    return SpectrumLevel(system, n, tuple(companions))
 
 
 @dataclass(frozen=True)
@@ -161,7 +172,7 @@ def check_orthogonal(system: MoranSystem, points: SpectrumLevel | Iterable) -> O
         pts, last = tuple(points), None
     elif _companions_hadamard(system, points):
         q = system.phi_product(points.level)
-        levels = tuple(j for j, L in enumerate(points.companions, start=1) if len(L) > 1)
+        levels = tuple(j for j, L in enumerate(points.unfolded(), start=1) if len(L) > 1)
         return OrthogonalityReport(q, q * (q - 1) // 2, (), levels)
     else:
         pts, last = points.points, points.level

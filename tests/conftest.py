@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moranspec import level_spectrum, make_system, mask_eval
+from moranspec import LevelClass, construct_L, level_spectrum, make_system, mask_eval
 from moranspec.core import (_atom_factors, _factor_extremes, _outer_sums, _partial_sum_dtype,
                             _walk_to_stop)
 
@@ -114,6 +114,32 @@ def sequential_mask_product(system, lo: int, hi: int, xi):
         Pm = system.P(m)
         out *= mask_eval(system.digit_set(m), np.fmod(x, Pm) / Pm)
     return out, min(system.P(last), stop) or 1
+
+
+# -- spectrum companion oracles ------------------------------------------------
+
+
+def per_level_companions(system, n: int, sigma) -> tuple[tuple, tuple[int, ...]]:
+    """L_1, ..., L_n and the T3 signs used, one level at a time, as first written."""
+    companions, used = [], []
+    for lvl in map(system.level, range(1, n + 1)):
+        s = 1
+        if lvl.digits.cls is LevelClass.T3:
+            s = 1 if sigma is None or len(used) >= len(sigma) else int(sigma[len(used)])
+            if s not in (-1, 1):
+                raise ValueError(f"sigma entries must be +1 or -1, got {s}")
+            used.append(s)
+        companions.append(construct_L(lvl.p, lvl.digits, s))
+    return tuple(companions), tuple(used)
+
+
+def scanned_head(system, sigma) -> int:
+    """The preamble, or the level of the last T3 level sigma reaches, scanned level by level."""
+    npre, reached, seen = len(system.preamble), len(sigma or ()), 0
+    for j in range(1, npre + reached * len(system.cycle) + 1):  # a T3 level in every period
+        if system.level(j).digits.cls is LevelClass.T3 and (seen := seen + 1) == reached:
+            return max(npre, j)
+    return npre
 
 
 # -- certificate range oracles -------------------------------------------------

@@ -595,6 +595,15 @@ class TestErrorPaths:
         assert err.startswith(f"system file error: {message}")
         assert len(err) < 200  # the problem is named, not the 5000-digit text echoed
 
+    @pytest.mark.parametrize("command", ["spectrum", "qsum", "density"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_output_file(self, system_file, tmp_path, capsys, command, target):
+        # an -o that cannot be opened for writing is a file error, named on one line
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "out.csv"
+        assert main([command, system_file(FINAL), "--level", "3", "-o", str(path)]) == 66
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and str(path) in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["spectrum", "ortho", "qsum"])
     def test_inadmissible_level(self, system_file, capsys, command):
         path = system_file("cycle: (9,{0,1,2}) (5,{0,1})\n")

@@ -18,7 +18,8 @@ histogram bins against the Fraction floor (half the draws past int64), on
 colliding words too, counted with multiplicity.  The certificate's running
 extremes, class range and tail sums are checked against the factor-based and
 per-level Fraction code they replaced, and the mask against the exp sum that
-took the digit 0 too, bit for bit.
+took the digit 0 too, bit for bit.  A spectrum's stored head and period are
+checked against the per-level companion loop they replaced.
 Normalized systems are checked against the raw signed levels they come
 from, parsed levels against normalize_level then classify_level on the raw,
 shuffled, signed and repeated digits of a file, errors included, integer interval lengths against the Fraction sum they replaced,
@@ -31,6 +32,7 @@ cyclotomic divisibility, an oracle that uses nothing from ``core``.
 
 import functools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -76,7 +78,8 @@ from moranspec.certificates import _class_range, _lambda_extremes, lambda_norm_c
 from moranspec.cli import write_csv
 from moranspec.core import _mask_product
 from conftest import (atom_numerators, factor_class_range, factor_lambda_extremes,
-                      fraction_tail_sum, level_atoms, random_t1_level, random_t2_level, random_t3_level, row_formatter_csv,
+                      fraction_tail_sum, level_atoms, per_level_companions, random_t1_level,
+                      random_t2_level, random_t3_level, row_formatter_csv, scanned_head,
                       sequential_mask_product, sorted_sums)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -410,10 +413,10 @@ def perturbed_spectrum(system, n: int, sigma, rng) -> SpectrumLevel | tuple[int,
         e = int(rng.integers(len(factors[j - 1])))
         factors[j - 1][e] += int(rng.integers(1, max(2, system.P(j - 1)))) * move
         return tuple(sorted_sums(factors).tolist())
-    companions = [list(L) for L in pts.companions]
+    companions = [list(L) for L in pts.unfolded()]
     e = int(rng.integers(len(companions[j - 1])))
     companions[j - 1][e] += unit * move
-    return SpectrumLevel(system, n, pts.sigma, tuple(map(tuple, companions)))
+    return SpectrumLevel(system, n, tuple(map(tuple, companions)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -816,6 +819,43 @@ def test_class_range_matches_factor_oracle(seed):
     sigma = sign_prefix(rng, system)
     for n_k in range(len(system.preamble) + 2 * len(system.cycle) + 2):
         assert _class_range(system, n_k, sigma) == factor_class_range(system, n_k, sigma)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.booleans(), st.sampled_from(("preamble", "cycle", "long")))
+def test_head_and_period_match_per_level_oracle(seed, cyclic, ends):
+    # sigma ends in the preamble, in the cycle, or past the T3 levels up to n;
+    # n lies below, at and past head + T, where the stored companions end
+    rng = np.random.default_rng(seed)
+    system = range_system(rng, cyclic)
+    T = len(system.cycle)
+    t3 = sum(lvl.digits.cls is LevelClass.T3 for lvl in system.preamble)
+    size = {"preamble": int(rng.integers(0, t3 + 1)), "cycle": t3 + int(rng.integers(1, 2 * T + 2)),
+            "long": t3 + int(rng.integers(2 * T + 2, 3 * T + 11))}[ends]
+    sigma = [int(v) for v in rng.choice((1, -1), size=size)]
+    if sigma and rng.uniform() < 0.2:  # a bad entry is refused where it is read, only there
+        sigma[int(rng.integers(size))] = int(rng.choice((0, 2, -3)))
+    m = scanned_head(system, sigma) + T
+    for n in {int(rng.integers(0, m + 1)), m, m + (int(rng.integers(1, 2 * T + 4)) if T else 0)}:
+        try:
+            expected, used = per_level_companions(system, n, sigma)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                level_spectrum(system, n, sigma)
+            continue
+        spec = level_spectrum(system, n, sigma)
+        assert len(spec.companions) == min(n, m)
+        assert tuple(spec.unfolded()) == expected
+        assert spec.sigma == used
+        if (q := math.prod(map(len, expected))) < 2**63:  # len() holds an index-sized int
+            assert len(spec) == q
+        factors = tuple(tuple(system.P(j - 1) * a for a in L) for j, L in enumerate(expected, 1))
+        assert spec.factors == factors
+        report = check_orthogonal(system, spec)
+        assert report == check_orthogonal(system, SpectrumLevel(system, n, expected))
+        if system.phi_product(n) <= 150:
+            assert spec.points == tuple(sorted_sums(factors).tolist())
+            assert report == pair_loop_orthogonality(system, spec.points, n)
 
 
 @settings(max_examples=80, deadline=None)

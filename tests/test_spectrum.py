@@ -100,7 +100,7 @@ class TestOrthogonality:
     def test_level_restriction_lists_failure(self, final_system):
         # difference 2 only enters the zero set through level 2: a level-1
         # spectrum {0, 2} fails at its own level, the plain points pass
-        restricted = check_orthogonal(final_system, SpectrumLevel(final_system, 1, (), ((0, 2),)))
+        restricted = check_orthogonal(final_system, SpectrumLevel(final_system, 1, ((0, 2),)))
         assert restricted.failures == ((0, 2),)
         full = check_orthogonal(final_system, [0, 2])
         assert full.passed
@@ -116,7 +116,7 @@ class TestOrthogonality:
     def test_failing_factor_falls_back_to_pairs(self, final_system):
         # (0, 1, -2) is no companion of (3, {0,1,2}): 3 * 3 / 3 is divisible by 3
         # (-4, 2) and (-3, 3) differ by 6, which only level 3 holds
-        pts = SpectrumLevel(final_system, 2, (1,), ((0, 1), (0, 1, -2)))
+        pts = SpectrumLevel(final_system, 2, ((0, 1), (0, 1, -2)))
         assert pts.factors == ((0, 1), (0, 2, -4))
         # judged at its own level 2, the spectrum fails; the same points as a
         # plain tuple are judged against the measure, and pass
@@ -126,11 +126,11 @@ class TestOrthogonality:
 
     def test_inadmissible_level_falls_back_to_pairs(self, nonuniform_system):
         # (2, {0,1,2}) has no zero-set family, so no companion passes and no pair either
-        pts = SpectrumLevel(nonuniform_system, 1, (), ((0, 1, 2),))
+        pts = SpectrumLevel(nonuniform_system, 1, ((0, 1, 2),))
         assert check_orthogonal(nonuniform_system, pts).failures == ((0, 1), (0, 2), (1, 2))
 
     def test_colliding_factors_rejected(self, final_system):
-        pts = SpectrumLevel(final_system, 2, (1,), ((0, 2), (0, 1, -1)))
+        pts = SpectrumLevel(final_system, 2, ((0, 2), (0, 1, -1)))
         assert pts.factors == ((0, 2), (0, 2, -2))
         with pytest.raises(MoranStructureError, match="spectrum collision"):
             check_orthogonal(final_system, pts)
@@ -240,13 +240,13 @@ class TestQSumFinite:
 
     def test_perturbed_spectrum_summed_as_its_points(self, final_system):
         # (0, 1, -2) repeats residue 1 mod p_2 = 3, so (0, 2, -4) does mod P_2 = 6: no digit tree
-        pts = SpectrumLevel(final_system, 2, (1,), ((0, 1), (0, 1, -2)))
+        pts = SpectrumLevel(final_system, 2, ((0, 1), (0, 1, -2)))
         xs = np.linspace(-3, 3, 13)
         assert np.array_equal(q_sum_finite(final_system, 2, pts, xs),
                               q_sum_finite(final_system, 2, pts.points, xs))
 
     def test_colliding_factors_rejected(self, final_system):
-        pts = SpectrumLevel(final_system, 2, (1,), ((0, 2), (0, 1, -1)))
+        pts = SpectrumLevel(final_system, 2, ((0, 2), (0, 1, -1)))
         with pytest.raises(MoranStructureError, match="spectrum collision"):
             q_sum_finite(final_system, 2, pts, 0.3)
 
@@ -272,7 +272,7 @@ class TestQSumFinite:
     def test_fold_assumes_no_hadamard_companion(self, alternating_system):
         # (0, 2), so F_2 = (0, 18), has distinct residues mod 4 but is no companion
         # of (4,{0,2}): the fold sums every level over its factor and takes no sum as 1
-        pts = SpectrumLevel(alternating_system, 2, (1,), ((0, 3, -3), (0, 2)))
+        pts = SpectrumLevel(alternating_system, 2, ((0, 3, -3), (0, 2)))
         assert pts.factors == ((0, 3, -3), (0, 18))
         xs = np.linspace(-3, 3, 61)
         folded = q_sum_finite(alternating_system, 2, pts, xs)
