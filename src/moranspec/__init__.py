@@ -1,7 +1,6 @@
 """Moran measures on the line: spectra, certificates, densities, tilings."""
 
 from .core import (
-    DigitSet,
     Level,
     LevelClass,
     MoranError,

@@ -120,14 +120,13 @@ def epsilon_next_level(
     when 3a (P + 1) >= p P, P = P_{n_k}; b/p = 2/3 alone does not make it 0.
     """
     nxt = system.level(n_k + 1)
-    ds = nxt.digits
-    if ds.cls is LevelClass.INVALID:
+    if nxt.cls is LevelClass.INVALID:
         raise MoranStructureError(
-            f"level {n_k + 1} not admissible: {'; '.join(ds.violations)}"
+            f"level {n_k + 1} not admissible: {'; '.join(nxt.violations)}"
         )
     if nxt.phi == 2:
         raise ValueError("subsequence must select levels followed by Phi >= 3")
-    if ds.cls is LevelClass.T1:
+    if nxt.cls is LevelClass.T1:
         return 1.0 - (3.0 * math.pi / 4.0) ** 2 / 6.0
 
     # T2: reachable angles w = pi * digit * (xi + lambda) / P_{n_k+1}
@@ -137,9 +136,10 @@ def epsilon_next_level(
             f"spectrum norm {norm} exceeds 1 at level {n_k}"
         )
     P, p = system.P(n_k), nxt.p
-    if 3 * ds.a * (P + 1) >= p * P:  # w2 > w1 >= pi/3: (pi/3, -pi/3) is a zero
+    _, a, b = nxt.digits
+    if 3 * a * (P + 1) >= p * P:  # w2 > w1 >= pi/3: (pi/3, -pi/3) is a zero
         return 0.0
-    w1, w2 = (math.pi * (d * (P + 1) / (p * P)) for d in (ds.a, ds.b))
+    w1, w2 = (math.pi * (d * (P + 1) / (p * P)) for d in (a, b))
     # 1 + 8f has no zero here and its other critical values are 1 and 9, so
     # the minimum lies on the edge x = w1 or y = w2 (as f(x, y) = f(-x, -y)):
     # at a corner, or at t = w/2 + k pi/2 where f is critical along the edge.
@@ -190,11 +190,11 @@ def certify(
     sig = tuple(int(s) for s in sigma) if sigma is not None else ()
     diag = [f"depth={depth}"]
     if bad := system.invalid_levels():
-        diag += [f"{where} (p={lvl.p}, D={lvl.digits}): " + "; ".join(lvl.digits.violations)
+        diag += [f"{where} (p={lvl.p}, D={lvl.digit_text}): " + "; ".join(lvl.violations)
                  for where, lvl in bad]
         return Certificate(Verdict.CONDITIONS_FAILED, None, None, "\n".join(diag))
-    diag += [f"warning at {where} (p={lvl.p}, D={lvl.digits}): {w}"
-             for where, lvl in system.distinct_levels() for w in lvl.digits.warnings]
+    diag += [f"warning at {where} (p={lvl.p}, D={lvl.digit_text}): {w}"
+             for where, lvl in system.distinct_levels() for w in lvl.warnings]
     if not system.cycle:
         raise ValueError("certification needs an infinite system (nonempty cycle)")
     if any(lvl.phi >= 3 for lvl in system.cycle):
@@ -237,7 +237,7 @@ def _cover_class(tail: MoranSystem, lo: Fraction, hi: Fraction, depth: int):
     else bisected.  Returns (epsilon, cells, evaluations, reason), epsilon 0
     when a midpoint value is below BOUND_FLOOR or the evaluations run out.
     """
-    lip = 2 * math.pi * float(tail._tail_sum(0, lambda ds: Fraction(sum(ds.digits), ds.N)))
+    lip = 2 * math.pi * float(tail._tail_sum(0, lambda lvl: Fraction(sum(lvl.digits), lvl.phi)))
     edges = np.linspace(math.nextafter(float(lo), -math.inf),
                         math.nextafter(float(hi), math.inf), _START_CELLS + 1)
     a, b = edges[:-1], edges[1:]

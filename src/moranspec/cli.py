@@ -14,6 +14,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import re
 import sys
 
@@ -35,6 +36,7 @@ from .spectrum import SpectrumLevel, check_orthogonal, level_spectrum, q_sum_fin
 EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_FILE = 66
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer that SIGPIPE ends
 MAX_BUILT_POINTS = 2**20  # spectrum points (qsum: a time bound); qsum grid, density bins
 MAX_BINNED_ATOMS = 2**28  # density bins its atoms block by block: a time bound
 
@@ -94,6 +96,9 @@ def count_text(n: int) -> str:
 
 def write_csv(path: str, header: list[str], columns) -> None:
     """CSV of equal-length columns, written in blocks of 2**13 rows.
+
+    Commands write it before their report, so a path that cannot be written
+    leaves stdout empty.
 
     A float64 array column is written as %.15g, and any other column by str.
     Where at most half of a block's floats are distinct, each distinct bit
@@ -188,9 +193,8 @@ def cmd_validate(args) -> int:
     system = load_system(args.system)
     print(f"{'level':<12}{'p':>6}  {'digits':<20}{'class':<9}notes")
     for where, lvl in system.distinct_levels():
-        notes = "; ".join(lvl.digits.violations + lvl.digits.warnings)
-        print(f"{where:<12}{lvl.p:>6}  {str(lvl.digits):<20}"
-              f"{lvl.digits.cls.value:<9}{notes}")
+        notes = "; ".join(lvl.violations + lvl.warnings)
+        print(f"{where:<12}{lvl.p:>6}  {lvl.digit_text:<20}{lvl.cls.value:<9}{notes}")
     bad = system.invalid_levels()
     print(f"admissible: {'yes' if not bad else 'no'}")
     return EXIT_OK
@@ -218,11 +222,12 @@ def built_spectrum(args) -> tuple[MoranSystem, SpectrumLevel, int]:
 
 def cmd_spectrum(args) -> int:
     _, pts, q = built_spectrum(args)
+    if args.output:
+        write_csv(args.output, ["index", "lambda"], [range(q), pts.points])
     print(f"level {args.level} spectrum: {q} points, "
           f"sigma prefix {pts.sigma}")
     print(" ".join(map(str, pts.points)))
     if args.output:
-        write_csv(args.output, ["index", "lambda"], [range(q), pts.points])
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -258,6 +263,8 @@ def cmd_qsum(args) -> int:
     if args.output or not exact:  # an exact Q = 1 needs an array only for the CSV
         xs = np.linspace(args.xmin, args.xmax, args.grid)
         qs = np.ones(args.grid) if exact else q_sum_finite(system, depth, pts, xs)
+    if args.output:
+        write_csv(args.output, ["xi", "Q"], [xs, qs])
     lo, hi, dev = (1.0, 1.0, 0.0) if exact else (
         qs.min(), qs.max(), float(np.max(np.abs(qs - 1.0))))
     print(f"Q over [{args.xmin}, {args.xmax}] at {args.grid} points, "
@@ -270,7 +277,6 @@ def cmd_qsum(args) -> int:
         verdict = "complete" if exact or dev < args.tol else "NOT complete"
         print(f"  {verdict} at tolerance {args.tol:g}")
     if args.output:
-        write_csv(args.output, ["xi", "Q"], [xs, qs])
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -278,13 +284,13 @@ def cmd_qsum(args) -> int:
 def cmd_hadamard(args) -> int:
     system = load_system(args.system)
     for where, lvl in system.distinct_levels():
-        if lvl.digits.cls is LevelClass.INVALID:
-            print(f"{where}: p={lvl.p} D={lvl.digits} not admissible "
-                  f"({'; '.join(lvl.digits.violations)})")
+        if lvl.cls is LevelClass.INVALID:
+            print(f"{where}: p={lvl.p} D={lvl.digit_text} not admissible "
+                  f"({'; '.join(lvl.violations)})")
             continue
-        L = construct_L(lvl.p, lvl.digits)
-        print(f"{where}: p={lvl.p} D={lvl.digits} L={{{','.join(map(str, L))}}} "
-              f"hadamard={'yes' if is_hadamard(lvl.p, lvl.digits, L) else 'no'}")
+        L = construct_L(lvl)
+        print(f"{where}: p={lvl.p} D={lvl.digit_text} L={{{','.join(map(str, L))}}} "
+              f"hadamard={'yes' if is_hadamard(lvl, L) else 'no'}")
     return EXIT_OK
 
 
@@ -305,6 +311,8 @@ def cmd_density(args) -> int:
         raise UsageError(f"--bins {args.bins} leaves no interior bin: the uniformity "
                          f"verdict drops {EDGE_EXCLUDE} at each end")
     hist = density_histogram(system, args.level, args.bins)
+    if args.output:
+        write_csv(args.output, ["bin_center", "density"], [hist.centers, hist.density])
     lo, hi = hist.hull
     print(f"level {args.level}: {hist.atom_count} atoms on [{lo}, {hi}], "
           f"{len(hist.density)} bins")
@@ -317,7 +325,6 @@ def cmd_density(args) -> int:
     print(f"uniform within {args.tol:g}: {'yes' if uniform else 'no'}")
     print(f"verdict: {verdict}")
     if args.output:
-        write_csv(args.output, ["bin_center", "density"], [hist.centers, hist.density])
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -373,7 +380,13 @@ def main(argv=None) -> int:
             args.command = argv[0]
         else:  # no command name first: none, --help, an unknown command or --
             args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's exit
+        return code
+    except BrokenPipeError:  # the reader of stdout left first, as `| head` does
+        # the interpreter's last flush would fail again: it goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (UsageError, ValueError) as exc:
         # library ValueErrors (LevelRangeError too) reject argument values
         print(f"usage error: {exc}", file=sys.stderr)

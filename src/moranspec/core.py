@@ -77,66 +77,46 @@ def two_adic_split(d: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class DigitSet:
-    """A classified digit set.
+class Level:
+    """One classified generator level (p, D).
 
     ``digits`` is sorted and duplicate-free.  ``cls`` records the class the
-    set falls into; when it is INVALID, ``violations`` lists the failed
-    clauses.  ``warnings`` carries non-fatal notes (currently only the
+    pair (p, D) falls into; when it is INVALID, ``violations`` lists the
+    failed clauses.  ``warnings`` carries non-fatal notes (currently only the
     boundary ratio b/p == 2/3 for three-digit sets).
     """
 
+    p: int
     digits: tuple[int, ...]
     cls: LevelClass
     warnings: tuple[str, ...] = ()
     violations: tuple[str, ...] = ()
 
     @property
-    def N(self) -> int:
+    def phi(self) -> int:
         return len(self.digits)
 
     @property
-    def max_digit(self) -> int:
-        return self.digits[-1]
-
-    @property
-    def d(self) -> int:
-        """Nonzero digit of a two-digit set."""
-        if self.N != 2:
-            raise ValueError("two-digit set required")
-        return self.digits[1]
-
-    @property
-    def a(self) -> int:
-        if self.N != 3:
-            raise ValueError("three-digit set required")
-        return self.digits[1]
-
-    @property
-    def b(self) -> int:
-        if self.N != 3:
-            raise ValueError("three-digit set required")
-        return self.digits[2]
+    def digit_text(self) -> str:
+        """D as the reports print it, e.g. {0,1}."""
+        return "{%s}" % ",".join(map(str, self.digits))
 
     def mask_zero(self, u: int, v: int) -> bool:
         """Whether mask(D, u/v) = 0, decided in integers (v nonzero).
 
-        For an admissible set that holds iff s u/v is an integer that k does
-        not divide, with (s, k) = (2d, 2) for T3, (3, 3) for T2 and (N, N)
-        for T1.  An INVALID set is never zero here: its level contributes no
-        zero-set family, whatever its mask does.
+        For an admissible level that holds iff s u/v is an integer that k
+        does not divide, with (s, k) = (2d, 2) for T3 (D = {0,d}), (3, 3) for
+        T2 and (N, N) for T1.  An INVALID level is never zero here: it
+        contributes no zero-set family, whatever its mask does.
         """
         if self.cls is LevelClass.INVALID:
             return False
-        s, k = (2 * self.d, 2) if self.cls is LevelClass.T3 else (self.N, self.N)
+        s, k = (2 * self.digits[1], 2) if self.cls is LevelClass.T3 else (self.phi, self.phi)
         q, r = divmod(s * u, v)
         return r == 0 and q % k != 0
 
-    def __str__(self) -> str:
-        return "{%s}" % ",".join(str(d) for d in self.digits)
 
-
-def classify_level(p: int, digits: Iterable[int]) -> DigitSet:
+def classify_level(p: int, digits: Iterable[int]) -> Level:
     """Classify (p, D) into T1/T2/T3 or INVALID with the violated clauses.
 
     Classification is dispatched on cardinality: two digits are tested
@@ -147,7 +127,7 @@ def classify_level(p: int, digits: Iterable[int]) -> DigitSet:
     return _classify(p, tuple(sorted(set(map(int, digits)))))
 
 
-def _classify(p: int, ds: tuple[int, ...]) -> DigitSet:
+def _classify(p: int, ds: tuple[int, ...]) -> Level:
     """classify_level of digits ds that are already sorted, distinct ints."""
     violations: list[str] = []
     warnings: list[str] = []
@@ -155,7 +135,7 @@ def _classify(p: int, ds: tuple[int, ...]) -> DigitSet:
         violations.append("scale p must be at least 2")
     if not ds:
         violations.append("empty digit set")
-        return DigitSet(ds, LevelClass.INVALID, (), tuple(violations))
+        return Level(p, ds, LevelClass.INVALID, (), tuple(violations))
     if ds[0] < 0:
         violations.append("digits must be nonnegative")
     if 0 not in ds:
@@ -163,7 +143,7 @@ def _classify(p: int, ds: tuple[int, ...]) -> DigitSet:
     if len(ds) < 2:
         violations.append("at least two digits required")
     if violations:
-        return DigitSet(ds, LevelClass.INVALID, (), tuple(violations))
+        return Level(p, ds, LevelClass.INVALID, (), tuple(violations))
 
     n = len(ds)
     if n == 2:
@@ -200,7 +180,7 @@ def _classify(p: int, ds: tuple[int, ...]) -> DigitSet:
 
     if violations:
         cls = LevelClass.INVALID
-    return DigitSet(ds, cls, tuple(warnings), tuple(violations))
+    return Level(p, ds, cls, tuple(warnings), tuple(violations))
 
 
 def normalize_level(p: int, digits: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -220,18 +200,6 @@ def normalize_level(p: int, digits: Iterable[int]) -> tuple[int, tuple[int, ...]
     if shifted[0]:  # the least shifted digit is not 0
         raise MoranStructureError(f"digits {ds} do not normalize: shift by {gamma} loses 0")
     return abs(p), shifted
-
-
-@dataclass(frozen=True)
-class Level:
-    """One generator level (p, D)."""
-
-    p: int
-    digits: DigitSet
-
-    @property
-    def phi(self) -> int:
-        return self.digits.N
 
 
 @dataclass(frozen=True)
@@ -270,9 +238,6 @@ class MoranSystem:
                 f"level {n} requested from a finite system of {npre} levels"
             )
         return self.cycle[(n - npre - 1) % len(self.cycle)]
-
-    def digit_set(self, n: int) -> DigitSet:
-        return self.level(n).digits
 
     def _product(self, n: int, term) -> int:
         """term(level 1) ... term(level n): past the preamble pre x cycle**k x partial, one pow."""
@@ -319,9 +284,9 @@ class MoranSystem:
             self.level(n)  # a level past a finite system's end is named as requested
         # level i <= len(preamble) + len(cycle) is entry i of preamble + cycle
         for i, lvl in enumerate((self.preamble + self.cycle)[:n], start=1):
-            if lvl.digits.cls is LevelClass.INVALID:
+            if lvl.cls is LevelClass.INVALID:
                 raise MoranStructureError(
-                    f"level {i} not admissible: {'; '.join(lvl.digits.violations)}")
+                    f"level {i} not admissible: {'; '.join(lvl.violations)}")
 
     # -- whole-system views -------------------------------------------------
 
@@ -335,7 +300,7 @@ class MoranSystem:
         return [
             (where, lvl)
             for where, lvl in self.distinct_levels()
-            if lvl.digits.cls is LevelClass.INVALID
+            if lvl.cls is LevelClass.INVALID
         ]
 
     def is_admissible(self) -> bool:
@@ -345,15 +310,15 @@ class MoranSystem:
     def max_digit_ratio(self) -> Fraction:
         """sup over levels of max(D_n)/p_n; finite for any periodic system."""
         return max(
-            Fraction(lvl.digits.max_digit, lvl.p) for _, lvl in self.distinct_levels()
+            Fraction(lvl.digits[-1], lvl.p) for _, lvl in self.distinct_levels()
         )
 
     def tail_max_sum(self, n: int) -> Fraction:
         """Exact sum over i > n of max(D_i)/P_i (the support tail radius)."""
-        return self._tail_sum(n, lambda ds: ds.max_digit)
+        return self._tail_sum(n, lambda lvl: lvl.digits[-1])
 
     def _tail_sum(self, n: int, term) -> Fraction:
-        """Exact sum over i > n of term(D_i)/P_i, term(D) an int or a Fraction.
+        """Exact sum over i > n of term(level i)/P_i, term an int or a Fraction.
 
         One Horner pass in integers gives A_i = B P_i S_i, S_i the sum to i, B
         the terms' common denominator.  Past i0 = max(n, preamble) a period
@@ -361,7 +326,7 @@ class MoranSystem:
         (C S_i1 - S_i0)/(C - 1) = (A_i1 - A_i0)/(B (P_i1 - P_i0)).
         """
         i0 = max(n, len(self.preamble))
-        ts = [(lvl.p, term(lvl.digits))
+        ts = [(lvl.p, term(lvl))
               for lvl in map(self.level, range(n + 1, i0 + len(self.cycle) + 1))]
         B = math.lcm(*(t.denominator for _, t in ts))
         A = A0 = 0
@@ -386,7 +351,7 @@ def make_system(
         p, shifted = normalize_level(p_raw, digits)
         if p <= 1:
             raise MoranStructureError(f"scale p = {p_raw} must exceed 1 in modulus")
-        return Level(p, _classify(p, shifted))
+        return _classify(p, shifted)
 
     return MoranSystem(
         tuple(build(p, d) for p, d in preamble),
@@ -481,16 +446,16 @@ def _atom_factors(system: MoranSystem, n: int) -> list[list[int]]:
     if n < 1:
         raise ValueError("level must be at least 1")
     Pn = system.P(n)
-    return [[d * (Pn // P) for d in lvl.digits.digits] for lvl, _, P in system.walk(n)]
+    return [[d * (Pn // P) for d in lvl.digits] for lvl, _, P in system.walk(n)]
 
 
-def mask_eval(digits: DigitSet | Iterable[int], xi):
+def mask_eval(digits: Iterable[int], xi):
     """Mask polynomial (1/#D) sum_d exp(-2 pi i d xi).
 
     Accepts a scalar or an ndarray for xi and broadcasts; the value at 0 is
     always 1 and the modulus is bounded by 1.
     """
-    ds = digits.digits if isinstance(digits, DigitSet) else tuple(digits)
+    ds = tuple(digits)
     x = np.asarray(xi, dtype=np.float64)
     acc = np.full(x.shape, ds.count(0), dtype=np.complex128)  # exp(0) = 1, taken as is
     for d in filter(None, ds):
@@ -527,7 +492,7 @@ def _mask_product(system: MoranSystem, lo: int, hi: int, xi, reach=None):
     stop, last, levels = _walk_to_stop(system, lo, hi, top)
     P = np.array([float(Pm) for _, Pm in levels]).reshape((-1,) + (1,) * x.ndim)
     y = np.fmod(x, P) / P  # fmod is exact, and leaves |xi| < P_m as it is
-    sets = [lvl.digits.digits for lvl, _ in levels]
+    sets = [lvl.digits for lvl, _ in levels]
     masks = np.empty(y.shape, dtype=np.complex128)
     for digits in set(sets):
         rows = np.array([d == digits for d in sets])
@@ -589,7 +554,7 @@ def zero_set_contains(
     T2 level j:  P_j (3Z+{1,2}) / 3,
     T1 level m:  P_m (Z \\ N_m Z) / N_m;
     level i's family is the zeros of mask(D_i, xi/P_i), which
-    ``DigitSet.mask_zero`` decides, level by level.  Returns a witness for
+    ``Level.mask_zero`` decides, level by level.  Returns a witness for
     the first matching level, or None.  Levels with an INVALID class
     contribute no family.  The set is symmetric: xi and -xi get the same
     answer.  With ``max_level`` set, only levels up to it are searched
@@ -607,6 +572,6 @@ def zero_set_contains(
         # so once that passes |xi| nothing further can match (nor can xi = 0).
         if prev * den > 2 * abs(num):
             break
-        if lvl.digits.mask_zero(num, den * P):
-            return ZeroWitness(i, lvl.digits.cls)
+        if lvl.mask_zero(num, den * P):
+            return ZeroWitness(i, lvl.cls)
     return None

@@ -5,12 +5,13 @@ over d in D, l in L is unitary; equivalently L is a spectrum of the uniform
 measure on D/p.  ``construct_L`` builds the companion set of each admissible
 class, the L_j that the level-n spectrum takes at level j (its factor there
 is P_{j-1} L_j), so ``hadamard`` prints the spectrum's L.  ``is_hadamard``
-decides the property exactly, asking ``DigitSet.mask_zero`` whether each
+decides the property exactly, asking ``Level.mask_zero`` whether each
 difference of L, over p, is a zero of the mask of D: it is the one pair
 test, which ``hadamard`` prints per level and ``check_orthogonal`` asks of
-each distinct companion of a spectrum.  ``unitarity_residual`` measures the
-numeric deviation from unitarity, the float reference the exact test agrees
-with.
+each distinct companion of a spectrum.  Both take a classified ``Level``,
+so a class is read only with the p it was classified under.
+``unitarity_residual`` measures the numeric deviation from unitarity of plain
+(p, D, L), reading no class: the float reference the exact test agrees with.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ import math
 from itertools import combinations
 from typing import Iterable
 
-from .core import DigitSet, LevelClass, classify_level, np, two_adic_split
-
-
-def _as_digit_set(p: int, digits: DigitSet | Iterable[int]) -> DigitSet:
-    return digits if isinstance(digits, DigitSet) else classify_level(p, digits)
+from .core import Level, LevelClass, np, two_adic_split
 
 
 def digit_star(N: int) -> tuple[int, ...]:
@@ -34,7 +31,7 @@ def digit_star(N: int) -> tuple[int, ...]:
     return tuple(range(lo, N + lo))
 
 
-def construct_L(p: int, digits: DigitSet | Iterable[int], sign: int = 1) -> tuple[int, ...]:
+def construct_L(level: Level, sign: int = 1) -> tuple[int, ...]:
     """Companion set making (p, D, L) a Hadamard triple: the spectrum's L of a level.
 
     T1 (D = {0..N-1}, N | p):  L = (p/N) digit_star(N).
@@ -43,22 +40,19 @@ def construct_L(p: int, digits: DigitSet | Iterable[int], sign: int = 1) -> tupl
                                number; p/gcd(d,p) even puts 2**(1+l) in p, and
                                2d/2**(1+l) is odd.
     """
-    ds = _as_digit_set(p, digits)
-    if ds.cls is LevelClass.T1:
-        return tuple(p // ds.N * a for a in digit_star(ds.N))
-    if ds.cls is LevelClass.T2:
+    p, N = level.p, level.phi
+    if level.cls is LevelClass.T1:
+        return tuple(p // N * a for a in digit_star(N))
+    if level.cls is LevelClass.T2:
         return (0, p // 3, -(p // 3))
-    if ds.cls is LevelClass.T3:
-        return (0, sign * (p >> (1 + two_adic_split(ds.d)[0])))
-    raise ValueError(f"not admissible: {ds.violations}")
+    if level.cls is LevelClass.T3:
+        return (0, sign * (p >> (1 + two_adic_split(level.digits[1])[0])))
+    raise ValueError(f"not admissible: {level.violations}")
 
 
-def unitarity_residual(
-    p: int, digits: DigitSet | Iterable[int], L: Iterable[int]
-) -> float:
+def unitarity_residual(p: int, digits: Iterable[int], L: Iterable[int]) -> float:
     """Max-norm of H*H - I for H = (1/sqrt(N)) [exp(-2 pi i d l / p)]."""
-    ds = digits.digits if isinstance(digits, DigitSet) else tuple(digits)
-    Ls = tuple(L)
+    ds, Ls = tuple(digits), tuple(L)
     if len(Ls) != len(ds):
         raise ValueError(f"cardinality mismatch: #D = {len(ds)}, #L = {len(Ls)}")
     n = len(ds)
@@ -66,17 +60,16 @@ def unitarity_residual(
     return float(np.max(np.abs(H.conj().T @ H - np.eye(n))))
 
 
-def is_hadamard(p: int, digits: DigitSet | Iterable[int], L: Iterable[int]) -> bool:
+def is_hadamard(level: Level, L: Iterable[int]) -> bool:
     """Exact Hadamard-triple test via the mask zero set.
 
     True iff every difference of distinct elements of L, scaled by 1/p, is a
-    zero of the mask of D, which ``DigitSet.mask_zero`` decides for each pair
+    zero of the mask of D, which ``Level.mask_zero`` decides for each pair
     of L in integers; agrees with ``unitarity_residual`` being tiny.
     """
-    ds = _as_digit_set(p, digits)
     Ls = tuple(L)
-    if len(Ls) != ds.N:
-        raise ValueError(f"cardinality mismatch: #D = {ds.N}, #L = {len(Ls)}")
-    if ds.cls is LevelClass.INVALID:
-        raise ValueError(f"not admissible: {ds.violations}")
-    return all(ds.mask_zero(a - b, p) for a, b in combinations(Ls, 2))
+    if len(Ls) != level.phi:
+        raise ValueError(f"cardinality mismatch: #D = {level.phi}, #L = {len(Ls)}")
+    if level.cls is LevelClass.INVALID:
+        raise ValueError(f"not admissible: {level.violations}")
+    return all(level.mask_zero(a - b, level.p) for a, b in combinations(Ls, 2))

@@ -48,9 +48,9 @@ SigmaPrefix = Sequence[int]
 def _head(system: MoranSystem, sigma: SigmaPrefix | None) -> int:
     """The preamble and the last T3 level sigma reaches: past it, L_j = L_{j-T}."""
     npre = len(system.preamble)
-    t3 = [i for i, lvl in enumerate(system.cycle, 1) if lvl.digits.cls is LevelClass.T3]
+    t3 = [i for i, lvl in enumerate(system.cycle, 1) if lvl.cls is LevelClass.T3]
     rest = (0 if sigma is None else len(sigma)) - sum(
-        lvl.digits.cls is LevelClass.T3 for lvl in system.preamble)
+        lvl.cls is LevelClass.T3 for lvl in system.preamble)
     if rest <= 0 or not t3:  # the prefix ends in the preamble, or is never read past it
         return npre
     k, r = divmod(rest - 1, len(t3))
@@ -118,9 +118,9 @@ def level_spectrum(
     signs, companions = iter(() if sigma is None else sigma), []
     for lvl in map(system.level, range(1, min(n, _head(system, sigma) + len(system.cycle)) + 1)):
         s = 1
-        if lvl.digits.cls is LevelClass.T3 and (s := int(next(signs, 1))) not in (-1, 1):
+        if lvl.cls is LevelClass.T3 and (s := int(next(signs, 1))) not in (-1, 1):
             raise ValueError(f"sigma entries must be +1 or -1, got {s}")
-        companions.append(construct_L(lvl.p, lvl.digits, s))
+        companions.append(construct_L(lvl, s))
     return SpectrumLevel(system, n, tuple(companions))
 
 
@@ -150,8 +150,8 @@ def _companions_hadamard(system: MoranSystem, spec: SpectrumLevel) -> bool:
     the difference, and no level below it can, since P_{j-1} divides it.
     """
     return spec.system == system and all(
-        lvl.digits.cls is not LevelClass.INVALID and len(L) == lvl.phi
-        and is_hadamard(lvl.p, lvl.digits, L)
+        lvl.cls is not LevelClass.INVALID and len(L) == lvl.phi
+        and is_hadamard(lvl, L)
         for lvl, L in _distinct_companions(spec))
 
 
@@ -263,7 +263,7 @@ def q_sum_finite(
                                  max(float(np.max(np.abs(x), initial=0.0)), high, -low))
     depth, last = len(factors), len(walked)
     nodes = _outer_sums(factors, _partial_sum_dtype(factors))
-    levels = {m: _level_terms(lvl.digits.digits, P, nodes[min(m, depth)], flat)
+    levels = {m: _level_terms(lvl.digits, P, nodes[min(m, depth)], flat)
               for m, (lvl, P) in enumerate(walked, start=1) if lvl.phi > 1}  # one digit: |mask| = 1
     q = np.empty(flat.shape)
     step = max(1, _BLOCK_ENTRIES // max(len(nodes[-1]), 1))

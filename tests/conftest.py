@@ -112,7 +112,7 @@ def sequential_mask_product(system, lo: int, hi: int, xi):
     out = np.ones(x.shape, dtype=np.complex128)
     for m in range(lo + 1, last + 1):
         Pm = system.P(m)
-        out *= mask_eval(system.digit_set(m), np.fmod(x, Pm) / Pm)
+        out *= mask_eval(system.level(m).digits, np.fmod(x, Pm) / Pm)
     return out, min(system.P(last), stop) or 1
 
 
@@ -124,12 +124,12 @@ def per_level_companions(system, n: int, sigma) -> tuple[tuple, tuple[int, ...]]
     companions, used = [], []
     for lvl in map(system.level, range(1, n + 1)):
         s = 1
-        if lvl.digits.cls is LevelClass.T3:
+        if lvl.cls is LevelClass.T3:
             s = 1 if sigma is None or len(used) >= len(sigma) else int(sigma[len(used)])
             if s not in (-1, 1):
                 raise ValueError(f"sigma entries must be +1 or -1, got {s}")
             used.append(s)
-        companions.append(construct_L(lvl.p, lvl.digits, s))
+        companions.append(construct_L(lvl, s))
     return tuple(companions), tuple(used)
 
 
@@ -137,7 +137,7 @@ def scanned_head(system, sigma) -> int:
     """The preamble, or the level of the last T3 level sigma reaches, scanned level by level."""
     npre, reached, seen = len(system.preamble), len(sigma or ()), 0
     for j in range(1, npre + reached * len(system.cycle) + 1):  # a T3 level in every period
-        if system.level(j).digits.cls is LevelClass.T3 and (seen := seen + 1) == reached:
+        if system.level(j).cls is LevelClass.T3 and (seen := seen + 1) == reached:
             return max(npre, j)
     return npre
 
@@ -163,10 +163,10 @@ def factor_class_range(system, n_k: int, sig) -> tuple[Fraction, Fraction]:
 
 
 def fraction_tail_sum(system, n: int, term) -> Fraction:
-    """Sum over i > n of term(D_i)/P_i, one Fraction per level, as first written."""
+    """Sum over i > n of term(level i)/P_i, one Fraction per level, as first written."""
 
     def terms(lo: int, hi: int) -> Fraction:
-        return sum((Fraction(term(system.digit_set(i)), system.P(i))
+        return sum((Fraction(term(system.level(i)), system.P(i))
                     for i in range(lo, hi + 1)), Fraction(0))
 
     if not system.cycle:

@@ -15,6 +15,7 @@ import pytest
 from moranspec import (
     IntervalUnion,
     certify,
+    classify_level,
     construct_L,
     density_histogram,
     density_verdict,
@@ -85,10 +86,11 @@ def test_criterion_03_hadamard_construction(rng):
     for gen in (random_t1_level, random_t2_level, random_t3_level):
         for _ in range(50):
             p, digits = gen(rng)
-            L = construct_L(p, digits)
+            lvl = classify_level(p, digits)
+            L = construct_L(lvl)
             res = unitarity_residual(p, digits, L)
             worst = max(worst, res)
-            exact = is_hadamard(p, digits, L)
+            exact = is_hadamard(lvl, L)
             agree &= exact and (res < 1e-9)
             count += 1
     ok = worst < 1e-12 and agree

@@ -85,6 +85,26 @@ class TestValidate:
         assert proc.returncode == 0, proc.stderr
         assert "admissible: yes" in proc.stdout
 
+    @pytest.mark.parametrize("command, options, read", [
+        # as `| head -c 20`: the write fails in a report line
+        pytest.param("ortho", ["--level", "100000"], 20, id="head-c-20"),
+        # a reader gone before any byte: the write fails in the last flush
+        pytest.param("validate", [], 0, id="closed-first"),
+    ])
+    def test_closed_stdout(self, system_file, command, options, read):
+        # a reader that leaves first ends the run with exit 141 and no message
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "moranspec", command, system_file("cycle: (2,{0,1})\n"),
+             *options], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": str(src)})
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
 
 #: Runs cli.main on each argv of a JSON list; prints one JSON line per call with its
 #: exit code, its stdout, the numpy submodules loaded so far and whether the corpus is.
@@ -363,7 +383,7 @@ class TestHadamardCommand:
 
     def test_non_hadamard_companion_prints_no(self, system_file, capsys, monkeypatch):
         # the printed verdict is is_hadamard's on the printed L
-        monkeypatch.setattr(cli, "construct_L", lambda p, ds: (0, 2) if p == 2 else (0, 1, -1))
+        monkeypatch.setattr(cli, "construct_L", lambda lvl: (0, 2) if lvl.p == 2 else (0, 1, -1))
         assert main(["hadamard", system_file(FINAL)]) == 0
         assert capsys.readouterr().out == ("cycle[1]: p=2 D={0,1} L={0,2} hadamard=no\n"
                                            "cycle[2]: p=3 D={0,1,2} L={0,1,-1} hadamard=yes\n")
@@ -598,10 +618,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["spectrum", "qsum", "density"])
     @pytest.mark.parametrize("target", ["directory", "missing-parent"])
     def test_unwritable_output_file(self, system_file, tmp_path, capsys, command, target):
-        # an -o that cannot be opened for writing is a file error, named on one line
+        # an -o that cannot be opened for writing is a file error, named on one line;
+        # the file is written before the report, so stdout stays empty
         path = tmp_path if target == "directory" else tmp_path / "missing" / "out.csv"
         assert main([command, system_file(FINAL), "--level", "3", "-o", str(path)]) == 66
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("file error: ") and str(path) in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["spectrum", "ortho", "qsum"])

@@ -66,13 +66,13 @@ class TestParse:
     def test_negative_entries_normalized(self):
         s = parse_system("cycle: (-2,{0,-3})")
         lvl = s.level(1)
-        assert lvl.p == 2 and lvl.digits.digits == (0, 3)
+        assert lvl.p == 2 and lvl.digits == (0, 3)
 
 
 class TestClassify:
     def test_t1(self):
         ds = classify_level(12, [0, 1, 2, 3])
-        assert ds.cls is LevelClass.T1 and ds.N == 4
+        assert ds.cls is LevelClass.T1 and ds.phi == 4
 
     def test_invalid_mod3(self):
         ds = classify_level(8, [0, 5, 6])
@@ -82,7 +82,7 @@ class TestClassify:
     def test_t3(self):
         ds = classify_level(4, [0, 2])
         assert ds.cls is LevelClass.T3
-        assert ds.d == 2 and two_adic_split(ds.d) == (1, 1)
+        assert ds.digits[1] == 2 and two_adic_split(ds.digits[1]) == (1, 1)
 
     def test_t2_boundary_warning(self):
         ds = classify_level(3, [0, 1, 2])
@@ -221,7 +221,7 @@ class TestFourier:
                 P = final_system.P(n)  # x reduced mod P_n exactly, as the product does
                 prev = fourier_tail(final_system, 0, x, n - 1)[0] if n > 1 else 1
                 rhs = prev * mask_eval(
-                    final_system.digit_set(n), math.fmod(x, P) / P
+                    final_system.level(n).digits, math.fmod(x, P) / P
                 )
                 assert abs(lhs - rhs) < 1e-15
 
@@ -232,7 +232,7 @@ class TestFourier:
             oracle = complex(1.0)
             for i in range(1, 5):
                 P = mixed_system.P(i)
-                oracle *= mask_eval(mixed_system.digit_set(i),
+                oracle *= mask_eval(mixed_system.level(i).digits,
                                     float(Fraction(x) % P / P))
             assert abs(fourier_tail(mixed_system, 0, x, 4)[0] - oracle) < 1e-12
 

@@ -1,7 +1,10 @@
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import moranspec
 
 SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "moranspec").glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
@@ -28,3 +31,23 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("from itertools import accumulate, count\nimport os.path\ncount(1)\n")
     assert unused_imports(tree) == ["line 1: accumulate", "line 2: os"]
+
+
+#: moranspec's public names, sorted: an API addition or removal shows in this list's diff
+PUBLIC_NAMES = [
+    "Certificate", "Histogram", "IntervalUnion", "Level", "LevelClass", "MoranError",
+    "MoranStructureError", "MoranSyntaxError", "MoranSystem", "OrthogonalityReport",
+    "SpectrumLevel", "Verdict", "ZeroWitness", "certify", "check_orthogonal", "classify_level",
+    "construct_L", "density_histogram", "density_verdict", "digit_star", "epsilon_next_level",
+    "f_eval", "f_min_points", "fourier_tail", "is_hadamard", "lambda_norm_check",
+    "level_spectrum", "make_system", "mask_eval", "normalize_level", "parse_system",
+    "q_sum_finite", "support_cover", "tail_constant", "tiling_defects", "uniformity_check",
+    "unitarity_residual", "zero_set_contains",
+]
+
+
+def test_public_names_pinned():
+    # submodules are left out: which of them are attributes depends on what was imported
+    names = sorted(name for name, value in vars(moranspec).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES

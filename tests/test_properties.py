@@ -115,7 +115,7 @@ def fraction_atoms(system, n: int) -> list[Fraction]:
     sums = [Fraction(0)]
     for i in range(1, n + 1):
         Pi = system.P(i)
-        offsets = [Fraction(d, Pi) for d in system.digit_set(i).digits]
+        offsets = [Fraction(d, Pi) for d in system.level(i).digits]
         sums = [s + off for s in sums for off in offsets]
     return sums
 
@@ -123,21 +123,21 @@ def fraction_atoms(system, n: int) -> list[Fraction]:
 def fraction_member(ds, x: Fraction, P: int) -> bool:
     """Per-class Fraction test of x/P in the mask zero set, as first written."""
     if ds.cls is LevelClass.T3:
-        t = Fraction(2 * ds.d) * x / P
+        t = Fraction(2 * ds.digits[1]) * x / P
         return t.denominator == 1 and t.numerator % 2 != 0
     if ds.cls is LevelClass.T2:
         t = Fraction(3) * x / P
         return t.denominator == 1 and t.numerator % 3 != 0
     if ds.cls is LevelClass.T1:
-        t = Fraction(ds.N) * x / P
-        return t.denominator == 1 and t.numerator % ds.N != 0
+        t = Fraction(ds.phi) * x / P
+        return t.denominator == 1 and t.numerator % ds.phi != 0
     return False
 
 
 def fraction_zero_set_level(system, x: Fraction, max_level: int) -> int | None:
     """First level whose family holds x, scanning the Fraction test by level."""
     for i in range(1, max_level + 1):
-        if x != 0 and fraction_member(system.digit_set(i), x, system.P(i)):
+        if x != 0 and fraction_member(system.level(i), x, system.P(i)):
             return i
     return None
 
@@ -157,7 +157,7 @@ def python_int_atoms(system, n: int) -> list[int]:
     Pn, sums = system.P(n), [0]
     for i in range(1, n + 1):
         sums = [s + d * (Pn // system.P(i)) for s in sums
-                for d in system.digit_set(i).digits]
+                for d in system.level(i).digits]
     return sorted(sums)
 
 
@@ -349,7 +349,7 @@ def test_predicate_matches_fraction_test(seed, a, b):
     rng = np.random.default_rng(seed)
     p, digits = GENERATORS[int(rng.integers(len(GENERATORS)))](rng)
     ds = classify_level(p, digits)
-    one_level = MoranSystem((Level(p, ds),), ())
+    one_level = MoranSystem((ds,), ())
     # x = p a / b puts x/p = a/b on the zero-set lattices often enough to hit
     for num, den in ((p * a, b), (a, 1)):
         x = Fraction(num, den)
@@ -456,16 +456,16 @@ def test_is_hadamard_matches_fraction_pair_loop(seed):
     ds = classify_level(p, digits)
     if ds.cls is LevelClass.INVALID:
         with pytest.raises(ValueError, match="not admissible"):
-            is_hadamard(p, digits, range(ds.N))
+            is_hadamard(ds, range(ds.phi))
         return
-    L = list(construct_L(p, ds))
+    L = list(construct_L(ds))
     # move some companions off their lattice (duplicates included)
     for k in range(len(L)):
         if rng.uniform() < 0.3:
             L[k] += int(rng.integers(-2 * p, 2 * p + 1))
     expected = all(fraction_member(ds, Fraction(a - b), p)
                    for a, b in combinations(L, 2))
-    assert is_hadamard(p, digits, L) == expected
+    assert is_hadamard(ds, L) == expected
 
 
 def poly_divmod(a: list[int], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -508,19 +508,19 @@ def test_mask_zero_matches_cyclotomic_oracle(seed, u0, v0):
     ds = classify_level(p, digits)
     one_level = make_system(preamble=[(p, digits)])
     # over p the companions' differences; over 2 max(D) the two-digit zeros
-    for v in (p, 2 * ds.max_digit, v0):
+    for v in (p, 2 * ds.digits[-1], v0):
         for u in [*range(v), u0]:
             zero = cyclotomic_mask_zero(ds.digits, u, v)
             assert ds.mask_zero(u, v) == ds.mask_zero(-3 * u, 3 * v) == zero, (u, v)
             assert (zero_set_contains(one_level, Fraction(u * p, v)) is not None) == zero
-    L = construct_L(p, ds)
-    assert is_hadamard(p, digits, L)
+    L = construct_L(ds)
+    assert is_hadamard(ds, L)
     for k in range(len(L)):  # companions with one entry moved by 1
         for step in (-1, 1):
             moved = L[:k] + (L[k] + step,) + L[k + 1:]
             expected = all(cyclotomic_mask_zero(ds.digits, a - b, p)
                            for a, b in combinations(moved, 2))
-            assert is_hadamard(p, digits, moved) == expected
+            assert is_hadamard(ds, moved) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -535,7 +535,7 @@ def test_invalid_level_has_no_zero_family(seed, u, v):
     assert not ds.mask_zero(u, v)
     assert zero_set_contains(make_system(preamble=[(p, digits)]), Fraction(u * p, v)) is None
     with pytest.raises(ValueError, match="not admissible"):
-        is_hadamard(p, digits, range(ds.N))
+        is_hadamard(ds, range(ds.phi))
 
 
 def scalar_mask_loop(system, lo: int, hi: int, x: float, lam: int | None = None) -> complex:
@@ -551,7 +551,7 @@ def scalar_mask_loop(system, lo: int, hi: int, x: float, lam: int | None = None)
     for i in range(lo + 1, hi + 1):
         Pi = system.P(i)
         y = math.fmod(x, Pi) / Pi if lam is None else (lam % Pi) / Pi + math.fmod(x, Pi) / Pi
-        val *= complex(mask_eval(system.digit_set(i), y))
+        val *= complex(mask_eval(system.level(i).digits, y))
     return val
 
 
@@ -572,7 +572,7 @@ def per_point_q_sum(system, n: int, lams, xs) -> np.ndarray:
         m += 1
         Pm = system.P(m)
         red = np.asarray((lam % Pm) / Pm, dtype=np.float64)
-        out *= mask_eval(system.digit_set(m), red + np.fmod(x, Pm) / Pm)
+        out *= mask_eval(system.level(m).digits, red + np.fmod(x, Pm) / Pm)
     return np.sum(np.abs(out) ** 2, axis=-1)
 
 
@@ -583,7 +583,7 @@ XIS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 @given(SEEDS, st.lists(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
                        min_size=1, max_size=20))
 def test_mask_skips_no_bit_of_exp_zero(seed, xs):
-    # the digit 0, first as in every DigitSet, adds 1 with no exp taken: bit
+    # the digit 0, first as in every classified level, adds 1 with no exp taken: bit
     # for bit the sum that took exp(0 * x) too, at +-0 and tiny and huge x
     rng = np.random.default_rng(seed)
     p, digits = GENERATORS[int(rng.integers(4))](rng)
@@ -699,8 +699,8 @@ def mesh_next_level_bound(system, n_k: int) -> tuple[float, float]:
     """
     nxt = system.level(n_k + 1)
     u = 1.0 + 1.0 / system.P(n_k)
-    w1 = math.pi * nxt.digits.a * u / nxt.p
-    w2 = math.pi * nxt.digits.b * u / nxt.p
+    w1 = math.pi * nxt.digits[1] * u / nxt.p
+    w2 = math.pi * nxt.digits[2] * u / nxt.p
     om1 = np.linspace(-w1, w1, 801)
     om2 = np.linspace(-w2, w2, 801)
     gmin = float(((1.0 + 8.0 * f_eval(om1[:, None], om2[None, :])) / 9.0).min())
@@ -729,13 +729,13 @@ def test_next_level_bound_matches_mesh_oracle(seed, boundary, n_min):
                          cycle=cycle)
     # the first checkpoint from n_min on whose next level is T2
     n_k = next(n for n in range(n_min, n_min + len(cycle))
-               if system.level(n + 1).digits.cls is LevelClass.T2)
+               if system.level(n + 1).cls is LevelClass.T2)
     new = epsilon_next_level(system, n_k)
     old, mesh_min = mesh_next_level_bound(system, n_k)
     nxt, P = system.level(n_k + 1), system.P(n_k)
     assert old <= new
     assert new ** 2 <= mesh_min + 1e-12
-    assert (new == 0.0) == (3 * nxt.digits.a * (P + 1) >= nxt.p * P)
+    assert (new == 0.0) == (3 * nxt.digits[1] * (P + 1) >= nxt.p * P)
 
 
 def covering_system(rng):
@@ -753,7 +753,7 @@ def covering_system(rng):
                            for _ in range(int(rng.integers(3)))]
     system = make_system(preamble=[random_t3_level(rng)] * int(rng.integers(2)),
                          cycle=[cycle[i] for i in rng.permutation(len(cycle))])
-    reached = sum(system.digit_set(i).cls is LevelClass.T3
+    reached = sum(system.level(i).cls is LevelClass.T3
                   for i in range(1, int(rng.integers(8, 13))))
     sigma = tuple(int(v) for v in rng.choice((1, -1), size=reached))
     return system, sigma[:-1] + (-1,) if sigma else ()
@@ -829,7 +829,7 @@ def test_head_and_period_match_per_level_oracle(seed, cyclic, ends):
     rng = np.random.default_rng(seed)
     system = range_system(rng, cyclic)
     T = len(system.cycle)
-    t3 = sum(lvl.digits.cls is LevelClass.T3 for lvl in system.preamble)
+    t3 = sum(lvl.cls is LevelClass.T3 for lvl in system.preamble)
     size = {"preamble": int(rng.integers(0, t3 + 1)), "cycle": t3 + int(rng.integers(1, 2 * T + 2)),
             "long": t3 + int(rng.integers(2 * T + 2, 3 * T + 11))}[ends]
     sigma = [int(v) for v in rng.choice((1, -1), size=size)]
@@ -864,9 +864,9 @@ def test_tail_sums_match_fraction_oracle(seed, cyclic):
     # int and Fraction terms from every n inside the preamble and past it,
     # past a finite system's end too
     system = range_system(np.random.default_rng(seed), cyclic)
-    mean = lambda ds: Fraction(sum(ds.digits), ds.N)
+    mean = lambda lvl: Fraction(sum(lvl.digits), lvl.phi)
     for n in range(len(system.preamble) + 2 * len(system.cycle) + 2):
-        assert system.tail_max_sum(n) == fraction_tail_sum(system, n, lambda ds: ds.max_digit)
+        assert system.tail_max_sum(n) == fraction_tail_sum(system, n, lambda lvl: lvl.digits[-1])
         assert system._tail_sum(n, mean) == fraction_tail_sum(system, n, mean)
 
 
@@ -936,7 +936,7 @@ def two_pass_level(p_raw: int, digits: tuple[int, ...]) -> Level:
     p, shifted = normalize_level(p_raw, digits)
     if p <= 1:
         raise MoranStructureError(f"scale p = {p_raw} must exceed 1 in modulus")
-    return Level(p, classify_level(p, shifted))
+    return classify_level(p, shifted)
 
 
 @settings(max_examples=300, deadline=None)

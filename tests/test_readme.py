@@ -16,6 +16,8 @@ def test_library_example_states_its_values():
     assert "# ((0, 1), (0, 1, -1)): the head" in block
     assert pts.companions == ((0, 1), (0, 1, -1)) and len(list(pts.unfolded())) == 6
     assert "check_orthogonal(s, pts).passed" in block and ms.check_orthogonal(s, pts).passed
+    assert re.search(r"^s\.level\(2\)\.mask_zero\(2, 6\) +# True:", block, re.M)
+    assert s.level(2).mask_zero(2, 6) is True
     assert "# (7, 0.2164...)" in block and cert.checkpoint == 7
     assert f"{cert.epsilon:.4f}" == "0.2164"
     assert "(array([0, 7776]), 7776)" in block and cover.den == 7776

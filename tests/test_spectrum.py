@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from moranspec import (
-    DigitSet,
+    Level,
     LevelClass,
     MoranStructureError,
     MoranSystem,
@@ -140,8 +140,8 @@ class TestOrthogonality:
         # each, 1 + 3 + 6, and no running product P_j
         pts = level_spectrum(mixed_system, 40)
         tests, walks = [], []
-        mask_zero, walk = DigitSet.mask_zero, MoranSystem.walk
-        monkeypatch.setattr(DigitSet, "mask_zero",
+        mask_zero, walk = Level.mask_zero, MoranSystem.walk
+        monkeypatch.setattr(Level, "mask_zero",
                             lambda self, u, v: (tests.append(u), mask_zero(self, u, v))[1])
         monkeypatch.setattr(MoranSystem, "walk",
                             lambda self, n=None: (walks.append(n), walk(self, n))[1])
@@ -158,7 +158,7 @@ class TestOrthogonality:
         # the companion path and is_hadamard ask each level's mask-zero test directly
         system, _ = corpus.load_example(name)
         n = 6  # the last level up to 6 with no inadmissible level before it
-        while any(system.digit_set(i).cls is LevelClass.INVALID for i in range(1, n + 1)):
+        while any(system.level(i).cls is LevelClass.INVALID for i in range(1, n + 1)):
             n -= 1
         pts = level_spectrum(system, n)
         built, calls = [], []
@@ -175,8 +175,8 @@ class TestOrthogonality:
                     monkeypatch.setattr(module, func.__name__, spy)
         assert check_orthogonal(system, pts).passed
         for _, lvl in system.distinct_levels():
-            if lvl.digits.cls is not LevelClass.INVALID:
-                assert is_hadamard(lvl.p, lvl.digits, construct_L(lvl.p, lvl.digits))
+            if lvl.cls is not LevelClass.INVALID:
+                assert is_hadamard(lvl, construct_L(lvl))
         assert (built, calls) == ([], [])
 
 
@@ -263,7 +263,7 @@ class TestQSumFinite:
         # |xi| < P_m reduces to xi itself: a float remainder gave 2 - 0.3,
         # rounded, at P_1 = 2, and P_71 = 2**71 itself for -2
         Pm = dyadic_system.P(m)
-        _, [(cos_x, sin_x, _, _)] = _level_terms(dyadic_system.digit_set(m).digits, Pm,
+        _, [(cos_x, sin_x, _, _)] = _level_terms(dyadic_system.level(m).digits, Pm,
                                                  np.array([0]), np.array([xi]))
         u = xi / Pm
         assert u * Pm == xi
