@@ -2,12 +2,14 @@
 
 The infinite statement "the candidate set is a spectrum" reduces to a tail
 bound: along checkpoints n_k, |mu_{>n_k}(xi + lambda)| must stay above some
-epsilon > 0 for |xi| < 1 and every level-n_k spectrum point lambda.
-``certify`` proves it for a whole checkpoint class n_k + j T at once, with
-no random numbers, by a Lipschitz covering of the tail over the class's
-exact range.  The paper's ingredient bounds (the cosine product minimum,
-the universal tail product constant, the exact next-level factor bound)
-are kept as tested functions.
+epsilon > 0 for |xi| < 1 and every level-n_k spectrum point lambda
+(Strichartz's tail criterion).  ``certify`` proves it for a whole checkpoint
+class n_k + j T at once, exactly and in integers: the tail transform is one
+absolutely convergent product over the class's exact range, so it has a
+positive minimum there iff no factor has a zero there, and ``zero_in_range``
+walks the factors' zero families over that range.  The paper's ingredient
+bounds (the cosine product minimum, the universal tail product constant,
+the exact next-level factor bound) are kept as tested functions.
 """
 
 from __future__ import annotations
@@ -18,18 +20,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import islice
 
-from .core import (
-    LevelClass,
-    MoranStructureError,
-    MoranSystem,
-    fourier_tail,
-    np,
-)
+from .core import LevelClass, MoranStructureError, MoranSystem, np, zero_in_range
 from .spectrum import SigmaPrefix, _head, check_orthogonal, level_spectrum
 
-#: Bounds below this are treated as numerically indistinguishable from zero.
-BOUND_FLOOR = 1e-9
-#: Rounding allowance subtracted from the angle-box minimum and the covering bound.
+#: Rounding allowance subtracted from the angle-box minimum.
 _ROUNDING_MARGIN = 1e-12
 
 
@@ -166,7 +160,6 @@ class Certificate:
 
     verdict: Verdict
     checkpoint: int | None  # the class n_k proved (infinite-branch PASS only)
-    epsilon: float | None  # covered lower bound of the tail over that class
     diagnostics: str
 
     @property
@@ -174,39 +167,29 @@ class Certificate:
         return EXIT_CODES[self.verdict]
 
 
-def certify(
-    system: MoranSystem, sigma: SigmaPrefix | None = None, depth: int = 30
-) -> Certificate:
+def certify(system: MoranSystem, sigma: SigmaPrefix | None = None) -> Certificate:
     """Spectrality certificate; every level must be T1/T2/T3, else CONDITIONS_FAILED.
 
-    With a cycle level of three or more digits, the tail is covered over each
-    checkpoint class in turn (``_cover_class``): PASS at the first whose
-    epsilon clears BOUND_FLOOR.  A pure two-digit cycle meets the tail
-    conditions by classification, and the head is decided complete by exact
-    orthogonality.  Otherwise INCONCLUSIVE.  ``depth`` >= 1 truncates the tail.
+    With a cycle level of three or more digits, the checkpoint classes are
+    tried in turn: PASS at the first whose exact range holds no zero of the
+    tail transform.  A pure two-digit cycle meets the tail conditions by
+    classification, and the head is decided complete by exact orthogonality.
+    Otherwise INCONCLUSIVE.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     sig = tuple(int(s) for s in sigma) if sigma is not None else ()
-    diag = [f"depth={depth}"]
     if bad := system.invalid_levels():
-        diag += [f"{where} (p={lvl.p}, D={lvl.digit_text}): " + "; ".join(lvl.violations)
-                 for where, lvl in bad]
-        return Certificate(Verdict.CONDITIONS_FAILED, None, None, "\n".join(diag))
-    diag += [f"warning at {where} (p={lvl.p}, D={lvl.digit_text}): {w}"
-             for where, lvl in system.distinct_levels() for w in lvl.warnings]
+        return Certificate(Verdict.CONDITIONS_FAILED, None, "\n".join(
+            f"{where} (p={lvl.p}, D={lvl.digit_text}): " + "; ".join(lvl.violations)
+            for where, lvl in bad))
+    diag = [f"warning at {where} (p={lvl.p}, D={lvl.digit_text}): {w}"
+            for where, lvl in system.distinct_levels() for w in lvl.warnings]
     if not system.cycle:
         raise ValueError("certification needs an infinite system (nonempty cycle)")
     if any(lvl.phi >= 3 for lvl in system.cycle):
-        outcome = _certify_infinite_branch(system, sig, depth, diag)
+        outcome = _certify_infinite_branch(system, sig, diag)
     else:
         outcome = _certify_two_digit_tail(system, sig, diag)
     return Certificate(*outcome, "\n".join(diag))
-
-
-#: The covering starts from this many equal cells; past this many tail
-#: evaluations a class is left unproved.
-_START_CELLS, _MAX_EVALUATIONS = 64, 2**12
 
 
 def _class_range(system: MoranSystem, n_k: int, sig) -> tuple[Fraction, Fraction]:
@@ -226,57 +209,34 @@ def _class_range(system: MoranSystem, n_k: int, sig) -> tuple[Fraction, Fraction
             Fraction(max(hi0 * D, (hi1 - hi0) * P0) + D, P0 * D))
 
 
-def _cover_class(tail: MoranSystem, lo: Fraction, hi: Fraction, depth: int):
-    """Lipschitz covering of g(y) = prod_{i >= 1} mask(D_i, y/P_i) over [lo, hi].
-
-    ``tail`` holds the levels after n_k, so no float of P_{n_k} is formed.
-    On a cell (ends rounded outward) with midpoint c and half-width w,
-    |g| >= (|g_D(c)| - L w) max(1 - B, 0) - r: g_D is ``fourier_tail`` at ``depth``,
-    B its bound at the cell's far end, L = 2 pi sum_i mean(D_i)/P_i >= |g_D'|
-    and r = _ROUNDING_MARGIN.  A cell is accepted when that is >= |g_D(c)|/2,
-    else bisected.  Returns (epsilon, cells, evaluations, reason), epsilon 0
-    when a midpoint value is below BOUND_FLOOR or the evaluations run out.
-    """
-    lip = 2 * math.pi * float(tail._tail_sum(0, lambda lvl: Fraction(sum(lvl.digits), lvl.phi)))
-    edges = np.linspace(math.nextafter(float(lo), -math.inf),
-                        math.nextafter(float(hi), math.inf), _START_CELLS + 1)
-    a, b = edges[:-1], edges[1:]
-    eps, cells, evals = math.inf, 0, 0
-    while len(a):
-        if evals + len(a) > _MAX_EVALUATIONS:
-            return 0.0, cells, evals, f"no covering within {_MAX_EVALUATIONS} evaluations"
-        evals += len(a)
-        mid = (a + b) / 2
-        val, err = fourier_tail(tail, 0, mid, depth, np.maximum(-a, b))
-        g = np.abs(val)
-        if g.min() < BOUND_FLOOR:
-            return 0.0, cells, evals, f"tail value {g.min():.3g} at y = {mid[g.argmin()]:.17g}"
-        # B may reach 2, and two negative factors must not make a positive bound
-        bound = (g - lip * (b - a) / 2) * np.maximum(1.0 - err, 0.0) - _ROUNDING_MARGIN
-        ok = bound >= g / 2
-        eps, cells = min(eps, bound[ok].min(initial=math.inf)), cells + np.count_nonzero(ok)
-        a, b = np.concatenate((a[~ok], mid[~ok])), np.concatenate((mid[~ok], b[~ok]))
-    return float(eps), int(cells), evals, f"epsilon {eps:.3g} below the floor"
+def _text(x: Fraction) -> str:
+    """x exactly, or ~ its float where CPython's int-to-str digit limit refuses it."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"~{float(x):.6g}"
 
 
-def _certify_infinite_branch(system, sig, depth, diag):
-    """(verdict, n_k, epsilon) of the covering, tried class by class from n_0."""
+def _certify_infinite_branch(system, sig, diag):
+    """(verdict, n_k): the first class n_0, ..., n_0 + T - 1 whose range holds no tail zero.
+
+    Every n = n_k + j T has the one tail g(y) = prod_{i >= 1} mask(D_{n_k+i}, y/Q_i),
+    Q_i = p_{n_k+1} ... p_{n_k+i}, over the cycle rotated to level n_k + 1."""
     npre, T = len(system.preamble), len(system.cycle)
     for n_k in range(n0 := max(7, _head(system, sig)), n0 + T):
         lo, hi = _class_range(system, n_k, sig)
         r = (n_k - npre) % T  # tail.level(i) is system.level(n_k + i)
-        eps, cells, evals, reason = _cover_class(
-            MoranSystem((), system.cycle[r:] + system.cycle[:r]), lo, hi, depth)
-        where = f"checkpoint class n_k={n_k} (+ j*{T}): y in [{lo}, {hi}]"
-        if eps >= BOUND_FLOOR:
-            diag.append(f"{where}, epsilon {eps:.6g} from {cells} cells, {evals} evaluations")
-            return Verdict.PASS, n_k, eps
-        diag.append(f"{where}: not proved after {evals} evaluations ({reason})")
-    return Verdict.INCONCLUSIVE, None, None
+        zero = zero_in_range(MoranSystem((), system.cycle[r:] + system.cycle[:r]), lo, hi)
+        where = f"checkpoint class n_k={n_k} (+ j*{T}): y in [{_text(lo)}, {_text(hi)}]"
+        if zero is None:
+            diag.append(f"{where} holds no tail zero")
+            return Verdict.PASS, n_k
+        diag.append(f"{where}: tail zero y = {_text(zero.zero)} at tail level {zero.level}")
+    return Verdict.INCONCLUSIVE, None
 
 
 def _certify_two_digit_tail(system, sig, diag):
-    """(verdict, None, None) of the exact head completeness check."""
+    """(verdict, None) of the exact head completeness check."""
     head = max((i for i, lvl in enumerate(system.preamble, 1) if lvl.phi >= 3), default=0)
     # q orthogonal exponentials on a measure of at most q atoms are a basis
     report = check_orthogonal(system, level_spectrum(system, head, sig))
@@ -284,4 +244,4 @@ def _certify_two_digit_tail(system, sig, diag):
                 "per-level tail conditions hold by classification")
     diag.append(f"level-{head} head spectrum: {report.point_count} exponentials, "
                 f"{len(report.failures)} of {report.pairs_checked} pairs not orthogonal")
-    return Verdict.PASS if report.passed else Verdict.INCONCLUSIVE, None, None
+    return Verdict.PASS if report.passed else Verdict.INCONCLUSIVE, None

@@ -98,7 +98,8 @@ def write_csv(path: str, header: list[str], columns) -> None:
     """CSV of equal-length columns, written in blocks of 2**13 rows.
 
     Commands write it before their report, so a path that cannot be written
-    leaves stdout empty.
+    leaves stdout empty.  A pipe at ``path`` whose reader leaves is such a path:
+    its BrokenPipeError becomes an OSError that names it, not stdout's.
 
     A float64 array column is written as %.15g, and any other column by str.
     Where at most half of a block's floats are distinct, each distinct bit
@@ -106,12 +107,15 @@ def write_csv(path: str, header: list[str], columns) -> None:
     block's one % format formats them in place, with no string per cell.
     """
     rows = len(columns[0]) if columns else 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(0, rows, 2**13):
-            specs, cells = zip(*(_csv_cells(col[k:k + 2**13]) for col in columns))
-            line = ",".join(specs) + "\n"
-            fh.write(line * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for k in range(0, rows, 2**13):
+                specs, cells = zip(*(_csv_cells(col[k:k + 2**13]) for col in columns))
+                line = ",".join(specs) + "\n"
+                fh.write(line * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
+    except BrokenPipeError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from None
 
 
 def _csv_cells(col) -> tuple[str, list]:
@@ -172,7 +176,7 @@ def build_parser() -> _Parser:
     add("hadamard", "companion sets and exact Hadamard verdicts per level")
 
     p = add("certify", "assemble the spectrality certificate", sigma=True)
-    p.add_argument("--depth", type=int, default=30)
+    p.add_argument("--depth", type=int, default=30, help="ignored: the certificate is exact")
 
     p = add("density", "histogram density estimate over the support hull",
             output=True, level=True)
@@ -295,8 +299,10 @@ def cmd_hadamard(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.depth < 1:
+        raise UsageError("--depth must be at least 1")
     system = load_system(args.system)
-    cert = certify(system, sigma=parse_sigma(args.sigma), depth=args.depth)
+    cert = certify(system, sigma=parse_sigma(args.sigma))
     print(f"verdict: {cert.verdict.value}")
     print(cert.diagnostics)
     return cert.exit_code

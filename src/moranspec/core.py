@@ -101,17 +101,20 @@ class Level:
         """D as the reports print it, e.g. {0,1}."""
         return "{%s}" % ",".join(map(str, self.digits))
 
-    def mask_zero(self, u: int, v: int) -> bool:
-        """Whether mask(D, u/v) = 0, decided in integers (v nonzero).
-
-        For an admissible level that holds iff s u/v is an integer that k
-        does not divide, with (s, k) = (2d, 2) for T3 (D = {0,d}), (3, 3) for
-        T2 and (N, N) for T1.  An INVALID level is never zero here: it
-        contributes no zero-set family, whatever its mask does.
-        """
+    @property
+    def zero_family(self) -> tuple[int, int] | None:
+        """(s, k): mask(D, y) = 0 iff s y is an integer that k does not divide, with (2d, 2)
+        for T3 (D = {0,d}), (3, 3) for T2 and (N, N) for T1.  None for an INVALID level,
+        which contributes no zero-set family, whatever its mask does."""
         if self.cls is LevelClass.INVALID:
+            return None
+        return (2 * self.digits[1], 2) if self.cls is LevelClass.T3 else (self.phi, self.phi)
+
+    def mask_zero(self, u: int, v: int) -> bool:
+        """Whether mask(D, u/v) = 0, decided in integers (v nonzero) by ``zero_family``."""
+        if (family := self.zero_family) is None:
             return False
-        s, k = (2 * self.digits[1], 2) if self.cls is LevelClass.T3 else (self.phi, self.phi)
+        s, k = family
         q, r = divmod(s * u, v)
         return r == 0 and q % k != 0
 
@@ -478,18 +481,17 @@ def _walk_to_stop(system: MoranSystem, lo: int, hi: int, scale):
     return stop, P, levels
 
 
-def _mask_product(system: MoranSystem, lo: int, hi: int, xi, reach=None):
+def _mask_product(system: MoranSystem, lo: int, hi: int, xi):
     """Product of mask(D_i, xi/P_i) over lo < i <= hi, and a scale S.
 
-    The product stops where ``_walk_to_stop`` says for max|reach| (default
-    xi), over one running product from P_lo; the float-sized S <= P_m bounds
-    every omitted factor as P_m does, past hi too.  Each digit set's mask is
-    evaluated once, over its levels.
+    The product stops where ``_walk_to_stop`` says for max|xi|, over one
+    running product from P_lo; the float-sized S <= P_m bounds every omitted
+    factor as P_m does, past hi too.  Each digit set's mask is evaluated
+    once, over its levels.
     """
     system.level(hi)  # a level past a finite system's end is named as requested
     x = np.asarray(xi, dtype=np.float64)
-    top = float(np.max(np.abs(x if reach is None else reach), initial=0.0))
-    stop, last, levels = _walk_to_stop(system, lo, hi, top)
+    stop, last, levels = _walk_to_stop(system, lo, hi, float(np.max(np.abs(x), initial=0.0)))
     P = np.array([float(Pm) for _, Pm in levels]).reshape((-1,) + (1,) * x.ndim)
     y = np.fmod(x, P) / P  # fmod is exact, and leaves |xi| < P_m as it is
     sets = [lvl.digits for lvl, _ in levels]
@@ -501,9 +503,7 @@ def _mask_product(system: MoranSystem, lo: int, hi: int, xi, reach=None):
     return masks.prod(axis=0), min(last, stop) or 1
 
 
-def fourier_tail(
-    system: MoranSystem, n: int, xi, depth: int, reach=None
-) -> tuple[complex, float]:
+def fourier_tail(system: MoranSystem, n: int, xi, depth: int) -> tuple[complex, float]:
     """Truncated tail transform prod_{i=n+1}^{n+depth} mask(D_i, xi/P_i).
 
     Returns the partial product together with a rigorous bound B on the
@@ -515,21 +515,14 @@ def fourier_tail(
     product stops early, its scale replaces P_{n+depth}.  An ndarray xi gives
     arrays of values and bounds, one per entry.  At n = 0, v is the transform
     of the level-depth truncation.
-
-    ``reach``, of xi's shape, takes B at |reach| instead, so that it holds
-    for every |xi'| <= |reach|, and the product stops where max|reach| stops
-    it; a reach below |xi| anywhere raises ValueError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     x = np.asarray(xi, dtype=np.float64)
-    r = np.abs(x if reach is None else np.asarray(reach, dtype=np.float64))
-    if reach is not None and not np.all(np.abs(x) <= r):
-        raise ValueError("reach must bound |xi| at every entry")
-    val, scale = _mask_product(system, n, n + depth, x, r)
+    val, scale = _mask_product(system, n, n + depth, x)
     c = float(system.max_digit_ratio)
     # the omitted factor has modulus <= 1, so B = 2 = expm1(log 3) always holds
-    bound = np.expm1(np.minimum(4.0 * math.pi * c * r / scale, math.log(3.0)))
+    bound = np.expm1(np.minimum(4.0 * math.pi * c * np.abs(x) / scale, math.log(3.0)))
     return (complex(val), float(bound)) if x.ndim == 0 else (val, bound)
 
 
@@ -538,40 +531,58 @@ def fourier_tail(
 
 @dataclass(frozen=True)
 class ZeroWitness:
-    """Level and class family certifying membership in the zero set."""
+    """A zero of the transform: its level, that level's class family and the zero."""
 
     level: int
     cls: LevelClass
+    zero: Fraction
 
 
-def zero_set_contains(
-    system: MoranSystem, xi, max_level: int | None = None
-) -> ZeroWitness | None:
+def zero_in_range(system: MoranSystem, lo, hi, max_level: int | None = None) -> ZeroWitness | None:
+    """The first level with a zero y in [lo, hi] (int or Fraction ends), and its least one there.
+
+    Level i's zeros are y = P_i m/s with k not dividing m, (s, k) its
+    ``Level.zero_family``.  The candidates m are the integers of
+    [lo s/P_i, hi s/P_i]; the range holds a zero iff there are two or more
+    (k >= 2 divides no two neighbours) or one that k does not divide.  Levels
+    with an INVALID class contribute no family.  With ``max_level`` set, only
+    levels up to it are searched; otherwise the scan stops once every
+    remaining family's least positive element exceeds max(|lo|, |hi|), which
+    happens because P_i grows.
+    """
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    limit = 2 * max(-a, b)  # 2 max(|lo|, |hi|) over den, as lo <= hi
+    last = system.finite_length
+    if max_level is not None:
+        last = max_level if last is None else min(last, max_level)
+    for i, (lvl, prev, P) in enumerate(system.walk(last), start=1):
+        # s = 2d < 2p, 3 <= p or N < p: zeros at levels >= i exceed P_{i-1}/2 in
+        # modulus, so once that passes max(|lo|, |hi|) nothing further can match
+        if prev * den > limit:
+            break
+        if (family := lvl.zero_family) is None:
+            continue
+        s, k = family
+        m, top = -(-a * s // (den * P)), b * s // (den * P)  # ceil(lo s/P_i), floor(hi s/P_i)
+        if m < top or (m == top and m % k):
+            m += m % k == 0
+            return ZeroWitness(i, lvl.cls, Fraction(m * P, s))
+    return None
+
+
+def zero_set_contains(system: MoranSystem, xi, max_level: int | None = None) -> ZeroWitness | None:
     """Exact membership of a rational xi in the zero set of the transform.
 
     The zero set is the union over levels of three families:
     T3 level i:  P_i (2Z+1) / (2 d_i),
     T2 level j:  P_j (3Z+{1,2}) / 3,
     T1 level m:  P_m (Z \\ N_m Z) / N_m;
-    level i's family is the zeros of mask(D_i, xi/P_i), which
-    ``Level.mask_zero`` decides, level by level.  Returns a witness for
-    the first matching level, or None.  Levels with an INVALID class
-    contribute no family.  The set is symmetric: xi and -xi get the same
-    answer.  With ``max_level`` set, only levels up to it are searched
-    (membership relative to the level-truncated measure); otherwise the scan
-    stops once every remaining family's least positive element exceeds |xi|,
-    which happens because P_i grows.
+    level i's family is the zeros of mask(D_i, xi/P_i).  This is
+    ``zero_in_range`` over [xi, xi]: a witness for the first matching level,
+    or None.  The set is symmetric: xi and -xi get the same answer.  With
+    ``max_level`` set, only levels up to it are searched (membership
+    relative to the level-truncated measure).
     """
     x = xi if isinstance(xi, (int, Fraction)) else Fraction(xi)
-    num, den = x.numerator, x.denominator
-    last = system.finite_length
-    if max_level is not None:
-        last = max_level if last is None else min(last, max_level)
-    for i, (lvl, prev, P) in enumerate(system.walk(last), start=1):
-        # Least positive family elements at levels >= i all exceed P_{i-1}/2,
-        # so once that passes |xi| nothing further can match (nor can xi = 0).
-        if prev * den > 2 * abs(num):
-            break
-        if lvl.mask_zero(num, den * P):
-            return ZeroWitness(i, lvl.cls)
-    return None
+    return zero_in_range(system, x, x, max_level)

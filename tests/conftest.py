@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moranspec import LevelClass, construct_L, level_spectrum, make_system, mask_eval
+from moranspec import (LevelClass, MoranSystem, construct_L, level_spectrum, make_system,
+                       mask_eval)
 from moranspec.core import (_atom_factors, _factor_extremes, _outer_sums, _partial_sum_dtype,
                             _walk_to_stop)
 
@@ -114,6 +115,58 @@ def sequential_mask_product(system, lo: int, hi: int, xi):
         Pm = system.P(m)
         out *= mask_eval(system.level(m).digits, np.fmod(x, Pm) / Pm)
     return out, min(system.P(last), stop) or 1
+
+
+# -- certificate covering oracle -----------------------------------------------
+
+
+def tail_transform(tail, y, far, depth: int):
+    """g truncated after ``depth`` levels at y, by ``sequential_mask_product``, and its
+    truncation bound B at |far|: that product's scale bounds the omitted factors at any
+    |y'| <= |far| (see ``fourier_tail``)."""
+    val, scale = sequential_mask_product(tail, 0, depth, y)
+    c = float(tail.max_digit_ratio)
+    return val, np.expm1(np.minimum(4.0 * math.pi * c * np.abs(far) / scale, math.log(3.0)))
+
+
+def covering_oracle(tail, lo, hi, depth: int = 30, transform=tail_transform):
+    """The Lipschitz covering that certified a class before the exact zero walk, as the oracle.
+
+    Covers g(y) = prod_{i >= 1} mask(D_i, y/P_i) of ``tail`` over [lo, hi].  On a
+    cell (ends rounded outward) with midpoint c and half-width w,
+    |g| >= (|g_D(c)| - L w) max(1 - B, 0) - 1e-12, where ``transform`` gives g_D at
+    the midpoints and B at the cells' far ends, and L = 2 pi sum_i mean(D_i)/P_i
+    bounds |g_D'|.  A cell is accepted when that is >= |g_D(c)|/2, else bisected.
+    Starts from 64 cells; returns (epsilon, cells, evaluations, reason), epsilon 0
+    when a midpoint value is below 1e-9 or more than 4096 evaluations are needed.
+    """
+    lip = 2 * math.pi * float(tail._tail_sum(0, lambda lvl: Fraction(sum(lvl.digits), lvl.phi)))
+    edges = np.linspace(math.nextafter(float(lo), -math.inf),
+                        math.nextafter(float(hi), math.inf), 65)
+    a, b = edges[:-1], edges[1:]
+    eps, cells, evals = math.inf, 0, 0
+    while len(a):
+        if evals + len(a) > 2**12:
+            return 0.0, cells, evals, "no covering within 4096 evaluations"
+        evals += len(a)
+        mid = (a + b) / 2
+        val, err = transform(tail, mid, np.maximum(-a, b), depth)
+        g = np.abs(val)
+        if g.min() < 1e-9:
+            return 0.0, cells, evals, f"tail value {g.min():.3g} at y = {mid[g.argmin()]:.17g}"
+        # B may reach 2, and two negative factors must not make a positive bound
+        bound = (g - lip * (b - a) / 2) * np.maximum(1.0 - err, 0.0) - 1e-12
+        ok = bound >= g / 2
+        eps = min(eps, bound[ok].min(initial=math.inf))
+        cells += int(np.count_nonzero(ok))
+        a, b = np.concatenate((a[~ok], mid[~ok])), np.concatenate((mid[~ok], b[~ok]))
+    return float(eps), cells, evals, "covered"
+
+
+def class_tail(system, n_k: int):
+    """The levels after n_k of a class n_k + j T: the cycle rotated to level n_k + 1."""
+    r = (n_k - len(system.preamble)) % len(system.cycle)
+    return MoranSystem((), system.cycle[r:] + system.cycle[:r])
 
 
 # -- spectrum companion oracles ------------------------------------------------

@@ -5,11 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moranspec import certificates, corpus
+from conftest import class_tail, covering_oracle, tail_transform
+from moranspec import certificates, core, corpus
 from moranspec import (
+    LevelClass,
     MoranSystem,
     SpectrumLevel,
     Verdict,
+    ZeroWitness,
     certify,
     epsilon_next_level,
     f_eval,
@@ -22,6 +25,7 @@ from moranspec import (
     q_sum_finite,
     tail_constant,
 )
+from moranspec.core import zero_in_range
 
 
 class TestLambdaNorm:
@@ -157,8 +161,11 @@ class TestCertify:
         cert = certify(alternating_system)
         assert cert.verdict is Verdict.PASS
         assert cert.exit_code == 0
-        assert cert.epsilon > 0
         assert cert.checkpoint >= 7
+        n_k = cert.checkpoint
+        lo, hi = certificates._class_range(alternating_system, n_k, ())
+        assert zero_in_range(class_tail(alternating_system, n_k), lo, hi) is None
+        assert cert.diagnostics.endswith(f"y in [{lo}, {hi}] holds no tail zero")
 
     def test_pure_two_digit_passes(self, pure_t3_system):
         cert = certify(pure_t3_system)
@@ -174,14 +181,23 @@ class TestCertify:
 
     def test_boundary_ratio_passes(self, final_system):
         # Lebesgue measure on [0, 1]: the class range at n_k = 7 is
-        # y in [-1/5, 4/5] +- 1/P_7, which misses the tail's zeros
+        # y in [-1/5, 4/5] +- 1/P_7 = 1/432, which misses the tail's zeros: on
+        # the rotated cycle (3,{0,1,2}) (2,{0,1}) the nearest are y = -1 and 1
+        # at tail level 1, and every zero of level 2 on lies past Q_1/2 = 3/2
         cert = certify(final_system)
         assert cert.verdict is Verdict.PASS
         assert cert.exit_code == 0
         assert cert.checkpoint == 7
-        assert cert.epsilon == pytest.approx(0.216443, abs=1e-6)
         assert "boundary-ratio" in cert.diagnostics
-        assert "y in [-437/2160, 1733/2160]" in cert.diagnostics
+        assert "y in [-437/2160, 1733/2160] holds no tail zero" in cert.diagnostics
+        lo, hi = certificates._class_range(final_system, 7, ())
+        assert (lo, hi) == (Fraction(-1, 5) - Fraction(1, 432), Fraction(4, 5) + Fraction(1, 432))
+        tail = class_tail(final_system, 7)
+        assert zero_in_range(tail, lo, hi) is None
+        assert zero_in_range(tail, lo, Fraction(1)) == ZeroWitness(1, LevelClass.T2, Fraction(1))
+        assert zero_in_range(tail, Fraction(-1), hi) == ZeroWitness(1, LevelClass.T2, Fraction(-1))
+        # the covering oracle bounds |g| there by the epsilon it certified with
+        assert covering_oracle(tail, lo, hi)[0] == pytest.approx(0.216443, abs=1e-6)
 
     def test_mixed_passes_with_any_sigma(self, mixed_system):
         for sigma in [(), (-1,), (-1, -1)]:
@@ -194,50 +210,74 @@ class TestCertify:
             certify(s)
 
     def test_truncation_bound_judges_cells(self, alternating_system, monkeypatch):
-        # a cell only counts when (|g(c)| - L w)(1 - B) - r clears |g(c)|/2,
-        # so a bound of B = 1 leaves every class unproved
-        assert certify(alternating_system).verdict is Verdict.PASS
-        tail = certificates.fourier_tail
-        monkeypatch.setattr(certificates, "fourier_tail",
-                            lambda *args: (tail(*args)[0], np.ones(len(args[2]))))
+        # the covering, kept as the oracle: a cell only counts when
+        # (|g(c)| - L w)(1 - B) - r clears |g(c)|/2, so a bound of B = 1 leaves
+        # every class unproved
+        tails = [(class_tail(alternating_system, n), *certificates._class_range(
+            alternating_system, n, ())) for n in (7, 8)]
+        assert covering_oracle(*tails[0])[0] > 1e-9
+
+        def unit_bound(*args):
+            return tail_transform(*args)[0], np.ones(len(args[1]))
+
+        for tail, lo, hi in tails:
+            assert covering_oracle(tail, lo, hi, transform=unit_bound)[::3] == (
+                0.0, "no covering within 4096 evaluations")
+        # the exact route: a zero in every class's range leaves the system unproved
+        monkeypatch.setattr(certificates, "zero_in_range",
+                            lambda tail, lo, hi: ZeroWitness(1, LevelClass.T2, lo))
         cert = certify(alternating_system)
         assert cert.verdict is Verdict.INCONCLUSIVE and cert.exit_code == 3
-        assert cert.checkpoint is None and cert.epsilon is None
-        assert cert.diagnostics.count("no covering within 4096 evaluations") == 2
+        assert cert.checkpoint is None
+        assert cert.diagnostics.count(": tail zero y = ") == 2
 
-    def test_bound_past_one_accepts_no_cell(self, alternating_system, monkeypatch):
-        # fourier_tail's B reaches 2 by design; next to a mask zero, where
+    def test_bound_past_one_accepts_no_cell(self, alternating_system, final_system):
+        # the oracle: B reaches 2 by design; next to a mask zero, where
         # |g(c)| < L w, (|g(c)| - L w)(1 - B) would be positive and pass
-        tail = certificates.fourier_tail
-        monkeypatch.setattr(certificates, "fourier_tail", lambda *args: (
-            1e-3 * tail(*args)[0], np.full(len(args[2]), 2.0)))
-        cert = certify(alternating_system)
-        assert cert.verdict is Verdict.INCONCLUSIVE and cert.epsilon is None
+        tail, lo, hi = (class_tail(alternating_system, 7),
+                        *certificates._class_range(alternating_system, 7, ()))
+        assert covering_oracle(tail, lo, hi, transform=lambda *args: (
+            1e-3 * tail_transform(*args)[0], np.full(len(args[1]), 2.0)))[0] == 0.0
+        # the exact route takes the range closed: a zero at either end counts
+        tail, lo, hi = (class_tail(final_system, 7),
+                        *certificates._class_range(final_system, 7, ()))
+        assert zero_in_range(tail, lo, Fraction(1)).zero == 1
+        assert zero_in_range(tail, Fraction(1), Fraction(1)).zero == 1
+        assert zero_in_range(tail, lo, 1 - Fraction(1, 10**40)) is None
+        assert zero_in_range(tail, Fraction(-1), hi).zero == -1
+        assert zero_in_range(tail, Fraction(-1) + Fraction(1, 10**40), hi) is None
 
     def test_covering_transforms_midpoints_only(self, monkeypatch):
-        # each round passes one point per cell, its midpoint; the far ends
-        # carry only B, through reach
+        # the oracle passes one point per cell, its midpoint, each round; the
+        # far ends carry only B
         points = []
-        tail = certificates.fourier_tail
-        monkeypatch.setattr(certificates, "fourier_tail",
-                            lambda *args: points.append(len(args[2])) or tail(*args))
+
+        def spy(*args):
+            points.append(len(args[1]))
+            return tail_transform(*args)
+
         system, _ = corpus.load_example("unit_interval_tile")
-        cert = certify(system)
-        assert cert.verdict is Verdict.PASS
-        assert points == [64] and "64 cells, 64 evaluations" in cert.diagnostics
+        tail, lo, hi = class_tail(system, 7), *certificates._class_range(system, 7, ())
+        assert covering_oracle(tail, lo, hi, transform=spy)[1:3] == (64, 64)
+        assert points == [64]
         # class 10 bisects towards a mask zero over several rounds
         points.clear()
         s = make_system(cycle=[(2, (0, 1)), (2, (0, 1)), (4, (0, 3)), (9, (0, 1, 2))])
-        cert = certify(s, sigma=(1,) * 8)
-        evals = [int(e) for e in re.findall(r"(\d+) evaluations", cert.diagnostics)]
+        evals = [covering_oracle(class_tail(s, n), *certificates._class_range(s, n, (1,) * 8),
+                                 transform=spy)[2] for n in (10, 11)]
         assert evals == [166, 64] and len(points) > 2 and sum(points) == sum(evals)
+        # the exact route evaluates no transform and forms no float
+        monkeypatch.setattr(core, "mask_eval", lambda *args: pytest.fail("mask evaluated"))
+        monkeypatch.setattr(core, "_mask_product", lambda *args: pytest.fail("product formed"))
+        monkeypatch.setattr(certificates, "np", None)
+        assert certify(system).checkpoint == 7 and certify(s, (1,) * 8).checkpoint == 11
 
     def test_checkpoint_scan_stops_at_first_pass(self, mixed_system, monkeypatch):
         # the classes are tried in turn from n_0 = 7; the first PASS ends it
         calls = []
-        cover = certificates._cover_class
-        monkeypatch.setattr(certificates, "_cover_class",
-                            lambda *args: calls.append(args) or cover(*args))
+        walk = certificates.zero_in_range
+        monkeypatch.setattr(certificates, "zero_in_range",
+                            lambda *args: calls.append(args) or walk(*args))
         cert = certify(mixed_system)
         assert cert.verdict is Verdict.PASS and cert.checkpoint == 7
         assert len(calls) == 1
@@ -248,14 +288,20 @@ class TestCertify:
         s = make_system(cycle=[(2, (0, 1)), (2, (0, 1)), (4, (0, 3)), (9, (0, 1, 2))])
         cert = certify(s, sigma=(1,) * 8)
         assert cert.verdict is Verdict.PASS and cert.checkpoint == 11
-        assert "n_k=10 (+ j*4)" in cert.diagnostics
-        assert "not proved" in cert.diagnostics
+        assert ("n_k=10 (+ j*4): y in [-995471/11860992, 10119311/11860992]: "
+                "tail zero y = 2/3 at tail level 1") in cert.diagnostics
+        assert cert.diagnostics.endswith("holds no tail zero")
+        tail = class_tail(s, 10)
+        assert tail.level(1).mask_zero(2, 3 * tail.P(1))  # mask(D_1, (2/3)/Q_1) = 0
 
     def test_four_level_cycle_passes(self):
         s = make_system(cycle=[(2, (0, 1)), (2, (0, 1)), (4, (0, 3)), (9, (0, 1, 2))])
         cert = certify(s)
         assert cert.verdict is Verdict.PASS and cert.checkpoint == 7
-        assert cert.epsilon == pytest.approx(0.904542, abs=1e-6)
+        lo, hi = certificates._class_range(s, 7, ())
+        assert zero_in_range(class_tail(s, 7), lo, hi) is None
+        assert "y in [-7055/329472, 235151/329472] holds no tail zero" in cert.diagnostics
+        assert covering_oracle(class_tail(s, 7), lo, hi)[0] == pytest.approx(0.904542, abs=1e-6)
 
     def test_long_sign_prefixes_finish(self, alternating_system, mixed_system):
         # 2000 signs over the alternating cycle's T3 levels (every other
@@ -285,11 +331,9 @@ class TestCertify:
         assert certify(s).verdict is Verdict.PASS
 
     def test_long_prefix_walks_companions_once(self, monkeypatch):
-        # the class range comes from the companions over one running product:
-        # no factor as long as P_j is formed, and P is asked for a fixed number
-        # of times, P_0 for the Lipschitz sum and P_lo for the one tail
-        # evaluation round, however far the prefix pushes n_0; the tail names
-        # its last level without forming P_hi
+        # the class range comes from the companions over one running product,
+        # and the zero walk runs one over the tail: no factor as long as P_j is
+        # formed, and P is never asked for, however far the prefix pushes n_0
         s = parse_system("preamble: (4,{0,2}) cycle: (4,{0,1}) (3,{0,1,2})")
         calls = []
         P = MoranSystem.P
@@ -302,7 +346,7 @@ class TestCertify:
             cert = certify(s, sigma=(1, -1) * (k // 2))
             assert cert.verdict is Verdict.PASS and cert.checkpoint == 2 * k - 2
             counts.append(len(calls))
-        assert counts == [2, 2, 2]
+        assert counts == [0, 0, 0]
 
     def test_draws_no_random_numbers(self, alternating_system, pure_t3_system,
                                      monkeypatch):

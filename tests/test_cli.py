@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -146,6 +147,7 @@ class TestLazyNumpy:
         cases = [(["validate", mixed], 0), (["ortho", mixed, "--level", "6"], 0),
                  (["certify", str(data / "nonuniform_density.moran")], 2),  # inadmissible
                  (["certify", str(data / "pure_two_digit.moran")], 0),  # two-digit tail
+                 (["certify", mixed], 0),  # the exact zero walk
                  (["--help"], 0), (["validate", "/does/not/exist.moran"], 66),
                  (["ortho", mixed, "--level", "-3"], 64), (["qsum", mixed, "--xmin", "nan"], 64),
                  *((argv, 0) for argv in exact)]
@@ -159,7 +161,7 @@ class TestLazyNumpy:
 
     @pytest.mark.parametrize("argv", [
         ["hadamard", "mixed_classes"],  # decided in integers: loads no numpy
-        ["certify", "unit_interval_tile"],
+        ["certify", "unit_interval_tile"],  # the exact zero walk: loads no numpy
         ["qsum", "pure_two_digit", "--level", "4", "--depth", "6", "--grid", "50", "-o"],
         pytest.param(["qsum", "pure_two_digit", "--level", "4", "--grid", "50", "-o"],
                      id="qsum-exact"),  # depth = level: the CSV alone loads numpy
@@ -171,7 +173,7 @@ class TestLazyNumpy:
         argv += [str(csv)] if argv[-1] == "-o" else []
         fresh = json.loads(run_fresh(FRESH_MAIN, json.dumps([argv])))
         fresh_csv = csv.read_bytes() if csv.exists() else None
-        assert bool(fresh["numpy"]) == (argv[0] != "hadamard")  # else numpy loaded lazily
+        assert bool(fresh["numpy"]) == (argv[0] not in ("hadamard", "certify"))  # else lazily
         assert main(argv) == fresh["exit"] == 0
         assert capsys.readouterr().out == fresh["stdout"]
         assert (csv.read_bytes() if csv.exists() else None) == fresh_csv
@@ -416,12 +418,25 @@ class TestCertifyCommand:
         assert "CONDITIONS_FAILED" in capsys.readouterr().out
 
     def test_inconclusive_exit_three(self, system_file, capsys, monkeypatch):
-        # a truncation bound of B = 1 leaves no cell of the covering accepted
-        tail = certificates.fourier_tail
-        monkeypatch.setattr(certificates, "fourier_tail",
-                            lambda *args: (tail(*args)[0], np.ones(len(args[2]))))
+        # a tail zero in every class's range leaves the system unproved
+        monkeypatch.setattr(certificates, "zero_in_range",
+                            lambda tail, lo, hi: core.ZeroWitness(1, core.LevelClass.T2, lo))
         assert main(["certify", system_file(FINAL)]) == 3
-        assert "verdict: INCONCLUSIVE" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("verdict: INCONCLUSIVE\n")
+        assert "y in [-437/2160, 1733/2160]: tail zero y = -437/2160 at tail level 1" in out
+
+    def test_long_prefix_range_past_the_digit_limit(self, system_file):
+        # from 3,985 signs on, the class range's integers pass CPython's 4,300-digit
+        # limit for int-to-text: an end that passes it is printed as ~ its float
+        path = system_file("preamble: (4,{0,2}) cycle: (4,{0,1}) (3,{0,1,2})\n")
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-m", "moranspec", "certify", path,
+                               "--sigma=" + "+-" * 1992 + "+"], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("verdict: PASS\n")
+        assert proc.stdout.endswith(", ~0.636364] holds no tail zero\n")
 
     @pytest.mark.parametrize("case", CERTIFY_GOLDEN, ids=lambda c: c["system"] + (
         c["sigma"] if len(c["sigma"]) < 10 else f"-{len(c['sigma'])}-signs"))
@@ -625,6 +640,28 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("file error: ") and str(path) in err and err.count("\n") == 1
+
+    def test_output_pipe_reader_leaves(self, system_file, tmp_path, capsys):
+        # an -o FIFO that stops taking data is a file that could not be written
+        # (exit 66, named), not stdout's reader leaving (141): stdout stays as it is
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+
+        def read_one_byte():
+            with open(fifo, "rb") as fh:
+                fh.read(1)
+
+        reader = threading.Thread(target=read_one_byte, daemon=True)
+        reader.start()
+        try:
+            code = main(["spectrum", system_file("cycle: (4,{0,1})\n"), "--level", "14",
+                         "-o", str(fifo)])
+        finally:
+            reader.join(timeout=60)
+        out, err = capsys.readouterr()
+        assert (code, out) == (66, "")
+        assert err.startswith(f"file error: cannot write {fifo}: ") and err.count("\n") == 1
+        assert "Broken pipe" in err
 
     @pytest.mark.parametrize("command", ["spectrum", "ortho", "qsum"])
     def test_inadmissible_level(self, system_file, capsys, command):

@@ -292,24 +292,6 @@ class TestFourierTail:
         assert (val, err) == fourier_tail(s, 30, 0.5, 30)
         assert val == 1.0 and 0.0 < err < 1e-16
 
-    def test_reach_bounds_and_truncates(self, final_system):
-        # B is taken at |reach|; with max|reach| = max|xi| the product stops
-        # at the same level, so the values are those at xi alone
-        x = np.linspace(-0.9, 0.6, 7)
-        r = np.full_like(x, 0.9)
-        val, err = fourier_tail(final_system, 2, x, 12, r)
-        assert np.array_equal(val, fourier_tail(final_system, 2, x, 12)[0])
-        assert np.array_equal(err, fourier_tail(final_system, 2, r, 12)[1])
-        assert fourier_tail(final_system, 2, 0.3, 12, -0.9) == (
-            fourier_tail(final_system, 2, 0.3, 12)[0], fourier_tail(final_system, 2, 0.9, 12)[1])
-
-    def test_reach_below_xi_rejected(self, final_system):
-        x = np.array([0.5, -0.7])
-        with pytest.raises(ValueError, match="reach"):
-            fourier_tail(final_system, 2, x, 12, np.array([0.5, 0.6]))
-        with pytest.raises(ValueError, match="reach"):
-            fourier_tail(final_system, 2, 0.5, 12, np.nan)
-
 
 class TestZeroSet:
     def test_witness_levels(self, final_system):

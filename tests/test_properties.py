@@ -9,8 +9,10 @@ against the scalar per-level mask loop they were first written as, the
 mask product grouped by digit set against the running product it replaced,
 bit for bit, the Q-sum against a per-point mask loop and, on spectra,
 against 1 at any float xi, the closed-form next-level bound against the
-sampled angle mesh it replaced, the covered certificate epsilon against
-|tail| at every spectrum point of three checkpoints of its class, the exact tiling defects
+sampled angle mesh it replaced, the exact zero walk of a checkpoint class
+against the Lipschitz covering it replaced (kept as an oracle, whose epsilon
+is checked against |tail| at every spectrum point of three checkpoints of
+the class), the exact tiling defects
 against the midpoint-probe loop they replaced, int64 atoms and their
 support covers against the Python-int sum they replaced, the cover's level
 recursion across its merge point against the cover of the atoms, and integer
@@ -76,11 +78,12 @@ from moranspec import (
 )
 from moranspec.certificates import _class_range, _lambda_extremes, lambda_norm_check
 from moranspec.cli import write_csv
-from moranspec.core import _mask_product
-from conftest import (atom_numerators, factor_class_range, factor_lambda_extremes,
-                      fraction_tail_sum, level_atoms, per_level_companions, random_t1_level,
-                      random_t2_level, random_t3_level, row_formatter_csv, scanned_head,
-                      sequential_mask_product, sorted_sums)
+from moranspec.core import _mask_product, zero_in_range
+from moranspec.spectrum import _head
+from conftest import (atom_numerators, class_tail, covering_oracle, factor_class_range,
+                      factor_lambda_extremes, fraction_tail_sum, level_atoms,
+                      per_level_companions, random_t1_level, random_t2_level, random_t3_level,
+                      row_formatter_csv, scanned_head, sequential_mask_product, sorted_sums)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 #: Oracle atom sets stay at or below this size.
@@ -765,20 +768,87 @@ def covering_system(rng):
 @example(297)  # the range at n_k alone misses a dip that level n_k + T reaches
 @example(731)
 def test_covered_epsilon_bounds_tail_on_class(seed):
-    # the covered epsilon must sit below |tail| at every lambda of the class's
-    # first three checkpoints (while they have at most 20000), on a xi grid
-    # over [-1, 1]; B stays below 1e-8 there
+    # the covering oracle proves the class certify passes, and its epsilon sits
+    # below |tail| at every lambda of the class's first three checkpoints (while
+    # they have at most 20000), on a xi grid over [-1, 1]; B stays below 1e-8 there
     system, sigma = covering_system(np.random.default_rng(seed))
     cert = certify(system, sigma)
     assert cert.verdict is Verdict.PASS
     n_k, T = cert.checkpoint, len(system.cycle)
+    eps = covering_oracle(class_tail(system, n_k), *_class_range(system, n_k, sigma))[0]
+    assert eps >= 1e-9
     xi = np.linspace(-1.0, 1.0, 9)
     for n in (n_k, n_k + T, n_k + 2 * T):
         if system.phi_product(n) > 20000:
             break
         lam = np.array(level_spectrum(system, n, sigma).points, dtype=np.float64)
         val, err = fourier_tail(system, n, np.add.outer(xi, lam).ravel(), 12)
-        assert np.min(np.abs(val) * (1 + err)) >= cert.epsilon
+        assert np.min(np.abs(val) * (1 + err)) >= eps
+
+
+def small_level(rng) -> tuple[int, tuple[int, ...]]:
+    """An admissible level of scale at most 15."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        n = int(rng.integers(4, 6))
+        return n * int(rng.integers(2, 4)), tuple(range(n))
+    if kind == 1:
+        a, b = ((1, 2), (1, 5), (4, 5), (2, 7))[int(rng.integers(4))]
+        return 3 * int(rng.integers(-(-b // 2), 6)), (0, a, b)  # b/p <= 2/3
+    while True:
+        p = int(rng.integers(2, 16))
+        d = int(rng.integers(1, p))
+        if (p // math.gcd(d, p)) % 2 == 0:
+            return p, (0, d)
+
+
+def assert_walk_matches_oracle(tail, lo, hi):
+    """The covering oracle proves [lo, hi] iff the walk finds no zero there, and a
+    zero the walk returns lies in [lo, hi] and is a mask zero of its tail level."""
+    zero = zero_in_range(tail, lo, hi)
+    eps, _, _, reason = covering_oracle(tail, lo, hi)
+    assert (eps >= 1e-9) == (zero is None), (lo, hi, zero, eps, reason)
+    if zero is not None:
+        lvl, y = tail.level(zero.level), zero.zero
+        assert lo <= y <= hi and lvl.cls is zero.cls
+        assert lvl.mask_zero(y.numerator, y.denominator * tail.P(zero.level))
+    return zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_zero_walk_matches_covering_oracle(seed):
+    # small scales put zeros near the class ranges; a random interval, ends
+    # over 97 in [-6, 6], reaches zeros of several tail levels, and its ends are
+    # zeros or lie at least 1/(97 s) from one, which the oracle resolves
+    rng = np.random.default_rng(seed)
+    cycle = [small_level(rng) for _ in range(int(rng.integers(1, 4)))]
+    if all(len(d) < 3 for _, d in cycle):
+        cycle[int(rng.integers(len(cycle)))] = (12, (0, 1, 2, 3))
+    system = make_system(preamble=[small_level(rng)] * int(rng.integers(2)), cycle=cycle)
+    sigma = tuple(int(v) for v in rng.choice((1, -1), size=int(rng.integers(5))))
+    n0 = max(7, _head(system, sigma))
+    for n_k in range(n0, n0 + len(cycle)):
+        tail = class_tail(system, n_k)
+        assert_walk_matches_oracle(tail, *_class_range(system, n_k, sigma))
+        u, v = sorted(int(x) for x in rng.integers(-6 * 97, 6 * 97 + 1, size=2))
+        assert_walk_matches_oracle(tail, Fraction(u, 97), Fraction(v, 97))
+
+
+@pytest.mark.parametrize("cycle, sigma, zeros", [
+    # class 7's range holds y = -4/7, where the covering found |tail| 3.25e-10
+    ([(8, (0, 1, 2, 3)), (8, (0, 7))], (-1, -1, -1), [Fraction(-4, 7), None]),
+    # class 10's range reaches the (4,{0,3}) mask zero at y = 2/3
+    ([(2, (0, 1)), (2, (0, 1)), (4, (0, 3)), (9, (0, 1, 2))], (1,) * 8,
+     [Fraction(2, 3), None, None, None]),
+])
+def test_zero_walk_matches_covering_oracle_on_targeted_systems(cycle, sigma, zeros):
+    system = make_system(cycle=cycle)
+    n0 = max(7, _head(system, sigma))
+    found = [assert_walk_matches_oracle(class_tail(system, n), *_class_range(system, n, sigma))
+             for n in range(n0, n0 + len(cycle))]
+    assert [w and w.zero for w in found] == zeros
+    assert certify(system, sigma).checkpoint == n0 + 1
 
 
 def range_system(rng, cyclic: bool):

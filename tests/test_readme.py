@@ -18,8 +18,8 @@ def test_library_example_states_its_values():
     assert "check_orthogonal(s, pts).passed" in block and ms.check_orthogonal(s, pts).passed
     assert re.search(r"^s\.level\(2\)\.mask_zero\(2, 6\) +# True:", block, re.M)
     assert s.level(2).mask_zero(2, 6) is True
-    assert "# (7, 0.2164...)" in block and cert.checkpoint == 7
-    assert f"{cert.epsilon:.4f}" == "0.2164"
+    assert "# 7: its range [-437/2160, 1733/2160] holds no tail zero" in block
+    assert cert.checkpoint == 7 and "[-437/2160, 1733/2160] holds no tail zero" in cert.diagnostics
     assert "(array([0, 7776]), 7776)" in block and cover.den == 7776
     assert cover.ends.tolist() == [0, 7776]
     assert "= (0, 0): it tiles" in block and ms.tiling_defects(cover) == (0, 0)
