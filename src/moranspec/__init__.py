@@ -20,7 +20,6 @@ from .hadamard import (
     construct_L,
     digit_star,
     is_hadamard,
-    unitarity_residual,
 )
 from .spectrum import (
     OrthogonalityReport,

@@ -20,7 +20,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import islice
 
-from .core import LevelClass, MoranStructureError, MoranSystem, np, zero_in_range
+from .core import (LevelClass, MoranStructureError, MoranSystem, fraction_text, np,
+                   zero_in_range)
 from .spectrum import SigmaPrefix, _head, check_orthogonal, level_spectrum
 
 #: Rounding allowance subtracted from the angle-box minimum.
@@ -209,14 +210,6 @@ def _class_range(system: MoranSystem, n_k: int, sig) -> tuple[Fraction, Fraction
             Fraction(max(hi0 * D, (hi1 - hi0) * P0) + D, P0 * D))
 
 
-def _text(x: Fraction) -> str:
-    """x exactly, or ~ its float where CPython's int-to-str digit limit refuses it."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"~{float(x):.6g}"
-
-
 def _certify_infinite_branch(system, sig, diag):
     """(verdict, n_k): the first class n_0, ..., n_0 + T - 1 whose range holds no tail zero.
 
@@ -227,11 +220,12 @@ def _certify_infinite_branch(system, sig, diag):
         lo, hi = _class_range(system, n_k, sig)
         r = (n_k - npre) % T  # tail.level(i) is system.level(n_k + i)
         zero = zero_in_range(MoranSystem((), system.cycle[r:] + system.cycle[:r]), lo, hi)
-        where = f"checkpoint class n_k={n_k} (+ j*{T}): y in [{_text(lo)}, {_text(hi)}]"
+        where = (f"checkpoint class n_k={n_k} (+ j*{T}): "
+                 f"y in [{fraction_text(lo)}, {fraction_text(hi)}]")
         if zero is None:
             diag.append(f"{where} holds no tail zero")
             return Verdict.PASS, n_k
-        diag.append(f"{where}: tail zero y = {_text(zero.zero)} at tail level {zero.level}")
+        diag.append(f"{where}: tail zero y = {fraction_text(zero.zero)} at tail level {zero.level}")
     return Verdict.INCONCLUSIVE, None
 
 

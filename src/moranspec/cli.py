@@ -19,7 +19,8 @@ import re
 import sys
 
 from .certificates import certify
-from .core import LevelClass, MoranError, MoranSystem, np, parse_system
+from .core import (LevelClass, MoranError, MoranSystem, _factor_extremes, float_text,
+                   fraction_text, np, parse_system)
 from .density import (
     EDGE_EXCLUDE,
     VERDICT_SPARSE,
@@ -175,8 +176,7 @@ def build_parser() -> _Parser:
 
     add("hadamard", "companion sets and exact Hadamard verdicts per level")
 
-    p = add("certify", "assemble the spectrality certificate", sigma=True)
-    p.add_argument("--depth", type=int, default=30, help="ignored: the certificate is exact")
+    add("certify", "assemble the spectrality certificate", sigma=True)
 
     p = add("density", "histogram density estimate over the support hull",
             output=True, level=True)
@@ -226,6 +226,11 @@ def built_spectrum(args) -> tuple[MoranSystem, SpectrumLevel, int]:
 
 def cmd_spectrum(args) -> int:
     _, pts, q = built_spectrum(args)
+    lo, hi = _factor_extremes(pts.factors)  # the points print by str: refuse before the first
+    top, limit = max(-lo, hi), sys.get_int_max_str_digits()
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:  # 8**limit < 10**limit
+        raise UsageError(f"level {args.level} spectrum points reach {count_text(top)}, past "
+                         f"Python's int-to-str limit of {limit} digits")
     if args.output:
         write_csv(args.output, ["index", "lambda"], [range(q), pts.points])
     print(f"level {args.level} spectrum: {q} points, "
@@ -299,8 +304,6 @@ def cmd_hadamard(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.depth < 1:
-        raise UsageError("--depth must be at least 1")
     system = load_system(args.system)
     cert = certify(system, sigma=parse_sigma(args.sigma))
     print(f"verdict: {cert.verdict.value}")
@@ -320,7 +323,8 @@ def cmd_density(args) -> int:
     if args.output:
         write_csv(args.output, ["bin_center", "density"], [hist.centers, hist.density])
     lo, hi = hist.hull
-    print(f"level {args.level}: {hist.atom_count} atoms on [{lo}, {hi}], "
+    print(f"level {args.level}: {hist.atom_count} atoms on [{fraction_text(lo)}, "
+          f"{fraction_text(hi)}], "
           f"{len(hist.density)} bins")
     print(f"total mass: {hist.total_mass:.12f}")
     print(f"empty bin fraction: {hist.empty_fraction:.3f}")
@@ -338,11 +342,12 @@ def cmd_density(args) -> int:
 def cmd_tiling(args) -> int:
     cover = support_cover(load_system(args.system), args.level)
     lo, hi = cover.hull
-    print(f"support cover at level {args.level}: {len(cover.ends) // 2} "
-          f"interval(s), hull [{lo}, {hi}], length {float(cover.total_length):.6g}")
+    print(f"support cover at level {args.level}: {len(cover.ends) // 2} interval(s), "
+          f"hull [{fraction_text(lo)}, {fraction_text(hi)}], "
+          f"length {float_text(cover.total_length)}")
     gap, overlap = tiling_defects(cover)
     print(f"tiling by integer translates: {'no' if gap or overlap else 'yes'} "
-          f"(gap {gap}, overlap {overlap})")
+          f"(gap {fraction_text(gap)}, overlap {fraction_text(overlap)})")
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ Every module of this package takes ``np`` from here: ``import numpy`` reads
 
 from __future__ import annotations
 
+import decimal
 import importlib.util
 import math
 import operator
@@ -74,6 +75,24 @@ def two_adic_split(d: int) -> tuple[int, int]:
         raise ValueError("positive integer required")
     l = (d & -d).bit_length() - 1
     return l, d >> l
+
+
+def float_text(x: Fraction) -> str:
+    """%.6g of x's float, or of x to 6 digits where the float overflows or rounds x to 0."""
+    try:
+        if (f := float(x)) or not x:
+            return f"{f:.6g}"
+    except OverflowError:
+        pass
+    return f"{decimal.Context(prec=6).divide(x.numerator, x.denominator).normalize():.6g}"
+
+
+def fraction_text(x: Fraction) -> str:
+    """x exactly, or ~ its ``float_text`` where CPython's int-to-str digit limit refuses it."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"~{float_text(x)}"
 
 
 @dataclass(frozen=True)
@@ -486,21 +505,16 @@ def _mask_product(system: MoranSystem, lo: int, hi: int, xi):
 
     The product stops where ``_walk_to_stop`` says for max|xi|, over one
     running product from P_lo; the float-sized S <= P_m bounds every omitted
-    factor as P_m does, past hi too.  Each digit set's mask is evaluated
-    once, over its levels.
+    factor as P_m does, past hi too.  The factors are multiplied in level order.
     """
     system.level(hi)  # a level past a finite system's end is named as requested
     x = np.asarray(xi, dtype=np.float64)
     stop, last, levels = _walk_to_stop(system, lo, hi, float(np.max(np.abs(x), initial=0.0)))
-    P = np.array([float(Pm) for _, Pm in levels]).reshape((-1,) + (1,) * x.ndim)
-    y = np.fmod(x, P) / P  # fmod is exact, and leaves |xi| < P_m as it is
-    sets = [lvl.digits for lvl, _ in levels]
-    masks = np.empty(y.shape, dtype=np.complex128)
-    for digits in set(sets):
-        rows = np.array([d == digits for d in sets])
-        masks[rows] = mask_eval(digits, y[rows])
-    # a running product in level order, as one factor at a time would take it
-    return masks.prod(axis=0), min(last, stop) or 1
+    val = np.ones(x.shape, dtype=np.complex128)
+    for lvl, Pm in levels:
+        Pm = float(Pm)
+        val *= mask_eval(lvl.digits, np.fmod(x, Pm) / Pm)  # fmod is exact, and keeps |xi| < P_m
+    return val, min(last, stop) or 1
 
 
 def fourier_tail(system: MoranSystem, n: int, xi, depth: int) -> tuple[complex, float]:

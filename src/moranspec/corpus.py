@@ -105,15 +105,6 @@ def run_check(system: MoranSystem, name: str, params: dict) -> CheckResult:
                            str(params["target"]),
                            "match" if cover == target else f"{len(cover.ends) // 2} intervals",
                            cover == target)
-    if kind == "cover_hausdorff":
-        lvl = params["level"]
-        cover = support_cover(system, lvl)
-        target = IntervalUnion.from_intervals([params["target"]])
-        dist = cover.hausdorff_distance(target)
-        budget = Fraction(params["max_mult"]).limit_denominator() * system.tail_max_sum(lvl)
-        return CheckResult(name, f"{kind}@{lvl}",
-                           f"dist <= {float(budget):.3g}", f"dist = {float(dist):.3g}",
-                           dist <= budget)
     if kind == "tiling":
         cover = support_cover(system, params["level"])
         obs = tiling_defects(cover) == (0, 0)

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .core import (MoranError, MoranSystem, _atom_factors, _factor_extremes, _outer_sums,
-                   _partial_sum_dtype, np)
+                   _partial_sum_dtype, float_text, np)
 
 
 def _ends_dtype(first: int, last: int, den: int):
@@ -82,35 +81,6 @@ class IntervalUnion:
     @property
     def total_length(self) -> Fraction:
         return Fraction(int(np.diff(np.asarray(self.ends).reshape(-1, 2)).sum()), self.den)
-
-    def contains(self, x) -> bool:
-        return not self.is_empty and self.distance_to(x) == 0
-
-    def distance_to(self, x) -> Fraction:
-        """Distance from a point to the union (0 when contained)."""
-        if self.is_empty:
-            raise ValueError("empty union")
-        x = Fraction(x) * self.den
-        i = bisect_left(self.ends, x, key=int)
-        if i % 2:  # strictly inside an interval
-            return Fraction(0)
-        # else between the ends i - 1 and i, if they exist
-        return min(abs(int(e) - x) for e in self.ends[max(i - 1, 0):i + 1]) / self.den
-
-    def hausdorff_distance(self, other: "IntervalUnion") -> Fraction:
-        """Exact Hausdorff distance between two nonempty unions."""
-
-        def directed(a: "IntervalUnion", b: "IntervalUnion") -> Fraction:
-            # d(., b) peaks at endpoints of a and at gap midpoints of b
-            cands = [x for pair in a.intervals for x in pair]
-            ends = np.asarray(b.ends).tolist()  # gap k runs from ends[2k + 1] to ends[2k + 2]
-            mids = (Fraction(hi + lo, 2 * b.den) for hi, lo in zip(ends[1::2], ends[2::2]))
-            cands += [x for x in mids if a.contains(x)]
-            return max(b.distance_to(x) for x in cands)
-
-        if self.is_empty or other.is_empty:
-            raise ValueError("empty union")
-        return max(directed(self, other), directed(other, self))
 
 
 def _over_tail_denominator(system: MoranSystem, level: int) -> tuple[int, int, int]:
@@ -223,6 +193,7 @@ def density_histogram(system: MoranSystem, level: int, bins: int) -> Histogram:
     factors scaled to (f - min F) s' bins, binned block by block without sorting.
     The estimate converges weakly to the density when the measure is absolutely
     continuous.  The level should put a couple dozen atoms in each interior bin.
+    Raises ValueError, before binning, for a hull out of the float range of the bins.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
@@ -240,13 +211,21 @@ def density_histogram(system: MoranSystem, level: int, bins: int) -> Histogram:
     while split and math.prod(map(len, scaled[split:])) < max(2**16, bins):
         split -= 1
     block, offsets = (_outer_sums(part, dtype)[-1] for part in (scaled[split:], scaled[:split]))
+    q = len(block) * len(offsets)
+    try:
+        flo, fhi = float(lo), float(hi)
+    except OverflowError:
+        flo = fhi = math.inf
+    width = (fhi - flo) / bins  # the edges, centers and divisor q width must be finite floats
+    if not (0 < width and 2 * fhi + q * width < math.inf):
+        raise ValueError(f"the level {level} support hull [{float_text(lo)}, {float_text(hi)}] "
+                         f"is out of the float range of {bins} bins: a bin width, center or "
+                         "density would be 0 or inf")
     counts = np.zeros(bins, dtype=np.intp)
     for shift in offsets.tolist():  # each sum of the leading factors shifts the block
         idx = np.minimum((block + shift) // span, bins - 1)
         counts += np.bincount(idx.astype(np.intp, copy=False), minlength=bins)
-    q = len(block) * len(offsets)
-    width = (float(hi) - float(lo)) / bins
-    return Histogram(np.linspace(float(lo), float(hi), bins + 1), counts,
+    return Histogram(np.linspace(flo, fhi, bins + 1), counts,
                      counts / (q * width), q, (lo, hi))
 
 

@@ -10,17 +10,14 @@ difference of L, over p, is a zero of the mask of D: it is the one pair
 test, which ``hadamard`` prints per level and ``check_orthogonal`` asks of
 each distinct companion of a spectrum.  Both take a classified ``Level``,
 so a class is read only with the p it was classified under.
-``unitarity_residual`` measures the numeric deviation from unitarity of plain
-(p, D, L), reading no class: the float reference the exact test agrees with.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 from typing import Iterable
 
-from .core import Level, LevelClass, np, two_adic_split
+from .core import Level, LevelClass, two_adic_split
 
 
 def digit_star(N: int) -> tuple[int, ...]:
@@ -50,22 +47,12 @@ def construct_L(level: Level, sign: int = 1) -> tuple[int, ...]:
     raise ValueError(f"not admissible: {level.violations}")
 
 
-def unitarity_residual(p: int, digits: Iterable[int], L: Iterable[int]) -> float:
-    """Max-norm of H*H - I for H = (1/sqrt(N)) [exp(-2 pi i d l / p)]."""
-    ds, Ls = tuple(digits), tuple(L)
-    if len(Ls) != len(ds):
-        raise ValueError(f"cardinality mismatch: #D = {len(ds)}, #L = {len(Ls)}")
-    n = len(ds)
-    H = np.exp(-2j * np.pi * np.outer(ds, Ls) / p) / math.sqrt(n)
-    return float(np.max(np.abs(H.conj().T @ H - np.eye(n))))
-
-
 def is_hadamard(level: Level, L: Iterable[int]) -> bool:
     """Exact Hadamard-triple test via the mask zero set.
 
     True iff every difference of distinct elements of L, scaled by 1/p, is a
     zero of the mask of D, which ``Level.mask_zero`` decides for each pair
-    of L in integers; agrees with ``unitarity_residual`` being tiny.
+    of L in integers, with no float formed.
     """
     Ls = tuple(L)
     if len(Ls) != level.phi:

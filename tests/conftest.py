@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -101,10 +102,11 @@ def level_atoms(system, n: int) -> tuple[Fraction, ...]:
 
 
 def sequential_mask_product(system, lo: int, hi: int, xi):
-    """The one-level-at-a-time mask product the grouped one replaced, kept as the oracle.
+    """The one-level-at-a-time mask product, kept as the oracle.
 
     Same stop rule and scale as ``core._mask_product``; each level's mask is
-    evaluated on its own and multiplied into a running product.
+    evaluated on its own, at P_m formed anew by ``MoranSystem.P``, and
+    multiplied into a running product.
     """
     system.P(hi)
     x = np.asarray(xi, dtype=np.float64)
@@ -230,7 +232,21 @@ def fraction_tail_sum(system, n: int, term) -> Fraction:
     return terms(n + 1, i0) + terms(i0 + 1, i0 + len(system.cycle)) * Fraction(C, C - 1)
 
 
-# -- unitarity oracle ----------------------------------------------------------
+# -- unitarity oracles ---------------------------------------------------------
+
+
+def unitarity_residual(p: int, digits: Iterable[int], L: Iterable[int]) -> float:
+    """Max-norm of H*H - I for H = (1/sqrt(N)) [exp(-2 pi i d l / p)].
+
+    The float reference for the exact ``is_hadamard``: it reads no class,
+    only the plain (p, D, L).
+    """
+    ds, Ls = tuple(digits), tuple(L)
+    if len(Ls) != len(ds):
+        raise ValueError(f"cardinality mismatch: #D = {len(ds)}, #L = {len(Ls)}")
+    n = len(ds)
+    H = np.exp(-2j * np.pi * np.outer(ds, Ls) / p) / math.sqrt(n)
+    return float(np.max(np.abs(H.conj().T @ H - np.eye(n))))
 
 
 def exp_matrix_residual(positions, frequencies) -> float:

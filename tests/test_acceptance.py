@@ -30,11 +30,11 @@ from moranspec import (
     tail_constant,
     tiling_defects,
     uniformity_check,
-    unitarity_residual,
     zero_set_contains,
 )
 from moranspec.density import VERDICT_NOT_SPECTRAL
-from conftest import exp_matrix_residual, level_atoms, random_t1_level, random_t2_level, random_t3_level
+from conftest import (exp_matrix_residual, level_atoms, random_t1_level, random_t2_level,
+                      random_t3_level, unitarity_residual)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -151,14 +151,9 @@ def test_criterion_05_nonuniform_density(nonuniform_system):
 
 def test_criterion_06_unit_interval_tiling(final_system):
     cover = support_cover(final_system, 10)
-    target = IntervalUnion.from_intervals([(0, 1)])
-    dist = cover.hausdorff_distance(target)
-    budget = 2 * final_system.tail_max_sum(10)
+    exact = cover == IntervalUnion.from_intervals([(0, 1)])
     tiles = tiling_defects(cover) == (0, 0)
-    ok = dist <= budget and tiles
-    report(6, ok, f"level-10 cover within Hausdorff {float(dist):.2e} of "
-                  f"[0,1] (budget {float(budget):.2e}), tiles the line: "
-                  f"{tiles}")
+    report(6, exact and tiles, f"level-10 cover equals [0,1]: {exact}, tiles the line: {tiles}")
 
 
 def test_criterion_07_bessel_bound(alternating_system):

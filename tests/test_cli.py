@@ -32,6 +32,15 @@ T1_CYCLE = "cycle: (8,{0,1,2,3})\n"
 COLLIDING = "cycle: (2,{0,1,2})\n"
 # copies one unit apart under a one-unit hull: the cover has (3**n + 1)/2 intervals
 CANTOR = "cycle: (4,{0,1,3})\n"
+# digits and scales with hundreds of digits: hulls past the float range, at its edge
+# (the sum of the last two bin edges overflows) and whose float width rounds to 0
+HUGE_DIGIT = "cycle: (2,{0,1" + "0" * 400 + "})\n"
+EDGE_DIGIT = "cycle: (2,{0,15" + "0" * 307 + "})\n"
+HUGE_SCALE = "cycle: (1" + "0" * 330 + ",{0,1})\n"
+# a 3,001-digit scale: the level-1 cover's gap and the level-2 points pass 4,300 digits
+LONG_SCALE = "cycle: (1" + "0" * 3000 + ",{0,1})\n"
+# two 2,201-digit scales after P_1 = 2: the level-1 hull ends near 1/2 over 4,401 digits
+LONG_HULL = "preamble: (2,{0,1}) cycle: (1" + "0" * 2199 + "1,{0,1}) (1" + "0" * 2199 + "3,{0,1})\n"
 #: certify's stdout and exit code on each corpus system under three sign prefixes, and
 #: on one system given as text under a 200-entry prefix
 CERTIFY_GOLDEN = json.loads((Path(__file__).parent / "data" / "certify_stdout.json").read_text())
@@ -453,13 +462,6 @@ class TestCertifyCommand:
         main(["certify", path])
         assert capsys.readouterr().out == first
 
-    def test_depth_past_float_range(self, system_file, capsys):
-        path = system_file(T1_CYCLE)
-        assert main(["certify", path, "--depth", "400"]) == 0
-        deep = capsys.readouterr().out
-        assert main(["certify", path]) == 0
-        assert deep == capsys.readouterr().out.replace("depth=30", "depth=400")
-
 
 class TestDensityTilingCommands:
     def test_density_verdict_line(self, system_file, tmp_path, capsys):
@@ -507,6 +509,23 @@ class TestDensityTilingCommands:
         out = capsys.readouterr().out
         assert "support cover at level 20: 1 interval(s), hull [0, 1], length 1" in out
         assert "tiling by integer translates: yes (gap 0, overlap 0)" in out
+
+    @pytest.mark.parametrize("text, level, parts", [
+        pytest.param(HUGE_DIGIT, 2, ["1 interval(s)", "length 1e+400", "no (gap 0, overlap 9999"],
+                     id="length-past-float-range"),
+        pytest.param(LONG_SCALE, 1, ["2 interval(s)", "length 2e-6000", "no (gap ~1, overlap 0)"],
+                     id="gap-past-digit-limit"),
+    ])
+    def test_tiling_prints_bounded_values(self, system_file, capsys, text, level, parts):
+        assert main(["tiling", system_file(text), "--level", str(level)]) == 0
+        out, err = capsys.readouterr()
+        assert all(part in out for part in parts) and err == ""
+
+    def test_density_hull_past_digit_limit(self, system_file, tmp_path, capsys):
+        out_csv = tmp_path / "d.csv"
+        assert main(["density", system_file(LONG_HULL), "--level", "1", "--bins", "8",
+                     "-o", str(out_csv)]) == 0
+        assert "level 1: 2 atoms on [0, ~0.5], 8 bins" in capsys.readouterr().out
 
     def test_tiling_cover_cap_counts_merged_intervals(self, system_file, capsys, monkeypatch):
         # at level 5 the last step starts from 81 rows, 41 once merged: 3 * 41 = 123
@@ -699,8 +718,7 @@ class TestErrorPaths:
         # a huge --depth names its last level without forming P_depth, and a cover
         # step past the cap is refused from the shifts, before any row is built
         data = corpus._data_root()
-        cases = [(["certify", "unit_interval_tile", "--depth", "1000000000"], 0),
-                 (["qsum", "pure_two_digit", "--level", "4", "--depth", "1000000000"], 0),
+        cases = [(["qsum", "pure_two_digit", "--level", "4", "--depth", "1000000000"], 0),
                  (["tiling", "mixed_classes", "--level", "70"], 64),
                  (["tiling", "skewed_two_digit", "--level", "40"], 64)]
         argvs = [[cmd, str(data / f"{name}.moran"), *rest] for (cmd, name, *rest), _ in cases]
@@ -750,11 +768,13 @@ class TestErrorPaths:
         pytest.param(FINITE, ["qsum", "--level", "2", "--depth", "4"],
                      "level 4 requested from a finite system of 2 levels",
                      id="qsum-depth-past-end"),
-        # certify draws no samples and scans no levels: the flags are gone
+        # certify draws no samples, scans no levels and truncates no tail: the flags are gone
         pytest.param(FINAL, ["certify", "--samples", "0"],
                      "unrecognized arguments: --samples 0", id="certify-samples-0"),
         pytest.param(FINAL, ["certify", "--samples", "-3"],
                      "unrecognized arguments: --samples -3", id="certify-samples-minus-3"),
+        pytest.param(PURE_T3, ["certify", "--depth", "30"],
+                     "unrecognized arguments: --depth 30", id="certify-depth-30"),
         pytest.param(FINAL, ["qsum", "--xmax", "inf"],
                      "argument --xmax: must be a finite number", id="qsum-xmax-inf"),
         pytest.param(FINAL, ["qsum", "--xmin", "nan"],
@@ -784,8 +804,6 @@ class TestErrorPaths:
                      "unrecognized arguments: -o x.csv", id="certify-output"),
         pytest.param(FINAL, ["tiling", "-o", "x.csv"],
                      "unrecognized arguments: -o x.csv", id="tiling-output"),
-        pytest.param(PURE_T3, ["certify", "--depth", "0"],
-                     "depth must be at least 1", id="certify-depth-0"),
         pytest.param(FINAL, ["certify", "--scan-levels", "3"],
                      "unrecognized arguments: --scan-levels 3", id="certify-scan-levels-3"),
         pytest.param(FINAL, ["qsum", "--depth", "-3"],
@@ -806,6 +824,20 @@ class TestErrorPaths:
         pytest.param(FINITE, ["density", "--level", "5"],
                      "level 5 requested from a finite system of 2 levels",
                      id="density-past-end"),
+        # the bin widths, centers and densities must be finite and nonzero floats
+        pytest.param(HUGE_DIGIT, ["density", "--level", "2"],
+                     "level 2 support hull [0, 1e+400] is out of the float range of 4096 bins",
+                     id="density-hull-past-float-range"),
+        pytest.param(EDGE_DIGIT, ["density", "--level", "2", "--bins", "8"],
+                     "level 2 support hull [0, 1.5e+308] is out of the float range of 8 bins",
+                     id="density-centers-past-float-range"),
+        pytest.param(HUGE_SCALE, ["density", "--level", "1"],
+                     "level 1 support hull [0, 1e-330] is out of the float range of 4096 bins",
+                     id="density-width-rounds-to-0"),
+        # the points are the payload: one past the int-to-str limit cannot be shortened
+        pytest.param(LONG_SCALE, ["spectrum", "--level", "2"],
+                     "level 2 spectrum points reach <6000 digits>, past Python's int-to-str "
+                     "limit of 4300 digits", id="spectrum-points-past-digit-limit"),
         # sizes past the caps are refused before any array is allocated
         pytest.param(FINAL, ["density", "--bins", "100000000000"],
                      f"--bins 100000000000, more than the --bins cap of {2**20}",
@@ -832,3 +864,12 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert err.startswith("usage error: ") and message in err
         assert out == ""  # a rejected command prints no report line
+
+    @pytest.mark.parametrize("text, argv", [
+        pytest.param(LONG_SCALE, ["spectrum", "--level", "2"], id="spectrum"),
+        pytest.param(HUGE_SCALE, ["density", "--level", "1"], id="density"),
+    ])
+    def test_refused_before_the_csv(self, system_file, tmp_path, capsys, text, argv):
+        out_csv = tmp_path / "out.csv"
+        assert main([argv[0], system_file(text), *argv[1:], "-o", str(out_csv)]) == 64
+        assert capsys.readouterr().out == "" and not out_csv.exists()

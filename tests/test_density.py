@@ -26,41 +26,15 @@ class TestIntervalUnion:
         u = IntervalUnion.from_intervals([(2, 3), (0, Fraction(5, 2))])
         assert u.intervals == ((Fraction(0), Fraction(3)),)
 
-    def test_contains_boundaries(self):
-        u = IntervalUnion.from_intervals([(0, 1), (2, 3)])
-        assert u.contains(0) and u.contains(1) and u.contains(Fraction(1, 2))
-        assert u.contains(2) and u.contains(3)
-        assert not u.contains(Fraction(3, 2)) and not u.contains(4)
-        assert not u.contains(-1)
-
     def test_length_and_hull(self):
         u = IntervalUnion.from_intervals([(0, 1), (2, Fraction(7, 2))])
         assert u.total_length == Fraction(5, 2)
         assert u.hull == (Fraction(0), Fraction(7, 2))
 
-    def test_distance(self):
-        u = IntervalUnion.from_intervals([(0, 1), (3, 4)])
-        assert u.distance_to(Fraction(1, 2)) == 0
-        assert u.distance_to(2) == 1
-        assert u.distance_to(Fraction(9, 4)) == Fraction(3, 4)
-        assert u.distance_to(5) == 1
-
-    def test_hausdorff(self):
-        a = IntervalUnion.from_intervals([(0, 1)])
-        b = IntervalUnion.from_intervals([(0, Fraction(1, 2)),
-                                          (Fraction(3, 4), 1)])
-        # gap midpoint 5/8 of b is the farthest point of a
-        assert a.hausdorff_distance(b) == Fraction(1, 8)
-        assert a.hausdorff_distance(a) == 0
-        c = IntervalUnion.from_intervals([(0, 1), (2, 3)])
-        assert a.hausdorff_distance(c) == 2
-
 
 class TestSupportCover:
     def test_unit_interval(self, final_system):
-        cover = support_cover(final_system, 6)
-        target = IntervalUnion.from_intervals([(0, 1)])
-        assert cover.hausdorff_distance(target) <= final_system.tail_max_sum(6)
+        assert support_cover(final_system, 6) == IntervalUnion.from_intervals([(0, 1)])
 
     def test_nonuniform_full_interval(self, nonuniform_system):
         cover = support_cover(nonuniform_system, 6)

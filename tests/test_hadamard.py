@@ -11,9 +11,8 @@ from moranspec import (
     level_spectrum,
     make_system,
     mask_eval,
-    unitarity_residual,
 )
-from conftest import random_t1_level, random_t2_level, random_t3_level
+from conftest import random_t1_level, random_t2_level, random_t3_level, unitarity_residual
 
 GENERATED_CLASS = {random_t1_level: LevelClass.T1, random_t2_level: LevelClass.T2,
                    random_t3_level: LevelClass.T3}

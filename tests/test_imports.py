@@ -1,4 +1,5 @@
 import ast
+import json
 import types
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 
 import moranspec
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "moranspec").glob("*.py")
+PACKAGE = Path(__file__).parent.parent / "src" / "moranspec"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
 
 
@@ -42,7 +44,7 @@ PUBLIC_NAMES = [
     "f_eval", "f_min_points", "fourier_tail", "is_hadamard", "lambda_norm_check",
     "level_spectrum", "make_system", "mask_eval", "normalize_level", "parse_system",
     "q_sum_finite", "support_cover", "tail_constant", "tiling_defects", "uniformity_check",
-    "unitarity_residual", "zero_set_contains",
+    "zero_set_contains",
 ]
 
 
@@ -51,3 +53,19 @@ def test_public_names_pinned():
     names = sorted(name for name, value in vars(moranspec).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def check_kinds(tree: ast.Module) -> set[str]:
+    """The literals that ``run_check`` compares ``kind`` with: the corpus check kinds."""
+    run_check = next(node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "run_check")
+    return {node.comparators[0].value for node in ast.walk(run_check)
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+            and node.left.id == "kind" and isinstance(node.comparators[0], ast.Constant)}
+
+
+def test_every_corpus_check_kind_is_used():
+    # a kind that no sidecar names is dead code; a named kind without a branch fails at run time
+    used = {check["check"] for path in (PACKAGE / "data").glob("*.expect.json")
+            for check in json.loads(path.read_text())["checks"]}
+    assert check_kinds(ast.parse((PACKAGE / "corpus.py").read_text())) == used

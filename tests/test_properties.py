@@ -254,11 +254,6 @@ def test_cover_at_int64_edge(excess):
     assert len(cover.intervals) == 2
     assert cover.total_length == sum((hi - lo for lo, hi in cover.intervals), Fraction(0))
     assert tiling_defects(cover) == tiling_oracle(cover)
-    for lo, hi in cover.intervals:  # one unit over den outside each end
-        step = Fraction(1, cover.den)
-        assert cover.contains(lo) and cover.contains(hi) and cover.distance_to(hi) == 0
-        assert not cover.contains(lo - step) and not cover.contains(hi + step)
-        assert cover.distance_to(lo - step) == cover.distance_to(hi + step) == step
     # moved so that the last interval starts one unit below 1: with e = 2 it straddles 1
     shift = Fraction(cover.den - 1 - int(cover.ends[-2]), cover.den)
     moved = IntervalUnion.from_intervals((lo + shift, hi + shift) for lo, hi in cover.intervals)
@@ -1038,13 +1033,13 @@ def test_one_pass_levels_match_two_pass_oracle(seed):
 def sampled_tiling_check(T, window: int, samples: int) -> bool:
     """The midpoint-probe loop the exact tiling decision replaced, kept as the oracle.
 
-    Midpoints (2j+1)/(2*samples) of [0, 1) count exact membership of x + k
-    over |k| <= window; T tiles when every count is 1.
+    Midpoints (2j+1)/(2*samples) of [0, 1) count exact membership of x + k in
+    T's Fraction intervals over |k| <= window; T tiles when every count is 1.
     """
     shifts = range(-window, window + 1)
     for j in range(samples):
         x = Fraction(2 * j + 1, 2 * samples)
-        cover = sum(1 for k in shifts if T.contains(x + k))
+        cover = sum(1 for k in shifts for lo, hi in T.intervals if lo <= x + k <= hi)
         if cover != 1:
             return False
     return True
@@ -1097,14 +1092,11 @@ def test_total_length_matches_fraction_sum(pairs):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(FRACTIONS, FRACTIONS.map(abs)), max_size=6),
-       st.lists(st.tuples(FRACTIONS, FRACTIONS.map(abs)), max_size=6), FRACTIONS)
-def test_union_queries_match_fraction_intervals(pairs, other_pairs, x):
+       st.lists(st.tuples(FRACTIONS, FRACTIONS.map(abs)), max_size=6))
+def test_union_queries_match_fraction_intervals(pairs, other_pairs):
     raw = [(Fraction(lo), lo + w) for lo, w in pairs]
     T, U = IntervalUnion.from_intervals(raw), IntervalUnion.from_intervals(
         (lo, lo + w) for lo, w in other_pairs)
-    assert T.contains(x) == any(lo <= x <= hi for lo, hi in raw)
-    if raw:
-        assert T.distance_to(x) == min(max(lo - x, x - hi, 0) for lo, hi in raw)
     # merging T's intervals into U leaves U as it is iff T lies inside it
     inside = all(any(a <= lo and hi <= b for a, b in U.intervals) for lo, hi in raw)
     assert (IntervalUnion.from_intervals(T.intervals + U.intervals) == U) == inside
