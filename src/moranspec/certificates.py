@@ -15,12 +15,11 @@ the exact next-level factor bound) are kept as tested functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
 
-from .core import (LevelClass, MoranStructureError, MoranSystem, fraction_text, np,
+from .core import (Frozen, LevelClass, MoranStructureError, MoranSystem, fraction_text, np,
                    zero_in_range)
 from .spectrum import SigmaPrefix, _head, check_orthogonal, level_spectrum
 
@@ -155,13 +154,14 @@ class Verdict(Enum):
 EXIT_CODES = {Verdict.PASS: 0, Verdict.CONDITIONS_FAILED: 2, Verdict.INCONCLUSIVE: 3}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Outcome of the spectrality certification pipeline."""
 
-    verdict: Verdict
-    checkpoint: int | None  # the class n_k proved (infinite-branch PASS only)
-    diagnostics: str
+    def __init__(self, verdict: Verdict, checkpoint: int | None, diagnostics: str):
+        object.__setattr__(self, "verdict", verdict)
+        # the class n_k proved (infinite-branch PASS only)
+        object.__setattr__(self, "checkpoint", checkpoint)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     @property
     def exit_code(self) -> int:

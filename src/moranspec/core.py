@@ -29,12 +29,11 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Iterator, Sequence
 
 if (np := sys.modules.get("numpy")) is None:
     if (_spec := importlib.util.find_spec("numpy")) is None:
@@ -95,8 +94,46 @@ def fraction_text(x: Fraction) -> str:
         return f"~{float_text(x)}"
 
 
-@dataclass(frozen=True)
-class Level:
+class Frozen:
+    """Base of the package's immutable records.
+
+    A record's fields, ``_fields``, are the parameters of its ``__init__``,
+    which sets each once through ``object.__setattr__``; assigning or deleting
+    one later raises AttributeError.  Equality (same class only), hash and
+    repr ``Name(field=value, ...)`` follow the tuple of the fields.  A record
+    keeps a ``__dict__``, which ``cached_property`` fills.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Level(Frozen):
     """One classified generator level (p, D).
 
     ``digits`` is sorted and duplicate-free.  ``cls`` records the class the
@@ -105,11 +142,16 @@ class Level:
     boundary ratio b/p == 2/3 for three-digit sets).
     """
 
-    p: int
-    digits: tuple[int, ...]
-    cls: LevelClass
-    warnings: tuple[str, ...] = ()
-    violations: tuple[str, ...] = ()
+    def __init__(self, p: int, digits: tuple[int, ...], cls: LevelClass,
+                 warnings: tuple[str, ...] = (), violations: tuple[str, ...] = ()):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "violations", violations)
+
+    def __hash__(self):  # (p, D) alone: equal levels share it, and no Enum.__hash__ runs
+        return hash((self.p, self.digits))
 
     @property
     def phi(self) -> int:
@@ -224,23 +266,21 @@ def normalize_level(p: int, digits: Iterable[int]) -> tuple[int, tuple[int, ...]
     return abs(p), shifted
 
 
-@dataclass(frozen=True)
-class MoranSystem:
+class MoranSystem(Frozen):
     """Eventually periodic sequence of levels: finite preamble + repeated cycle.
 
     Levels are 1-indexed.  An empty cycle gives a finite system usable only
     at levels up to ``len(preamble)``.
     """
 
-    preamble: tuple[Level, ...]
-    cycle: tuple[Level, ...]
-
-    def __post_init__(self):
-        if not self.preamble and not self.cycle:
+    def __init__(self, preamble: tuple[Level, ...], cycle: tuple[Level, ...]):
+        if not preamble and not cycle:
             raise MoranStructureError("system has no levels")
-        for lvl in self.preamble + self.cycle:
+        for lvl in preamble + cycle:
             if lvl.p <= 1:
                 raise MoranStructureError(f"scale p = {lvl.p} must exceed 1")
+        object.__setattr__(self, "preamble", preamble)
+        object.__setattr__(self, "cycle", cycle)
 
     # -- level access ------------------------------------------------------
 
@@ -491,8 +531,15 @@ def _walk_to_stop(system: MoranSystem, lo: int, hi: int, scale):
     from lo at |lam + xi| <= scale takes levels up to m <= hi, the first with P_m > stop =
     2**57 pi c scale.  Past it the factors differ from 1 by at most expm1(4 pi c scale / P_m)
     < 2**-54 in all (see fourier_tail), and no P_i too large for a float is divided by (nan:
-    never stops)."""
-    stop = math.ceil(2**57 * math.pi * system.max_digit_ratio) * scale
+    never stops).  Raises ValueError where 2**57 pi c is not a positive float (c nonzero)."""
+    try:
+        bound = 2**57 * math.pi * float(c := system.max_digit_ratio)
+    except OverflowError:
+        bound = math.inf
+    if c and not 0 < bound < math.inf:
+        raise ValueError(f"the max digit ratio {float_text(c)} is out of the float range of "
+                         "the mask product's stop")
+    stop = math.ceil(bound) * scale
     P, levels = system.P(lo), []
     while lo + len(levels) < hi and not P > stop:
         lvl = system.level(lo + len(levels) + 1)
@@ -543,13 +590,13 @@ def fourier_tail(system: MoranSystem, n: int, xi, depth: int) -> tuple[complex, 
 # -- exact zero set ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroWitness:
+class ZeroWitness(Frozen):
     """A zero of the transform: its level, that level's class family and the zero."""
 
-    level: int
-    cls: LevelClass
-    zero: Fraction
+    def __init__(self, level: int, cls: LevelClass, zero: Fraction):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "zero", zero)
 
 
 def zero_in_range(system: MoranSystem, lo, hi, max_level: int | None = None) -> ZeroWitness | None:

@@ -9,12 +9,11 @@ for the documented example systems.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from .certificates import certify
-from .core import MoranSystem, np, parse_system
+from .core import Frozen, MoranSystem, np, parse_system
 from .density import (
     IntervalUnion,
     density_histogram,
@@ -47,13 +46,13 @@ def load_example(name: str) -> tuple[MoranSystem, dict]:
     return system, expect
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    example: str
-    check: str
-    expected: str
-    observed: str
-    ok: bool
+class CheckResult(Frozen):
+    def __init__(self, example: str, check: str, expected: str, observed: str, ok: bool):
+        object.__setattr__(self, "example", example)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "ok", ok)
 
 
 def _plateau_error(hist, plateaus) -> float:

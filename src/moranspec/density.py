@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
-from .core import (MoranError, MoranSystem, _atom_factors, _factor_extremes, _outer_sums,
-                   _partial_sum_dtype, float_text, np)
+from .core import (Frozen, MoranError, MoranSystem, _atom_factors, _factor_extremes,
+                   _outer_sums, _partial_sum_dtype, float_text, np)
 
 
 def _ends_dtype(first: int, last: int, den: int):
@@ -29,8 +28,7 @@ def _ends_dtype(first: int, last: int, den: int):
     return np.int64 if max(last, 0) - min(first, 0) + den < 2**63 else object
 
 
-@dataclass(frozen=True, eq=False)
-class IntervalUnion:
+class IntervalUnion(Frozen):
     """Sorted union of disjoint closed intervals with rational endpoints.
 
     ``ends`` holds the endpoints lo_1, hi_1, lo_2, hi_2, ... as integers over
@@ -38,8 +36,9 @@ class IntervalUnion:
     ``IntervalUnion(())`` is the empty union.
     """
 
-    ends: np.ndarray
-    den: int = 1
+    def __init__(self, ends: np.ndarray, den: int = 1):
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_intervals(cls, pairs: Iterable[tuple]) -> "IntervalUnion":
@@ -153,15 +152,16 @@ def support_cover(system: MoranSystem, level: int) -> IntervalUnion:
     return IntervalUnion((_merged(rows) if dirty else rows).ravel(), den)
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(Frozen):
     """Density estimate over the support hull from exact level atoms."""
 
-    edges: np.ndarray  # bins + 1 edges spanning the support hull
-    counts: np.ndarray
-    density: np.ndarray  # counts / (atom_count * bin width)
-    atom_count: int
-    hull: tuple[Fraction, Fraction]
+    def __init__(self, edges: np.ndarray, counts: np.ndarray, density: np.ndarray,
+                 atom_count: int, hull: tuple[Fraction, Fraction]):
+        object.__setattr__(self, "edges", edges)  # bins + 1 edges spanning the support hull
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "density", density)  # counts / (atom_count * bin width)
+        object.__setattr__(self, "atom_count", atom_count)
+        object.__setattr__(self, "hull", hull)
 
     @property
     def centers(self) -> np.ndarray:

@@ -14,8 +14,8 @@ so a class is read only with the p it was classified under.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
 
 from .core import Level, LevelClass, two_adic_split
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import combinations, cycle, islice
-from typing import Iterable, Iterator, Sequence
 
 from .core import (
+    Frozen,
     Level,
     LevelClass,
     MoranStructureError,
@@ -57,8 +57,7 @@ def _head(system: MoranSystem, sigma: SigmaPrefix | None) -> int:
     return npre + k * len(system.cycle) + t3[r]
 
 
-@dataclass(frozen=True)
-class SpectrumLevel:
+class SpectrumLevel(Frozen):
     """Level-n candidate spectrum of a system, in the system's own shape.
 
     ``companions`` holds L_1, ..., L_m, m = min(n, head + T): the preamble
@@ -67,9 +66,11 @@ class SpectrumLevel:
     and the points, their Minkowski sum, are built on first access.
     """
 
-    system: MoranSystem
-    level: int
-    companions: tuple[tuple[int, ...], ...]
+    def __init__(self, system: MoranSystem, level: int,
+                 companions: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "companions", companions)
 
     def unfolded(self) -> Iterator[tuple[int, ...]]:
         """L_1, ..., L_n: the stored companions, then their last T repeated."""
@@ -124,14 +125,15 @@ def level_spectrum(
     return SpectrumLevel(system, n, tuple(companions))
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(Frozen):
     """Outcome of the exact pairwise orthogonality check."""
 
-    point_count: int
-    pairs_checked: int
-    failures: tuple[tuple, ...]
-    witness_levels: tuple[int, ...]
+    def __init__(self, point_count: int, pairs_checked: int, failures: tuple[tuple, ...],
+                 witness_levels: tuple[int, ...]):
+        object.__setattr__(self, "point_count", point_count)
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "witness_levels", witness_levels)
 
     @property
     def passed(self) -> bool:

@@ -207,6 +207,13 @@ class TestLazyNumpy:
         assert run_fresh(code) == "True\n"
         assert core.np is np  # conftest and this module import numpy first
 
+    def test_start_up_imports_neither_dataclasses_nor_inspect(self):
+        # each adds milliseconds to every command's start-up, for nothing the package needs
+        argv = ["validate", str(corpus._data_root() / "mixed_classes.moran")]
+        code = FRESH_MAIN + "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+        result, loaded = run_fresh(code, json.dumps([argv])).splitlines()
+        assert (json.loads(result)["exit"], loaded) == (0, "[]")
+
 
 class TestSpectrumCommands:
     def test_spectrum_points(self, system_file, capsys):
@@ -834,6 +841,14 @@ class TestErrorPaths:
         pytest.param(HUGE_SCALE, ["density", "--level", "1"],
                      "level 1 support hull [0, 1e-330] is out of the float range of 4096 bins",
                      id="density-width-rounds-to-0"),
+        # the float transforms stop at 2**57 pi max(D)/p, which must be a positive float
+        pytest.param("cycle: (1" + "0" * 400 + ",{0,1})\n",
+                     ["qsum", "--level", "1", "--depth", "2", "--grid", "3"],
+                     "the max digit ratio 1e-400 is out of the float range of the mask "
+                     "product's stop", id="qsum-digit-ratio-rounds-to-0"),
+        pytest.param(HUGE_DIGIT, ["qsum", "--level", "0", "--depth", "2"],
+                     "the max digit ratio 5e+399 is out of the float range of the mask "
+                     "product's stop", id="qsum-digit-ratio-past-float-range"),
         # the points are the payload: one past the int-to-str limit cannot be shortened
         pytest.param(LONG_SCALE, ["spectrum", "--level", "2"],
                      "level 2 spectrum points reach <6000 digits>, past Python's int-to-str "

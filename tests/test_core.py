@@ -5,11 +5,20 @@ import numpy as np
 import pytest
 
 from moranspec import (
+    IntervalUnion,
+    Level,
     LevelClass,
     MoranStructureError,
     MoranSyntaxError,
+    MoranSystem,
+    SpectrumLevel,
+    ZeroWitness,
+    certify,
+    check_orthogonal,
     classify_level,
+    density_histogram,
     fourier_tail,
+    level_spectrum,
     make_system,
     mask_eval,
     normalize_level,
@@ -17,6 +26,7 @@ from moranspec import (
     zero_set_contains,
 )
 from moranspec.core import two_adic_split
+from moranspec.corpus import CheckResult
 from conftest import atom_numerators, level_atoms, sorted_sums
 
 
@@ -344,3 +354,103 @@ class TestSystemAccessors:
             assert final_system.tail_max_sum(n) == Fraction(1, final_system.P(n))
         # eventually constant {0,3}/2^i tail
         assert nonuniform_system.tail_max_sum(6) == Fraction(3, 64)
+
+
+def records(system) -> list[tuple[object, tuple[str, ...]]]:
+    """Each of the package's frozen records, built from ``system``, with its fields in order."""
+    spec = level_spectrum(system, 4)
+    return [
+        (system.level(1), ("p", "digits", "cls", "warnings", "violations")),
+        (system, ("preamble", "cycle")),
+        (zero_set_contains(system, Fraction(1)), ("level", "cls", "zero")),
+        (spec, ("system", "level", "companions")),
+        (check_orthogonal(system, spec),
+         ("point_count", "pairs_checked", "failures", "witness_levels")),
+        (certify(system), ("verdict", "checkpoint", "diagnostics")),
+        (IntervalUnion.from_intervals([(0, Fraction(1, 2)), (1, 2)]), ("ends", "den")),
+        (density_histogram(system, 6, 8), ("edges", "counts", "density", "atom_count", "hull")),
+        (CheckResult("final", "certify", "PASS", "PASS", True),
+         ("example", "check", "expected", "observed", "ok")),
+    ]
+
+
+class TestRecords:
+    def test_fields_are_frozen(self, final_system):
+        for record, fields in records(final_system):
+            for name in fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = None
+
+    def test_constructors_keep_their_signature(self, final_system):
+        for record, fields in records(final_system):
+            assert record._fields == fields  # the parameters of __init__
+            values = [getattr(record, name) for name in fields]
+            for rebuilt in (type(record)(*values), type(record)(**dict(zip(fields, values)))):
+                assert [getattr(rebuilt, name) for name in fields] == values
+            with pytest.raises(TypeError):
+                type(record)(*values, None)
+            with pytest.raises(TypeError):
+                type(record)()
+        assert Level(4, (0, 1), LevelClass.T3) == classify_level(4, (0, 1))  # defaults ()
+        assert IntervalUnion(np.array([0, 1])).den == 1
+
+    def test_repr_names_the_fields(self, final_system):
+        assert repr(classify_level(4, (0, 1))) == (
+            "Level(p=4, digits=(0, 1), cls=<LevelClass.T3: 'T3'>, warnings=(), violations=())")
+        assert repr(ZeroWitness(1, LevelClass.T3, Fraction(1))) == (
+            "ZeroWitness(level=1, cls=<LevelClass.T3: 'T3'>, zero=Fraction(1, 1))")
+        for record, fields in records(final_system):
+            text = repr(record)
+            assert text.startswith(type(record).__name__ + "(")
+            starts = [text.index(f"{name}=") for name in fields]
+            assert starts == sorted(starts)
+
+    def test_equality_and_hash_follow_the_fields(self, final_system, mixed_system):
+        for record, fields in records(final_system):
+            values = tuple(getattr(record, name) for name in fields)
+            if any(isinstance(value, np.ndarray) for value in values):
+                continue  # IntervalUnion compares its intervals; a Histogram's arrays cannot
+            copy = type(record)(*values)
+            assert copy == record and hash(copy) == hash(record)
+            assert record != values  # a tuple of the fields is another class
+        assert Level(4, (0, 1), LevelClass.T3) != Level(4, (0, 1), LevelClass.INVALID)
+        assert {classify_level(4, [0, 1]), classify_level(4, (1, 0)),
+                classify_level(8, (0, 1))} == {Level(4, (0, 1), LevelClass.T3),
+                                               classify_level(8, [1, 0])}
+        assert zero_set_contains(final_system, Fraction(1)) == ZeroWitness(
+            1, LevelClass.T3, Fraction(1))
+        assert zero_set_contains(final_system, Fraction(3)) != ZeroWitness(
+            1, LevelClass.T3, Fraction(1))
+        assert parse_system("cycle: (2,{0,1}) (3,{0,1,2})") == final_system != mixed_system
+        spec = level_spectrum(mixed_system, 5)
+        report = check_orthogonal(mixed_system, spec)
+        assert report == check_orthogonal(mixed_system, SpectrumLevel(
+            mixed_system, 5, tuple(spec.unfolded())))
+        assert report != check_orthogonal(mixed_system, level_spectrum(mixed_system, 4))
+
+    def test_interval_union_compares_intervals(self):
+        half = IntervalUnion(np.array([0, 1]), 2)
+        same = [IntervalUnion(np.array([0, 2]), 4),
+                IntervalUnion(np.array([0, 1], dtype=object), 2),
+                IntervalUnion.from_intervals([(0, Fraction(1, 4)),
+                                              (Fraction(1, 4), Fraction(1, 2))])]
+        for other in same:
+            assert other == half and hash(other) == hash(half)
+        assert half != IntervalUnion(np.array([0, 1]), 3) and half != half.intervals
+
+    def test_cached_properties_fill(self, final_system):
+        spec = level_spectrum(final_system, 4)
+        cover = IntervalUnion.from_intervals([(0, 1)])
+        hist = density_histogram(final_system, 6, 8)
+        for record, name in ((spec, "points"), (final_system, "max_digit_ratio"),
+                             (cover, "intervals"), (hist, "empty_fraction")):
+            assert name not in vars(record)
+            value = getattr(record, name)
+            assert vars(record)[name] is value and getattr(record, name) is value
+        assert spec.points == tuple(sorted(spec.points)) and len(spec.points) == 36
+        assert final_system.max_digit_ratio == Fraction(2, 3)
+        assert cover.intervals == ((0, 1),) and hist.empty_fraction == 0.0

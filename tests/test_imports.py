@@ -35,6 +35,29 @@ def test_an_unused_import_is_found():
     assert unused_imports(tree) == ["line 1: accumulate", "line 2: os"]
 
 
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level modules that a module's ``import`` and absolute ``from`` statements name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_or_typing(path):
+    # every command would pay their import at start-up: dataclasses loads inspect and ast,
+    # and collections.abc holds the abstract types the annotations name
+    assert imported_modules(ast.parse(path.read_text())) & {"dataclasses", "typing"} == set()
+
+
+def test_imported_modules_are_found():
+    tree = ast.parse("import os.path, re\nfrom typing import Any\nfrom . import core\n")
+    assert imported_modules(tree) == {"os", "re", "typing"}
+
+
 #: moranspec's public names, sorted: an API addition or removal shows in this list's diff
 PUBLIC_NAMES = [
     "Certificate", "Histogram", "IntervalUnion", "Level", "LevelClass", "MoranError",

@@ -162,9 +162,9 @@ class TestOrthogonality:
             n -= 1
         pts = level_spectrum(system, n)
         built, calls = [], []
-        post_init = MoranSystem.__post_init__
-        monkeypatch.setattr(MoranSystem, "__post_init__",
-                            lambda self: (built.append(self), post_init(self))[1])
+        init = MoranSystem.__init__
+        monkeypatch.setattr(MoranSystem, "__init__",
+                            lambda self, *args: (built.append(self), init(self, *args))[1])
         for func in (check_orthogonal, zero_set_contains):
             def spy(*args, _func=func, **kwargs):
                 calls.append(_func.__name__)
